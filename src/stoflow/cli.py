@@ -29,7 +29,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="output directory (default: config, "
                                                "then $STOFLOW_OUT)")
-    p.add_argument("--threads", type=int, default=1, help="trajectory worker threads")
+    p.add_argument("--threads", type=int, default=1,
+                   help="accepted; changes neither results nor speed")
     return p
 
 

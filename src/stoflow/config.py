@@ -19,6 +19,7 @@ losslessly.  See docs/formats.md for the full schema.
 from __future__ import annotations
 
 import hashlib
+import math
 from dataclasses import dataclass
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_config_text"]
@@ -66,6 +67,10 @@ class ExperimentConfig:
             raise ConfigError(f"unknown init.kind {self.init_kind!r}")
         if self.scheme not in SCHEMES:
             raise ConfigError(f"unknown scheme {self.scheme!r}")
+        for key, (attr, typ) in _KEYMAP.items():
+            val = getattr(self, attr)
+            if typ is float and not math.isfinite(val):
+                raise ConfigError(f"{key} must be a finite number, got {val}")
         for key, val in (("grid.n", self.n), ("time.dt", self.dt),
                          ("time.horizon", self.horizon)):
             if val <= 0:

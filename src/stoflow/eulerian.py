@@ -1,6 +1,6 @@
 """Eulerian velocity-field SDEs: stochastic Euler and the averaged
-Euler-alpha model, wrapped as finite SDE problems over stacked real
-Fourier coefficients.
+Euler-alpha model, wrapped as finite SDE problems whose state is the
+(2, M, M) Fourier coefficient array of the velocity.
 
     du = -Pi[(u.grad)u] dt + dW                      (plain Euler)
     du = -Pi H^-1[(u.grad)m + a^2 (grad u)^T Lap u] dt + H^-1 dW
@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral as sp
-from .qwiener import QWienerSpec, eigenmode_field, sample_coefficients
+from .qwiener import QWienerSpec, driving_coefficients, field_from_coefficients
 from .sde import SdeProblem, solve_path
 from .spectral import SpectralField
 
@@ -26,8 +26,6 @@ __all__ = [
     "euler_drift",
     "averaged_drift",
     "noise_mode_multiplier",
-    "pack_field",
-    "unpack_field",
     "make_eulerian_problem",
     "EulerianPath",
     "run_eulerian",
@@ -67,34 +65,13 @@ def noise_mode_multiplier(spec: QWienerSpec, alpha: float) -> np.ndarray:
     return np.repeat(1.0 / (1.0 + alpha**2 * ksq), 2)
 
 
-# ---------------------------------------------------------------------------
-# packing fields into flat real state vectors
-
-def pack_field(u: SpectralField) -> np.ndarray:
-    c = u.coeffs.ravel()
-    return np.concatenate([c.real, c.imag])
-
-
-def unpack_field(x: np.ndarray, N: int) -> SpectralField:
-    M = 2 * N + 1
-    half = 2 * M * M
-    c = (x[:half] + 1j * x[half:]).reshape(2, M, M)
-    return SpectralField(N, c)
-
-
-def _diffusion_matrix(spec: QWienerSpec, N: int, alpha: float) -> np.ndarray:
-    cols = []
-    mult = noise_mode_multiplier(spec, alpha)
-    for j in range(spec.n_modes):
-        cols.append(mult[j] * pack_field(eigenmode_field(spec, j)))
-    return np.array(cols).T
-
-
 def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0.0,
                           radius_factor: float = 10.0,
                           forcing: Optional[SpectralField] = None) -> SdeProblem:
-    """Stack coefficients into a real state vector and build the SdeProblem.
+    """The SdeProblem over the (2, M, M) coefficient array of the velocity.
 
+    The diffusion maps raw noise coordinates dW to the field
+    sum_j mult_j dW_j e_j, with mult from noise_mode_multiplier.
     The localization domain is the H^s ball (s fixed by
     LOCALIZATION_SOBOLEV_INDEX) of radius radius_factor * max(|u0|_{H^s}, 1)
     centered at the origin.
@@ -102,34 +79,27 @@ def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0
     if spec.N != u0.N:
         raise ValueError("noise spectrum and initial field resolutions differ")
     N = u0.N
-    x0 = pack_field(u0)
-    if spec.trace == 0.0:
-        # silent noise: zero-width diffusion, no per-step matvec cost
-        sigma_mat = np.zeros((len(x0), 0))
-        variances = np.zeros(0)
-    else:
-        sigma_mat = _diffusion_matrix(spec, N, alpha)
-        variances = spec.mode_variances
+    mult = noise_mode_multiplier(spec, alpha)
 
     def drift(t: float, x: np.ndarray) -> np.ndarray:
-        u = unpack_field(x, N)
+        u = SpectralField(N, x)
         if alpha == 0.0:
             du = euler_drift(u, forcing)
         else:
             du = averaged_drift(u, alpha)
             if forcing is not None:
                 du = du + sp.helmholtz_inverse(sp.leray_project(forcing), alpha)
-        return pack_field(du)
+        return du.coeffs
 
-    def sigma(x: np.ndarray) -> np.ndarray:
-        return sigma_mat
+    def diffusion(x: np.ndarray, dW: np.ndarray) -> np.ndarray:
+        return field_from_coefficients(spec, mult * dW).coeffs
 
     def hs_norm(x: np.ndarray) -> float:
-        return sp.sobolev_norm(unpack_field(x, N), LOCALIZATION_SOBOLEV_INDEX)
+        return sp.sobolev_norm(SpectralField(N, x), LOCALIZATION_SOBOLEV_INDEX)
 
     radius = radius_factor * max(sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX), 1.0)
-    return SdeProblem(dim=len(x0), drift=drift, sigma=sigma,
-                      noise_variances=variances, x0=x0,
+    return SdeProblem(dim=2 * u0.coeffs.size, drift=drift, diffusion=diffusion,
+                      noise_variances=spec.mode_variances, x0=u0.coeffs,
                       domain_radius=radius, domain_norm=hs_norm)
 
 
@@ -169,17 +139,10 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     problem = make_eulerian_problem(u0, spec, alpha=alpha,
                                     radius_factor=radius_factor, forcing=forcing)
-    if increments is None:
-        if rng is not None:
-            increments = sample_coefficients(spec, dt, nsteps, rng)
-        elif spec.trace == 0.0:
-            increments = np.zeros((nsteps, spec.n_modes))
-        else:
-            raise ValueError("need an rng stream or explicit increments")
-    solver_inc = increments if spec.trace > 0.0 else increments[:, :0]
-    res = solve_path(problem, scheme, t_grid, increments=solver_inc)
+    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
+    res = solve_path(problem, scheme, t_grid, increments=increments)
 
-    fields = [unpack_field(x, u0.N) for x in res.states]
+    fields = [SpectralField(u0.N, x) for x in res.states]
     energy = np.array([sp.l2_norm(f) ** 2 for f in fields])
     ens = np.array([sp.enstrophy(f) for f in fields])
     hs = np.array([sp.sobolev_norm(f, LOCALIZATION_SOBOLEV_INDEX) for f in fields])

@@ -2,14 +2,13 @@
 
 All floating-point CSV values are written with 17 significant digits so
 reruns are byte-identical; trajectories get their own derived RNG streams
-and are merged by index, so results do not depend on the thread count.
+and run one after another in index order.
 """
 
 from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -75,17 +74,10 @@ def initial_field(cfg: ExperimentConfig) -> sp.SpectralField:
     return sp.SpectralField.zero(cfg.n)
 
 
-def _map_trajectories(fn, n_traj: int, threads: int) -> list:
-    if threads <= 1 or n_traj <= 1:
-        return [fn(i) for i in range(n_traj)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(n_traj)))
-
-
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _run_simulate(cfg: ExperimentConfig, threads: int):
+def _run_simulate(cfg: ExperimentConfig):
     u0 = initial_field(cfg)
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     alpha = cfg.alpha if cfg.kind == "simulate-averaged" else 0.0
@@ -96,7 +88,7 @@ def _run_simulate(cfg: ExperimentConfig, threads: int):
                             alpha=alpha, rng=rng, radius_factor=cfg.radius_factor,
                             keep_fields=False)
 
-    paths = _map_trajectories(one, cfg.ensemble, threads)
+    paths = [one(i) for i in range(cfg.ensemble)]
 
     rows = []
     for i, p in enumerate(paths):
@@ -114,7 +106,7 @@ def _run_simulate(cfg: ExperimentConfig, threads: int):
     return {"diagnostics.csv": (header, rows)}, acceptance
 
 
-def _run_equivalence(cfg: ExperimentConfig, threads: int):
+def _run_equivalence(cfg: ExperimentConfig):
     u0 = initial_field(cfg)
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     labels = uniform_labels(cfg.eq_particles)
@@ -151,20 +143,20 @@ def _run_equivalence(cfg: ExperimentConfig, threads: int):
     return files, acceptance
 
 
-def _run_convergence(cfg: ExperimentConfig, threads: int):
+def _run_convergence(cfg: ExperimentConfig):
     rng = derive_stream(cfg.seed, "convergence")
     n_paths = max(cfg.ensemble, 64)
     steps = [8, 16, 32, 64, 128, 256]
 
     # additive-noise Ornstein-Uhlenbeck, Euler-Maruyama (strong order 1)
-    ou = SdeProblem(dim=1, drift=lambda t, x: -x, sigma=lambda x: np.eye(1),
+    ou = SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
                     noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_add, _, _ = strong_convergence_order(ou, "euler-maruyama", 1.0, steps,
                                              n_paths, rng)
 
     # scalar Stratonovich dX = X o dW against the exact exp(W_T)
     mult = SdeProblem(dim=1, drift=lambda t, x: np.zeros(1),
-                      sigma=lambda x: x.reshape(1, 1),
+                      diffusion=lambda x, dW: x * dW,
                       noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_mult, _, _ = strong_convergence_order(
         mult, "heun", 1.0, steps, n_paths, rng,
@@ -172,7 +164,7 @@ def _run_convergence(cfg: ExperimentConfig, threads: int):
 
     # zero noise, smooth drift: Heun is the order-2 ODE method
     ode = SdeProblem(dim=1, drift=lambda t, x: np.sin(x) + 0.5,
-                     sigma=lambda x: np.zeros((1, 1)),
+                     diffusion=lambda x, dW: np.zeros(1),
                      noise_variances=np.array([1.0]), x0=np.array([0.3]))
     ord_ode, _, _ = strong_convergence_order(
         ode, "heun", 1.0, [8, 16, 32, 64], 1, rng,
@@ -186,7 +178,7 @@ def _run_convergence(cfg: ExperimentConfig, threads: int):
     return {"convergence.csv": (header, rows)}, acceptance
 
 
-def _run_isometry(cfg: ExperimentConfig, threads: int):
+def _run_isometry(cfg: ExperimentConfig):
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     n = max(cfg.ensemble, 10_000)
     rng = derive_stream(cfg.seed, "isometry")
@@ -226,7 +218,7 @@ def _run_isometry(cfg: ExperimentConfig, threads: int):
     return {"isometry.csv": (header, rows)}, acceptance
 
 
-def _run_energy_growth(cfg: ExperimentConfig, threads: int):
+def _run_energy_growth(cfg: ExperimentConfig):
     u0 = initial_field(cfg)
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     e0 = sp.l2_norm(u0) ** 2
@@ -238,7 +230,7 @@ def _run_energy_growth(cfg: ExperimentConfig, threads: int):
                          keep_fields=False)
         return p.energy[-1], float(np.max(p.div_residual))
 
-    results = _map_trajectories(one, cfg.ensemble, threads)
+    results = [one(i) for i in range(cfg.ensemble)]
     terminal = np.array([r[0] for r in results])
     max_div = max(r[1] for r in results)
 
@@ -269,14 +261,16 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     """Dispatch one experiment, write its CSV artifacts and manifest.
 
     Returns the manifest; `manifest.all_passed` reflects the embedded
-    acceptance checks for that experiment kind.
+    acceptance checks for that experiment kind.  `threads` is accepted
+    and ignored: trajectories run sequentially, because a thread pool
+    was slower than one thread on these small NumPy calls.
     """
     cfg.validate()
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    files, acceptance = _RUNNERS[cfg.kind](cfg, threads)
+    files, acceptance = _RUNNERS[cfg.kind](cfg)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
     written = []
     for name, (header, rows) in files.items():

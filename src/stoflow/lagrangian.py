@@ -22,8 +22,8 @@ import numpy as np
 
 from . import spectral as sp
 from .eulerian import run_eulerian
-from .qwiener import NoiseIncrement, QWienerSpec, increment_from_coefficients, \
-    sample_coefficients
+from .qwiener import NoiseIncrement, QWienerSpec, driving_coefficients, \
+    field_from_coefficients, increment_from_coefficients
 from .spectral import SpectralField, evaluate_at
 
 __all__ = [
@@ -129,35 +129,14 @@ def lagrangian_noise(particles: ParticleEnsemble,
     return evaluate_at(increment.field, particles.positions)
 
 
-def lagrangian_diffusion_matrix(spec: QWienerSpec, positions: np.ndarray) -> np.ndarray:
-    """Diffusion matrix of the stacked (Phi, eta) state: noise mode j kicks
-    the velocity slots by e_j(Phi(x_i)) and never touches the position slots.
-
-    State layout: [Phi.ravel(), eta.ravel()]; returns (4P, n_modes).
-    """
-    pos = np.asarray(positions, dtype=float)
-    P = len(pos)
-    ks = spec.wavevectors.astype(float)
-    knorm = np.sqrt(np.sum(ks**2, axis=1))
-    d = np.stack([-ks[:, 1], ks[:, 0]], axis=1) / knorm[:, None]
-    phase = pos @ ks.T  # (P, nk)
-    amp = np.sqrt(2.0)
-    cosb = amp * np.cos(phase)
-    sinb = amp * np.sin(phase)
-    vel = np.zeros((2 * P, spec.n_modes))
-    vel[0::2, 0::2] = cosb * d[None, :, 0]
-    vel[1::2, 0::2] = cosb * d[None, :, 1]
-    vel[0::2, 1::2] = sinb * d[None, :, 0]
-    vel[1::2, 1::2] = sinb * d[None, :, 1]
-    return np.vstack([np.zeros((2 * P, spec.n_modes)), vel])
-
-
 def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
                             particles: ParticleEnsemble):
     """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift.
 
-    Exposes the vertical-lift structure to the generic SDE machinery, e.g.
-    for the finite-difference Stratonovich-correction check.
+    State layout: [Phi.ravel(), eta.ravel()].  The diffusion is the
+    vertical lift: dW kicks the velocity slots by (dW)(Phi(x_i)) and never
+    touches the position slots.  Exposes this structure to the generic SDE
+    machinery, e.g. for the finite-difference Stratonovich-correction check.
     """
     from .sde import SdeProblem
 
@@ -170,11 +149,12 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
         acc = material_acceleration_at(u, pos)
         return np.concatenate([eta, acc.ravel()])
 
-    def sigma(z):
+    def diffusion(z, dW):
         pos = z[:2 * P].reshape(P, 2)
-        return lagrangian_diffusion_matrix(spec, pos)
+        kicks = evaluate_at(field_from_coefficients(spec, dW), pos)
+        return np.concatenate([np.zeros(2 * P), kicks.ravel()])
 
-    return SdeProblem(dim=4 * P, drift=drift, sigma=sigma,
+    return SdeProblem(dim=4 * P, drift=drift, diffusion=diffusion,
                       noise_variances=spec.mode_variances, x0=x0)
 
 
@@ -202,13 +182,7 @@ def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     nsteps = int(round(T / dt))
     if labels is None:
         labels = uniform_labels(32)
-    if increments is None:
-        if rng is not None:
-            increments = sample_coefficients(spec, dt, nsteps, rng)
-        elif spec.trace == 0.0:
-            increments = np.zeros((nsteps, spec.n_modes))
-        else:
-            raise ValueError("need an rng stream or explicit increments")
+    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
 
     epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments)
     fields = epath.fields
@@ -282,13 +256,7 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     nsteps = int(round(T / dt))
     if labels is None:
         labels = uniform_labels(8)
-    if increments is None:
-        if rng is not None:
-            increments = sample_coefficients(spec, dt, nsteps, rng)
-        elif spec.trace == 0.0:
-            increments = np.zeros((nsteps, spec.n_modes))
-        else:
-            raise ValueError("need an rng stream or explicit increments")
+    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
 
     epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments)
     fields = epath.fields

@@ -24,6 +24,8 @@ __all__ = [
     "build_spectrum",
     "sample_increment",
     "sample_coefficients",
+    "driving_coefficients",
+    "field_from_coefficients",
     "increment_from_coefficients",
     "eigenmode_field",
     "mode_coefficients",
@@ -144,9 +146,29 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
     return xi * np.sqrt(spec.mode_variances * dt)
 
 
-def increment_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray,
-                                dt: float) -> NoiseIncrement:
-    """Assemble the spectral field sum_j dW_j e_j from raw coordinates."""
+def driving_coefficients(spec: QWienerSpec, dt: float, nsteps: int,
+                         rng: np.random.Generator | None = None,
+                         increments: np.ndarray | None = None) -> np.ndarray:
+    """Per-step noise coordinates, shape (nsteps, n_modes).
+
+    The given `increments` when present, else a draw from `rng`, else
+    zeros when the noise is off (trace(Q) = 0).
+    """
+    if increments is not None:
+        return increments
+    if rng is not None:
+        return sample_coefficients(spec, dt, nsteps, rng)
+    if spec.trace == 0.0:
+        return np.zeros((nsteps, spec.n_modes))
+    raise ValueError("need an rng stream or explicit increments")
+
+
+def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralField:
+    """The real field sum_j coeffs_j e_j over the unit eigenfields.
+
+    This is the one map from noise coordinates to velocity fields; the
+    Eulerian diffusion, the Lagrangian kicks and every increment use it.
+    """
     M = 2 * spec.N + 1
     c = np.zeros((2, M, M), dtype=complex)
     d = _mode_directions(spec)
@@ -162,7 +184,14 @@ def increment_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray,
         np.add.at(c[comp], (ix, iy), vec[:, comp])
         np.add.at(c[comp], ((-spec.wavevectors[:, 0]) % M, (-spec.wavevectors[:, 1]) % M),
                   np.conj(vec[:, comp]))
-    return NoiseIncrement(dt=float(dt), field=SpectralField(spec.N, c),
+    return SpectralField(spec.N, c)
+
+
+def increment_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray,
+                                dt: float) -> NoiseIncrement:
+    """Assemble the spectral field sum_j dW_j e_j from raw coordinates."""
+    w = np.asarray(coeffs, dtype=float)
+    return NoiseIncrement(dt=float(dt), field=field_from_coefficients(spec, w),
                           coefficients=w.copy())
 
 

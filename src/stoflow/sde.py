@@ -4,8 +4,10 @@ convergence-order estimation.
 
 Noise is a vector of independent Gaussian coordinates with per-coordinate
 variances (the diagonal of Q in its eigenbasis); an increment over dt has
-coordinate j distributed N(0, lambda_j dt).  The diffusion sigma(x) is a
-(dim x n_noise) matrix mapping noise coordinates into state space.
+coordinate j distributed N(0, lambda_j dt).  The diffusion is given by its
+action: `diffusion(x, dW)` returns the state-space increment sigma(x) dW,
+so sigma never has to exist as a matrix.  States are real or complex
+arrays of any shape; the steppers only add and scale them.
 """
 
 from __future__ import annotations
@@ -42,6 +44,9 @@ class SdePathError(RuntimeError):
 class SdeProblem:
     """dX = b(t, X) dt + sigma(X) dW on a localization ball U.
 
+    `diffusion(x, dW)` is sigma(x) dW, an array shaped like the state.
+    `dim` counts the real degrees of freedom of the state (a complex entry
+    counts twice); `noise_variances` has one entry per noise coordinate.
     U is the closed ball of radius `domain_radius` about `domain_center`
     in the norm `domain_norm` (Euclidean when None); paths are certified
     only up to the first grid time they leave U.
@@ -49,7 +54,7 @@ class SdeProblem:
 
     dim: int
     drift: Callable[[float, np.ndarray], np.ndarray]
-    sigma: Callable[[np.ndarray], np.ndarray]
+    diffusion: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_variances: np.ndarray
     x0: np.ndarray
     domain_radius: float = np.inf
@@ -82,7 +87,7 @@ class PathResult:
 def step_euler_maruyama(problem: SdeProblem, t: float, x: np.ndarray,
                         dW: np.ndarray, dt: float) -> np.ndarray:
     """x + b(t,x) dt + sigma(x) dW."""
-    return x + problem.drift(t, x) * dt + problem.sigma(x) @ dW
+    return x + problem.drift(t, x) * dt + problem.diffusion(x, dW)
 
 
 def step_heun_stratonovich(problem: SdeProblem, t: float, x: np.ndarray,
@@ -92,18 +97,16 @@ def step_heun_stratonovich(problem: SdeProblem, t: float, x: np.ndarray,
     Predictor: xp = x + b(t,x) dt + sigma(x) dW
     Corrector: x + (b(t,x) + b(t+dt,xp))/2 dt + (sigma(x) + sigma(xp))/2 dW
 
-    Reduces to second-order Heun for the ODE when the noise is off.
+    Reduces to second-order Heun for the ODE when the noise is off.  For
+    additive noise the two diffusion terms are equal and their average is
+    exact.
     """
     b0 = problem.drift(t, x)
-    s0 = problem.sigma(x)
-    xp = x + b0 * dt + s0 @ dW
+    n0 = problem.diffusion(x, dW)
+    xp = x + b0 * dt + n0
     b1 = problem.drift(t + dt, xp)
-    s1 = problem.sigma(xp)
-    if s1 is s0:  # state-independent diffusion: corrector average degenerates
-        noise = s0 @ dW
-    else:
-        noise = 0.5 * (s0 @ dW + s1 @ dW)
-    return x + 0.5 * (b0 + b1) * dt + noise
+    n1 = problem.diffusion(xp, dW)
+    return x + 0.5 * (b0 + b1) * dt + 0.5 * (n0 + n1)
 
 
 _STEPPERS = {
@@ -117,21 +120,23 @@ def stratonovich_correction(problem: SdeProblem, x: np.ndarray,
     """Drift correction (1/2) tr[sigma'(x) sigma(x) Q] by central differences.
 
     Converts a Stratonovich drift into the equivalent Ito drift:
-    b_ito = b_strat + correction.  Works for black-box sigma.
+    b_ito = b_strat + correction.  Works for a black-box diffusion: column
+    j of sigma(y) is diffusion(y, e_j).
     """
     if h is None:
         h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
     lam = np.asarray(problem.noise_variances, dtype=float)
-    s = problem.sigma(x)
-    out = np.zeros(problem.dim)
+    out = np.zeros(np.shape(x), dtype=np.result_type(x, float))
     for j in range(len(lam)):
         if lam[j] == 0.0:
             continue
-        v = s[:, j]
+        e = np.zeros(len(lam))
+        e[j] = 1.0
+        v = problem.diffusion(x, e)
         if not np.any(v):
             continue
-        col_plus = problem.sigma(x + h * v)[:, j]
-        col_minus = problem.sigma(x - h * v)[:, j]
+        col_plus = problem.diffusion(x + h * v, e)
+        col_minus = problem.diffusion(x - h * v, e)
         out += lam[j] * (col_plus - col_minus) / (2.0 * h)
     return 0.5 * out
 
@@ -156,7 +161,7 @@ def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
     nsteps = len(t_grid) - 1
-    x = np.array(problem.x0, dtype=float)
+    x = np.array(problem.x0, dtype=np.result_type(problem.x0, float))
 
     if problem.distance_from_center(x) > problem.domain_radius:
         raise ValueError("initial state outside the localization domain U")

@@ -171,7 +171,7 @@ def test_heun_em_coupled_difference_linear_in_dt():
 # 8 -------------------------------------------------------------------------
 
 def test_strong_order_euler_maruyama_additive():
-    p = SdeProblem(dim=1, drift=lambda t, x: -x, sigma=lambda x: np.eye(1),
+    p = SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
         p, "euler-maruyama", 1.0, [8, 16, 32, 64, 128, 256], 200,
@@ -183,7 +183,7 @@ def test_strong_order_euler_maruyama_additive():
 def test_strong_order_heun_stratonovich_benchmark():
     # dX = X o dW against the exact exp(W_T)
     p = SdeProblem(dim=1, drift=lambda t, x: np.zeros(1),
-                   sigma=lambda x: x.reshape(1, 1),
+                   diffusion=lambda x, dW: x * dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
         p, "heun", 1.0, [8, 16, 32, 64, 128, 256], 200,
@@ -197,7 +197,7 @@ def test_strong_order_heun_stratonovich_benchmark():
 def test_exit_time_deterministic_crossing():
     dt = 0.01
     p = SdeProblem(dim=1, drift=lambda t, x: np.ones(1),
-                   sigma=lambda x: np.zeros((1, 1)),
+                   diffusion=lambda x, dW: np.zeros(1),
                    noise_variances=np.array([1.0]), x0=np.zeros(1),
                    domain_radius=1.0)
     grid = np.arange(0.0, 2.0 + dt / 2, dt)

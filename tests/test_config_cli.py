@@ -35,9 +35,15 @@ def test_full_round_trip():
     assert again.content_hash() == cfg.content_hash()
 
 
-def test_negative_dt_names_the_key():
-    with pytest.raises(ConfigError, match="dt"):
-        parse_config_text("kind = isometry\ntime.dt = -1\n")
+@pytest.mark.parametrize("key,value", [
+    ("time.dt", "-1"),
+    ("time.dt", "nan"),
+    ("time.horizon", "inf"),
+    ("noise.gamma", "nan"),
+])
+def test_negative_dt_names_the_key(key, value):
+    with pytest.raises(ConfigError, match=key):
+        parse_config_text(f"kind = isometry\n{key} = {value}\n")
 
 
 def test_unknown_key_rejected():
@@ -174,6 +180,15 @@ def test_cli_bad_config_exit_one(tmp_path, capsys):
     path = write_cfg(tmp_path, "kind = isometry\nbogus = 1\n")
     assert main(["isometry", "--config", path]) == 1
     assert "bogus" in capsys.readouterr().err
+
+
+def test_cli_non_finite_value_exit_one(tmp_path, capsys):
+    path = write_cfg(tmp_path, "kind = energy-growth\ntime.horizon = inf\n")
+    assert main(["energy-growth", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "time.horizon" in err
+    assert err.count("\n") == 1
 
 
 def test_cli_missing_file_exit_one(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 
 from stoflow import eulerian as eu
 from stoflow import spectral as sp
-from stoflow.qwiener import build_spectrum, sample_coefficients
+from stoflow.qwiener import build_spectrum, eigenmode_field, sample_coefficients
 from stoflow.streams import derive_stream
 
 
@@ -97,21 +97,26 @@ def test_smoothed_noise_divergence_free():
     spec = build_spectrum(4, 2.0, 1.0)
     u0 = sp.SpectralField.zero(4)
     problem = eu.make_eulerian_problem(u0, spec, alpha=1.0)
-    s = problem.sigma(problem.x0)
-    for j in range(s.shape[1]):
-        f = eu.unpack_field(s[:, j], 4)
+    for j in range(spec.n_modes):
+        e = np.zeros(spec.n_modes)
+        e[j] = 1.0
+        f = sp.SpectralField(4, problem.diffusion(problem.x0, e))
         assert sp.divergence_residual(f) < 1e-13
 
 
+def test_averaged_diffusion_matches_eigenmode_sum():
+    spec = build_spectrum(3, 2.0, 1.0)
+    problem = eu.make_eulerian_problem(sp.taylor_green(3), spec, alpha=0.7)
+    w = derive_stream(19, "diffusion").standard_normal(spec.n_modes)
+    mult = eu.noise_mode_multiplier(spec, 0.7)
+    ref = sum(mult[j] * w[j] * eigenmode_field(spec, j).coeffs
+              for j in range(spec.n_modes))
+    got = problem.diffusion(problem.x0, w)
+    assert np.max(np.abs(got - ref)) < 1e-13
+
+
 # ---------------------------------------------------------------------------
-# packing
-
-def test_pack_unpack_round_trip():
-    rng = derive_stream(7, "pack")
-    u = sp.random_divergence_free(5, rng)
-    back = eu.unpack_field(eu.pack_field(u), 5)
-    assert np.array_equal(back.coeffs, u.coeffs)
-
+# problem construction
 
 def test_resolution_mismatch_rejected():
     spec = build_spectrum(3, 2.0, 1.0)

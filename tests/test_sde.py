@@ -9,8 +9,8 @@ from stoflow.sde import SdeProblem, solve_path
 from stoflow.streams import derive_stream
 
 
-def scalar_problem(drift, sigma, x0=1.0, variances=(1.0,), **kw):
-    return SdeProblem(dim=1, drift=drift, sigma=sigma,
+def scalar_problem(drift, diffusion, x0=1.0, variances=(1.0,), **kw):
+    return SdeProblem(dim=1, drift=drift, diffusion=diffusion,
                       noise_variances=np.array(variances),
                       x0=np.array([x0]), **kw)
 
@@ -19,20 +19,20 @@ def scalar_problem(drift, sigma, x0=1.0, variances=(1.0,), **kw):
 # single steps
 
 def test_em_step_no_dynamics():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.zeros((1, 1)), x0=0.7)
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1), x0=0.7)
     out = sde.step_euler_maruyama(p, 0.0, p.x0, np.array([0.3]), 0.1)
     assert out[0] == 0.7
 
 
 def test_em_step_pure_drift():
-    p = scalar_problem(lambda t, x: np.ones(1), lambda x: np.zeros((1, 1)), x0=0.0)
+    p = scalar_problem(lambda t, x: np.ones(1), lambda x, dW: np.zeros(1), x0=0.0)
     out = sde.step_euler_maruyama(p, 0.0, p.x0, np.array([0.0]), 0.5)
     assert out[0] == 0.5
 
 
 def test_terminal_state_telescopes_noise():
     # b = 0, sigma = 1: terminal state is exactly the sum of increments
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.eye(1), x0=0.0)
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW, x0=0.0)
     grid = np.linspace(0.0, 1.0, 33)
     inc = sde.sample_increments(p, grid, derive_stream(4, "tel"))
     for scheme in ("euler-maruyama", "heun"):
@@ -42,7 +42,7 @@ def test_terminal_state_telescopes_noise():
 
 def test_heun_equals_em_for_constant_sigma():
     s = np.array([[0.8]])
-    p = scalar_problem(lambda t, x: 2.0 * np.ones(1), lambda x: s, x0=0.3)
+    p = scalar_problem(lambda t, x: 2.0 * np.ones(1), lambda x, dW: s @ dW, x0=0.3)
     dW = np.array([-0.4])
     a = sde.step_euler_maruyama(p, 0.0, p.x0, dW, 0.2)
     b = sde.step_heun_stratonovich(p, 0.0, p.x0, dW, 0.2)
@@ -51,7 +51,7 @@ def test_heun_equals_em_for_constant_sigma():
 
 
 def test_heun_zero_noise_is_deterministic_heun():
-    p = scalar_problem(lambda t, x: -x, lambda x: np.zeros((1, 1)), x0=1.0)
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: np.zeros(1), x0=1.0)
     dt = 0.1
     out = sde.step_heun_stratonovich(p, 0.0, p.x0, np.array([0.0]), dt)
     # hand-rolled Heun for dx/dt = -x
@@ -64,21 +64,21 @@ def test_heun_zero_noise_is_deterministic_heun():
 # Stratonovich correction
 
 def test_correction_constant_sigma_zero():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.array([[2.0]]))
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: 2.0 * dW)
     corr = sde.stratonovich_correction(p, np.array([0.7]))
     assert np.max(np.abs(corr)) == 0.0
 
 
 def test_correction_linear_sigma():
     # sigma(x) = x, Q = 1: correction = x/2
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: x.reshape(1, 1))
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
     for x in (0.5, -1.3, 2.0):
         corr = sde.stratonovich_correction(p, np.array([x]))
         assert abs(corr[0] - 0.5 * x) < 1e-9
 
 
 def test_correction_scales_with_variance():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: x.reshape(1, 1),
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW,
                        variances=(3.0,))
     corr = sde.stratonovich_correction(p, np.array([1.0]))
     assert abs(corr[0] - 1.5) < 1e-8
@@ -86,8 +86,8 @@ def test_correction_scales_with_variance():
 
 def test_ito_stratonovich_consistency():
     # Heun on (0, x) and EM on (correction, x) approach each other pathwise
-    strat = scalar_problem(lambda t, x: np.zeros(1), lambda x: x.reshape(1, 1))
-    ito = scalar_problem(lambda t, x: 0.5 * x, lambda x: x.reshape(1, 1))
+    strat = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
+    ito = scalar_problem(lambda t, x: 0.5 * x, lambda x, dW: x * dW)
     rng = derive_stream(11, "cons")
     diffs = []
     for nsteps in (32, 64, 128, 256):
@@ -106,7 +106,7 @@ def test_ito_stratonovich_consistency():
 def test_ito_formula_residual_refines():
     # f(x) = x^2 on the OU process: the discrete Ito-formula defect
     # shrinks in mean square under refinement
-    p = scalar_problem(lambda t, x: -x, lambda x: np.eye(1), x0=1.0)
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=1.0)
     rng = derive_stream(17, "ito")
     resids = []
     for nsteps in (16, 64, 256):
@@ -130,7 +130,7 @@ def test_ito_formula_residual_refines():
 # exit-time localization
 
 def test_deterministic_exit_within_one_step():
-    p = scalar_problem(lambda t, x: np.ones(1), lambda x: np.zeros((1, 1)),
+    p = scalar_problem(lambda t, x: np.ones(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
     dt = 0.01
     grid = np.linspace(0.0, 2.0, 201)
@@ -142,7 +142,7 @@ def test_deterministic_exit_within_one_step():
 
 
 def test_static_path_never_exits():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.zeros((1, 1)),
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
     grid = np.linspace(0.0, 5.0, 51)
     res = solve_path(p, "heun", grid, increments=np.zeros((50, 1)))
@@ -155,9 +155,9 @@ def test_exit_monotone_under_domain_inclusion():
     rng = derive_stream(23, "mono")
     grid = np.linspace(0.0, 20.0, 2001)
     for _ in range(10):
-        small = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.eye(1),
+        small = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                                x0=0.0, domain_radius=1.0)
-        big = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.eye(1),
+        big = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                              x0=0.0, domain_radius=2.0)
         inc = sde.sample_increments(small, grid, rng)
         rs = solve_path(small, "euler-maruyama", grid, increments=inc)
@@ -171,7 +171,7 @@ def test_exit_monotone_under_domain_inclusion():
 
 
 def test_initial_state_outside_domain_rejected():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: np.eye(1),
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                        x0=3.0, domain_radius=1.0)
     with pytest.raises(ValueError):
         solve_path(p, "heun", np.linspace(0, 1, 11),
@@ -180,7 +180,7 @@ def test_initial_state_outside_domain_rejected():
 
 def test_custom_domain_norm():
     p = SdeProblem(dim=2, drift=lambda t, x: np.array([1.0, 0.0]),
-                   sigma=lambda x: np.zeros((2, 1)),
+                   diffusion=lambda x, dW: np.zeros(2),
                    noise_variances=np.array([1.0]),
                    x0=np.zeros(2), domain_radius=1.0,
                    domain_norm=lambda v: 2.0 * np.abs(v[0]))
@@ -191,7 +191,7 @@ def test_custom_domain_norm():
 
 
 def test_nonfinite_state_aborts():
-    p = scalar_problem(lambda t, x: np.full(1, np.nan), lambda x: np.zeros((1, 1)))
+    p = scalar_problem(lambda t, x: np.full(1, np.nan), lambda x, dW: np.zeros(1))
     with pytest.raises(sde.SdePathError) as exc:
         solve_path(p, "euler-maruyama", np.linspace(0, 10, 101),
                    increments=np.zeros((100, 1)))
@@ -202,7 +202,7 @@ def test_nonfinite_state_aborts():
 # determinism and refinement machinery
 
 def test_solve_path_deterministic():
-    p = scalar_problem(lambda t, x: -x, lambda x: np.eye(1))
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     grid = np.linspace(0.0, 1.0, 65)
     a = solve_path(p, "heun", grid, rng=derive_stream(3, "det"))
     b = solve_path(p, "heun", grid, rng=derive_stream(3, "det"))
@@ -219,7 +219,7 @@ def test_coarsen_increments_sums_blocks():
 
 
 def test_strong_order_em_additive():
-    p = scalar_problem(lambda t, x: -x, lambda x: np.eye(1))
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     order, dts, errs = sde.strong_convergence_order(
         p, "euler-maruyama", 1.0, [8, 16, 32, 64, 128], 100,
         derive_stream(31, "ord"))
@@ -228,7 +228,7 @@ def test_strong_order_em_additive():
 
 
 def test_strong_order_heun_deterministic():
-    p = scalar_problem(lambda t, x: np.sin(x) + 0.5, lambda x: np.zeros((1, 1)),
+    p = scalar_problem(lambda t, x: np.sin(x) + 0.5, lambda x, dW: np.zeros(1),
                        x0=0.3)
     order, _, _ = sde.strong_convergence_order(
         p, "heun", 1.0, [8, 16, 32, 64], 1, derive_stream(0, "ode"))
@@ -236,7 +236,7 @@ def test_strong_order_heun_deterministic():
 
 
 def test_strong_order_heun_multiplicative():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x: x.reshape(1, 1))
+    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
     order, _, _ = sde.strong_convergence_order(
         p, "heun", 1.0, [8, 16, 32, 64, 128], 200, derive_stream(7, "mult"),
         exact=lambda wT: np.exp(wT))
@@ -244,7 +244,7 @@ def test_strong_order_heun_multiplicative():
 
 
 def test_strong_order_needs_three_levels():
-    p = scalar_problem(lambda t, x: -x, lambda x: np.eye(1))
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     with pytest.raises(ValueError):
         sde.strong_convergence_order(p, "heun", 1.0, [8, 16], 4,
                                      derive_stream(0, "few"))
