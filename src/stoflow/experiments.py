@@ -247,6 +247,16 @@ def _run_energy_growth(cfg: ExperimentConfig):
             "energy_summary.csv": (["slope", "stderr", "trace_q", "z"], summary)}, acceptance
 
 
+def _drawn_streams(cfg: ExperimentConfig) -> list:
+    """Labels "<seed>:<keys>" of the RNG streams a run of cfg draws."""
+    streams = []
+    if cfg.init_kind == "random" and cfg.kind not in ("convergence", "isometry"):
+        streams.append(f"{cfg.init_seed}:init")
+    if cfg.kind in ("equivalence", "convergence", "isometry"):
+        return streams + [f"{cfg.seed}:{cfg.kind}"]
+    return streams + [f"{cfg.seed}:{i}:noise" for i in range(cfg.ensemble)]
+
+
 _RUNNERS = {
     "simulate-euler": _run_simulate,
     "simulate-averaged": _run_simulate,
@@ -281,7 +291,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
         config_hash=cfg.content_hash(),
         code_version=__version__,
         kind=cfg.kind,
-        seeds=[f"{cfg.seed}:{i}:noise" for i in range(cfg.ensemble)],
+        seeds=_drawn_streams(cfg),
         wall_clock_s=time.perf_counter() - t0,
         acceptance=acceptance,
         files=sorted(written),

@@ -23,8 +23,8 @@ import numpy as np
 from . import spectral as sp
 from .eulerian import run_eulerian
 from .qwiener import NoiseIncrement, QWienerSpec, driving_coefficients, \
-    field_from_coefficients, increment_from_coefficients
-from .spectral import SpectralField, evaluate_at
+    field_from_coefficients
+from .spectral import SpectralField, evaluate_at, evaluate_stack_at
 
 __all__ = [
     "ParticleEnsemble",
@@ -93,17 +93,30 @@ def advect(particles: ParticleEnsemble,
                    positions_unwrapped=new_unwrapped, t=t + dt)
 
 
+def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
+    """Values at the points of u, d_x u, d_y u, Pi[(u.grad)u] and then of
+    each extra coefficient array, shape (P, 4 + len(extra), 2), all on one
+    set of phase tables."""
+    proj = sp.leray_project(sp.advection_term(u))
+    stack = [sp._gradient_stack(u), proj.coeffs[None]] + [e[None] for e in extra]
+    return evaluate_stack_at(np.concatenate(stack), points)
+
+
+def _spray_from(vals: np.ndarray) -> np.ndarray:
+    """Material acceleration from _spray_values."""
+    return sp._transport(vals[:, :3]) - vals[:, 3]
+
+
 def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray:
     """Spray drift ((u.grad)u - Pi[(u.grad)u]) evaluated at the points.
 
     The transport part is the exact pointwise product (modes up to 2N),
     the subtracted part is the Galerkin-truncated projected advection that
     drives the Eulerian system; their difference is -(grad p) plus the
-    truncation tail, matching the discrete dynamics exactly.
+    truncation tail, matching the discrete dynamics exactly.  All four
+    fields are evaluated on one set of phase tables.
     """
-    full = sp.pointwise_advection_at(u, points)
-    proj = evaluate_at(sp.leray_project(sp.advection_term(u)), points)
-    return full - proj
+    return _spray_from(_spray_values(u, points))
 
 
 def spray(particles: ParticleEnsemble, u: SpectralField,
@@ -112,15 +125,16 @@ def spray(particles: ParticleEnsemble, u: SpectralField,
     flat-coordinate geodesic spray.  A curve Phi with dPhi/dt = u o Phi
     then satisfies d(u o Phi)/dt = spray for the forcing-free Euler flow.
     """
+    vals = _spray_values(u, particles.positions)
     if check_consistency:
-        ref = evaluate_at(u, particles.positions)
+        ref = vals[:, 0]
         scale = max(np.max(np.abs(ref)), 1e-30)
         mismatch = np.max(np.abs(particles.velocities - ref)) / scale
         if mismatch > SPRAY_CONSISTENCY_TOL:
             warnings.warn(
                 f"particle velocities deviate from u o Phi by {mismatch:.2e} "
                 f"(relative l-inf); spray evaluated anyway", stacklevel=2)
-    return material_acceleration_at(u, particles.positions)
+    return _spray_from(vals)
 
 
 def lagrangian_noise(particles: ParticleEnsemble,
@@ -191,19 +205,20 @@ def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     out = [ens]
     for i in range(nsteps):
         u_n, u_n1 = fields[i], fields[i + 1]
-        inc = increment_from_coefficients(spec, increments[i], dt)
+        kick = [field_from_coefficients(spec, increments[i]).coeffs] if with_noise_kicks else []
         phi = ens.positions_unwrapped
         eta = ens.velocities
 
-        acc0 = spray(ens, u_n, check_consistency=False)
-        kick0 = lagrangian_noise(ens, inc) if with_noise_kicks else 0.0
+        # spray and kick share one set of phase tables at each stage
+        vals0 = _spray_values(u_n, ens.positions, *kick)
+        acc0 = _spray_from(vals0)
+        kick0 = vals0[:, 4] if with_noise_kicks else 0.0
         phi_p = phi + dt * eta
         eta_drift_p = eta + dt * acc0
-        pred = replace(ens, positions=phi_p % TWO_PI, positions_unwrapped=phi_p,
-                       velocities=eta_drift_p + kick0, t=ens.t + dt)
 
-        acc1 = spray(pred, u_n1, check_consistency=False)
-        kick1 = lagrangian_noise(pred, inc) if with_noise_kicks else 0.0
+        vals1 = _spray_values(u_n1, phi_p % TWO_PI, *kick)
+        acc1 = _spray_from(vals1)
+        kick1 = vals1[:, 4] if with_noise_kicks else 0.0
         # vertical lift: the position update never sees the noise kicks
         phi_new = phi + 0.5 * dt * (eta + eta_drift_p)
         eta_new = eta + 0.5 * dt * (acc0 + acc1) + 0.5 * (kick0 + kick1)
@@ -234,17 +249,19 @@ def equivalence_residual(fields: list, particle_path: list,
     nsteps = len(increments)
     if len(fields) != nsteps + 1 or len(particle_path) != nsteps + 1:
         raise ValueError("field path, particle path and increments do not align")
-    labels = particle_path[0].labels
-    grads = [material_acceleration_at(fields[j], particle_path[j].positions)
-             for j in range(nsteps + 1)]
-    acc_sum = np.zeros((len(labels), 2))
+    # one evaluation per step on shared tables: the spray fields of u_j, then
+    # dW_j (j < n), at Phi_j; slot 0 (u_j) gives final at j = n and, since
+    # Phi_0 is the identity on the labels, init at j = 0
+    vals = []
+    for j in range(nsteps + 1):
+        dw = [field_from_coefficients(spec, increments[j]).coeffs] if j < nsteps else []
+        vals.append(_spray_values(fields[j], particle_path[j].positions, *dw))
+    grads = [_spray_from(v) for v in vals]
+    acc_sum = np.zeros_like(grads[0])
     for j in range(nsteps):
         acc_sum += 0.5 * dt * (grads[j] + grads[j + 1])
-        inc = increment_from_coefficients(spec, increments[j], dt)
-        acc_sum += evaluate_at(inc.field, particle_path[j].positions)
-    final = evaluate_at(fields[-1], particle_path[-1].positions)
-    init = evaluate_at(fields[0], labels)
-    res = final - init - acc_sum
+        acc_sum += vals[j][:, 4]
+    res = vals[-1][:, 0] - vals[0][:, 0] - acc_sum
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 

@@ -13,6 +13,7 @@ a step dt is sum_j sqrt(lambda_j dt) xi_j e_j with iid standard normals xi.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -68,6 +69,21 @@ class QWienerSpec:
         self.wavevectors.flags.writeable = False
         self.eigenvalues.flags.writeable = False
 
+    @cached_property
+    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Unit directions kperp/|k| (nk, 2) and the flat indices of +k and
+        -k in an (M, M) coefficient array; built on first use."""
+        ks = self.wavevectors
+        kf = ks.astype(float)
+        knorm = np.sqrt(np.sum(kf**2, axis=1))
+        d = np.stack([-kf[:, 1], kf[:, 0]], axis=1) / knorm[:, None]
+        M = 2 * self.N + 1
+        plus = np.ravel_multi_index((ks[:, 0] % M, ks[:, 1] % M), (M, M))
+        minus = np.ravel_multi_index(((-ks[:, 0]) % M, (-ks[:, 1]) % M), (M, M))
+        for a in (d, plus, minus):
+            a.flags.writeable = False
+        return d, plus, minus
+
     @property
     def n_modes(self) -> int:
         return 2 * len(self.wavevectors)
@@ -118,17 +134,10 @@ def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerS
                        wavevectors=ks, eigenvalues=lam)
 
 
-def _mode_directions(spec: QWienerSpec) -> np.ndarray:
-    ks = spec.wavevectors.astype(float)
-    knorm = np.sqrt(np.sum(ks**2, axis=1))
-    d = np.stack([-ks[:, 1], ks[:, 0]], axis=1)
-    return d / knorm[:, None]
-
-
 def eigenmode_field(spec: QWienerSpec, j: int) -> SpectralField:
     """The j-th unit eigenfield (even j: cosine, odd j: sine)."""
     kx, ky = spec.wavevectors[j // 2]
-    d = _mode_directions(spec)[j // 2].astype(complex)
+    d = spec._layout[0][j // 2].astype(complex)
     amp = np.sqrt(2.0) / 2.0
     if j % 2 == 0:
         half = amp * d
@@ -170,21 +179,19 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralFi
     Eulerian diffusion, the Lagrangian kicks and every increment use it.
     """
     M = 2 * spec.N + 1
-    c = np.zeros((2, M, M), dtype=complex)
-    d = _mode_directions(spec)
+    d, plus, minus = spec._layout
     w = np.asarray(coeffs, dtype=float)
     wc = w[0::2]
     ws = w[1::2]
     amp = np.sqrt(2.0) / 2.0
-    # coefficient at +k: amp*(w_cos - i w_sin) d; Hermitian partner at -k
+    # coefficient at +k: amp*(w_cos - i w_sin) d; Hermitian partner at -k.
+    # The +k and -k index sets are disjoint and miss k = 0, so plain
+    # assignment places every coefficient once.
     vec = amp * (wc - 1j * ws)[:, None] * d
-    ix = spec.wavevectors[:, 0] % M
-    iy = spec.wavevectors[:, 1] % M
-    for comp in range(2):
-        np.add.at(c[comp], (ix, iy), vec[:, comp])
-        np.add.at(c[comp], ((-spec.wavevectors[:, 0]) % M, (-spec.wavevectors[:, 1]) % M),
-                  np.conj(vec[:, comp]))
-    return SpectralField(spec.N, c)
+    c = np.zeros((2, M * M), dtype=complex)
+    c[:, plus] = vec.T
+    c[:, minus] = np.conj(vec.T)
+    return SpectralField(spec.N, c.reshape(2, M, M))
 
 
 def increment_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray,
@@ -207,11 +214,8 @@ def sample_increment(spec: QWienerSpec, dt: float, rng: np.random.Generator,
 
 def mode_coefficients(f: SpectralField, spec: QWienerSpec) -> np.ndarray:
     """L2 projections of a real field onto the eigenmodes, shape (n_modes,)."""
-    M = 2 * spec.N + 1
-    d = _mode_directions(spec)
-    ix = spec.wavevectors[:, 0] % M
-    iy = spec.wavevectors[:, 1] % M
-    cplus = f.coeffs[:, ix, iy].T  # (nk, 2)
+    d, plus, _ = spec._layout
+    cplus = f.coeffs.reshape(2, -1)[:, plus].T  # (nk, 2)
     cdotd = np.sum(cplus * d, axis=1)
     out = np.empty(spec.n_modes)
     out[0::2] = np.sqrt(2.0) * np.real(cdotd)

@@ -15,6 +15,8 @@ their inputs (coefficient buffers are frozen at construction).
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 __all__ = [
@@ -32,6 +34,7 @@ __all__ = [
     "helmholtz_inverse",
     "helmholtz_apply",
     "evaluate_at",
+    "evaluate_stack_at",
     "pointwise_advection_at",
     "divergence_coeffs",
     "divergence_residual",
@@ -41,16 +44,20 @@ __all__ = [
 ]
 
 
-def _wavenumbers(N: int) -> np.ndarray:
-    """Integer mode numbers in fft order: [0, 1, ..., N, -N, ..., -1]."""
-    M = 2 * N + 1
-    return np.fft.fftfreq(M, d=1.0 / M).astype(int)
-
-
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+@lru_cache(maxsize=None)
+def _wavenumbers(N: int) -> np.ndarray:
+    """Integer mode numbers in fft order: [0, 1, ..., N, -N, ..., -1].
+
+    Built once per N; the cached array is read-only.
+    """
+    M = 2 * N + 1
+    return _freeze(np.fft.fftfreq(M, d=1.0 / M).astype(int))
 
 
 class _FieldBase:
@@ -156,12 +163,14 @@ class ScalarField(_FieldBase):
 # ---------------------------------------------------------------------------
 # mode geometry helpers
 
+@lru_cache(maxsize=None)
 def _k_grids(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """kx (M, 1), ky (1, M) and |k|^2 (M, M) as floats; read-only, built once per N."""
     k = _wavenumbers(N)
     kx = k[:, None].astype(float)
     ky = k[None, :].astype(float)
     ksq = kx**2 + ky**2
-    return kx, ky, ksq
+    return _freeze(kx), _freeze(ky), _freeze(ksq)
 
 
 # ---------------------------------------------------------------------------
@@ -329,33 +338,70 @@ def pressure_from_velocity(u: SpectralField) -> ScalarField:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
-def pointwise_advection_at(u: SpectralField, points: np.ndarray) -> np.ndarray:
-    """(u.grad)u evaluated exactly at arbitrary points.
+def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
+    """exp(i x k) over the fft-ordered modes k, shape (P, M).
 
-    Unlike advection_term (Galerkin-truncated to |k| <= N), this keeps the
-    full quadratic trig polynomial: u and its first derivatives are summed
-    directly at the points and multiplied there.
+    Only k = 0..N are exponentiated; exp(-i x k) is their conjugate.
     """
-    kx, ky, _ = _k_grids(u.N)
-    uvals = evaluate_at(u, points)
-    dudx = evaluate_at(u.with_coeffs(1j * kx * u.coeffs), points)
-    dudy = evaluate_at(u.with_coeffs(1j * ky * u.coeffs), points)
-    return uvals[:, :1] * dudx + uvals[:, 1:] * dudy
+    e = np.exp(1j * (x[:, None] * _wavenumbers(N)[:N + 1]))
+    return np.concatenate([e, np.conj(e[:, N:0:-1])], axis=1)
+
+
+def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
+    """Evaluate a stack of real fields at the same points by direct summation.
+
+    coeffs: array (..., M, M) of Fourier coefficients; points: array (P, 2).
+    Returns the real values, shape (P, ...).  The phase exp(i k.x) is
+    separable, exp(i x kx) exp(i y ky), so one pair of (P, M) phase tables
+    serves every field in the stack: 2 P (N+1) complex exponentials, plus
+    a P M^2 contraction per field.  Exact: matches grid_values at
+    collocation points.  The points are reduced mod 2 pi before the tables
+    are built, so points a period apart give bitwise-equal values.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
+    M = coeffs.shape[-1]
+    N = (M - 1) // 2
+    ex = _phase_table(pts[:, 0], N)
+    ey = _phase_table(pts[:, 1], N)
+    lead = coeffs.shape[:-2]
+    c = coeffs.reshape(-1, M, M)
+    # sum over kx as one matrix product, then over ky against ey per point
+    partial = (ex @ c.transpose(1, 0, 2).reshape(M, -1)).reshape(len(pts), -1, M)
+    vals = (partial @ ey[:, :, None])[..., 0]
+    return np.real(vals).reshape((len(pts),) + lead)
 
 
 def evaluate_at(v: SpectralField, points: np.ndarray) -> np.ndarray:
     """Evaluate the field by direct trigonometric summation.
 
     points: array (P, 2); returns array (P, 2) of real velocity vectors.
-    O(modes x points); exact (matches grid_values at collocation points).
+    Costs 2 P (N+1) complex exponentials plus a P M^2 contraction
+    (see evaluate_stack_at); exact (matches grid_values at collocation
+    points).
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
-    kx, ky, _ = _k_grids(v.N)
-    kxf = np.broadcast_to(kx, (v.M, v.M)).ravel()
-    kyf = np.broadcast_to(ky, (v.M, v.M)).ravel()
-    phase = np.exp(1j * (pts[:, 0, None] * kxf[None, :] + pts[:, 1, None] * kyf[None, :]))
-    vals = phase @ v.coeffs.reshape(2, -1).T
-    return np.real(vals)
+    return evaluate_stack_at(v.coeffs, points)
+
+
+def _gradient_stack(u: SpectralField) -> np.ndarray:
+    """Coefficients of u, d_x u and d_y u stacked, shape (3, 2, M, M)."""
+    kx, ky, _ = _k_grids(u.N)
+    return np.stack([u.coeffs, 1j * kx * u.coeffs, 1j * ky * u.coeffs])
+
+
+def _transport(vals: np.ndarray) -> np.ndarray:
+    """(u.grad)u from the values (P, 3, 2) of a _gradient_stack."""
+    u, dudx, dudy = vals[:, 0], vals[:, 1], vals[:, 2]
+    return u[:, :1] * dudx + u[:, 1:] * dudy
+
+
+def pointwise_advection_at(u: SpectralField, points: np.ndarray) -> np.ndarray:
+    """(u.grad)u evaluated exactly at arbitrary points.
+
+    Unlike advection_term (Galerkin-truncated to |k| <= N), this keeps the
+    full quadratic trig polynomial: u and its first derivatives are summed
+    directly at the points, on one set of phase tables, and multiplied there.
+    """
+    return _transport(evaluate_stack_at(_gradient_stack(u), points))
 
 
 # ---------------------------------------------------------------------------

@@ -116,6 +116,17 @@ def test_simulate_writes_artifacts(tmp_path):
     assert header == "traj,step,t,energy,enstrophy,hs_norm,div_residual"
 
 
+@pytest.mark.parametrize("kw, seeds", [
+    (dict(kind="equivalence", eq_levels=1, eq_particles=3), ["7:equivalence"]),
+    (dict(kind="isometry", n=2, c=1.0), ["7:isometry"]),
+    (dict(kind="convergence"), ["7:convergence"]),
+    (dict(init_kind="random", init_seed=3), ["3:init", "7:0:noise", "7:1:noise"]),
+], ids=["equivalence", "isometry", "convergence", "random-init"])
+def test_manifest_lists_streams_drawn(tmp_path, kw, seeds):
+    run_experiment(base_cfg(**kw), out_dir=tmp_path)
+    assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = base_cfg(c=0.5, ensemble=3)
     run_experiment(cfg, out_dir=tmp_path / "a")

@@ -88,6 +88,15 @@ def test_spray_taylor_green_is_pressure_gradient():
     assert np.max(np.abs(acc - ref)) < 1e-12
 
 
+def test_material_acceleration_is_transport_minus_projected_advection():
+    rng = np.random.default_rng(18)
+    u = sp.random_divergence_free(6, rng)
+    pts = rng.uniform(-TWO_PI, 2 * TWO_PI, size=(31, 2))
+    ref = sp.pointwise_advection_at(u, pts) \
+        - sp.evaluate_at(sp.leray_project(sp.advection_term(u)), pts)
+    assert np.max(np.abs(lg.material_acceleration_at(u, pts) - ref)) < 1e-13
+
+
 def test_spray_consistency_warning():
     u = sp.taylor_green(6)
     ens = initial_ensemble(uniform_labels(4), u)

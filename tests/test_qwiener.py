@@ -143,6 +143,27 @@ def test_amplitude_scaling():
     assert np.allclose(w2, np.sqrt(2.0) * w1, atol=1e-14)
 
 
+@pytest.mark.parametrize("N", [2, 8, 16])
+def test_field_from_coefficients_matches_scatter_add(N):
+    # the +k and -k index sets are disjoint and miss k = 0, so assignment
+    # equals accumulating every coefficient into zeros
+    spec = build_spectrum(N, 2.0, 1.0)
+    _, plus, minus = spec._layout
+    both = np.concatenate([plus, minus])
+    assert len(np.unique(both)) == len(both) and 0 not in both
+    w = derive_stream(N, "scatter").standard_normal(spec.n_modes)
+    ks = spec.wavevectors
+    d = np.stack([-ks[:, 1], ks[:, 0]], axis=1) / np.hypot(ks[:, 0], ks[:, 1])[:, None]
+    vec = np.sqrt(2.0) / 2.0 * (w[0::2] - 1j * w[1::2])[:, None] * d
+    M = 2 * N + 1
+    ref = np.zeros((2, M, M), dtype=complex)
+    for comp in range(2):
+        np.add.at(ref[comp], (ks[:, 0] % M, ks[:, 1] % M), vec[:, comp])
+        np.add.at(ref[comp], ((-ks[:, 0]) % M, (-ks[:, 1]) % M), np.conj(vec[:, comp]))
+    got = qw.field_from_coefficients(spec, w).coeffs
+    assert np.max(np.abs(got - ref)) < 1e-15
+
+
 def test_mode_coefficients_round_trip():
     spec = build_spectrum(3, 2.0, 1.0)
     rng = derive_stream(13, "rt")

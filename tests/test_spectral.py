@@ -249,6 +249,28 @@ def test_evaluate_linear_in_field():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def test_evaluate_matches_dense_phase_sum():
+    rng = np.random.default_rng(16)
+    u = sp.random_divergence_free(5, rng)
+    pts = rng.uniform(-3 * np.pi, 5 * np.pi, size=(40, 2))
+    assert np.any(pts < 0) and np.any(pts > 2 * np.pi)
+    k = sp._wavenumbers(u.N)
+    phase = np.exp(1j * (pts[:, 0, None, None] * k[None, :, None]
+                         + pts[:, 1, None, None] * k[None, None, :]))
+    ref = np.real(np.einsum("pxy,cxy->pc", phase, u.coeffs))
+    assert np.max(np.abs(sp.evaluate_at(u, pts) - ref)) < 1e-13
+
+
+def test_evaluate_stack_matches_per_field():
+    rng = np.random.default_rng(17)
+    fields = [sp.random_divergence_free(6, rng) for _ in range(3)]
+    pts = rng.uniform(-np.pi, 4 * np.pi, size=(23, 2))
+    vals = sp.evaluate_stack_at(np.stack([f.coeffs for f in fields]), pts)
+    assert vals.shape == (23, 3, 2)
+    for i, f in enumerate(fields):
+        assert np.max(np.abs(vals[:, i] - sp.evaluate_at(f, pts))) < 1e-15
+
+
 def test_pointwise_advection_matches_closed_form():
     u = sp.taylor_green(8)
     rng = np.random.default_rng(13)
