@@ -76,6 +76,10 @@ class ExperimentConfig:
             if val <= 0:
                 raise ConfigError(f"{key.split('.')[-1]} must be positive "
                                   f"(key {key!r}, got {val})")
+        steps = self.horizon / self.dt
+        if abs(steps - round(steps)) > 1e-9 * steps:
+            raise ConfigError(f"time.dt = {self.dt!r} does not divide time.horizon = "
+                              f"{self.horizon!r} (horizon/dt = {steps:.6g})")
         if self.c < 0:
             raise ConfigError("noise.c must be >= 0")
         if self.alpha < 0:

@@ -34,29 +34,16 @@ __all__ = [
 LOCALIZATION_SOBOLEV_INDEX = 2.0  # H^s norm used for the exit ball
 
 
-def euler_drift(u: SpectralField, forcing: Optional[SpectralField] = None) -> SpectralField:
-    """-Pi[(u.grad)u] (+ Pi f when forcing is given)."""
-    out = -1.0 * sp.leray_project(sp.advection_term(u))
-    if forcing is not None:
-        out = out + sp.leray_project(forcing)
-    return out
+def euler_drift(u: SpectralField) -> SpectralField:
+    """-Pi[(u.grad)u], the averaged drift at alpha = 0."""
+    return averaged_drift(u, 0.0)
 
 
-def averaged_drift(u: SpectralField, alpha: float,
-                   smooth_first: bool = False) -> SpectralField:
-    """Averaged Euler-alpha drift; alpha = 0 recovers the plain Euler drift.
-
-    The Helmholtz inverse and the Leray projection are both Fourier
-    multipliers on divergence-free parts, so the two application orders
-    agree to rounding; the default projects first.
-    """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    m = sp.helmholtz_apply(u, alpha)
-    raw = sp.directional_derivative(u, m) + alpha**2 * sp.grad_transpose_laplacian(u)
-    if smooth_first:
-        return -1.0 * sp.leray_project(sp.helmholtz_inverse(raw, alpha))
-    return -1.0 * sp.helmholtz_inverse(sp.leray_project(raw), alpha)
+def averaged_drift(u: SpectralField, alpha: float) -> SpectralField:
+    """-Pi H^-1[(u.grad)m + alpha^2 (grad u)^T Lap u] with m = H u; alpha = 0
+    is the plain Euler drift -Pi[(u.grad)u]."""
+    quad = sp.advection_term(u, alpha)
+    return -1.0 * sp.helmholtz_inverse(sp.leray_project(quad), alpha)
 
 
 def noise_mode_multiplier(spec: QWienerSpec, alpha: float) -> np.ndarray:
@@ -66,8 +53,7 @@ def noise_mode_multiplier(spec: QWienerSpec, alpha: float) -> np.ndarray:
 
 
 def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0.0,
-                          radius_factor: float = 10.0,
-                          forcing: Optional[SpectralField] = None) -> SdeProblem:
+                          radius_factor: float = 10.0) -> SdeProblem:
     """The SdeProblem over the (2, M, M) coefficient array of the velocity.
 
     The diffusion maps raw noise coordinates dW to the field
@@ -82,14 +68,7 @@ def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0
     mult = noise_mode_multiplier(spec, alpha)
 
     def drift(t: float, x: np.ndarray) -> np.ndarray:
-        u = SpectralField(N, x)
-        if alpha == 0.0:
-            du = euler_drift(u, forcing)
-        else:
-            du = averaged_drift(u, alpha)
-            if forcing is not None:
-                du = du + sp.helmholtz_inverse(sp.leray_project(forcing), alpha)
-        return du.coeffs
+        return averaged_drift(SpectralField(N, x), alpha).coeffs
 
     def diffusion(x: np.ndarray, dW: np.ndarray) -> np.ndarray:
         return field_from_coefficients(spec, mult * dW).coeffs
@@ -127,7 +106,6 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
                  rng: Optional[np.random.Generator] = None,
                  increments: Optional[np.ndarray] = None,
                  radius_factor: float = 10.0,
-                 forcing: Optional[SpectralField] = None,
                  keep_fields: bool = True) -> EulerianPath:
     """Integrate the velocity-field SDE and collect diagnostics.
 
@@ -137,8 +115,7 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     """
     nsteps = int(round(T / dt))
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    problem = make_eulerian_problem(u0, spec, alpha=alpha,
-                                    radius_factor=radius_factor, forcing=forcing)
+    problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
     res = solve_path(problem, scheme, t_grid, increments=increments)
 

@@ -19,7 +19,7 @@ from . import spectral as sp
 from .config import ExperimentConfig
 from .eulerian import run_eulerian
 from .lagrangian import run_equivalence, uniform_labels
-from .qwiener import build_spectrum, sample_coefficients
+from .qwiener import QWienerSpec, build_spectrum, sample_coefficients
 from .sde import SdeProblem, strong_convergence_order
 from .streams import derive_stream
 
@@ -50,6 +50,7 @@ class RunManifest:
     wall_clock_s: float
     acceptance: dict
     files: list
+    noise: dict | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -59,7 +60,7 @@ class RunManifest:
         d = dict(config_hash=self.config_hash, code_version=self.code_version,
                  kind=self.kind, seeds=self.seeds, wall_clock_s=self.wall_clock_s,
                  acceptance=self.acceptance, files=self.files,
-                 all_passed=self.all_passed)
+                 all_passed=self.all_passed, noise=self.noise)
         return json.dumps(d, indent=2, sort_keys=True)
 
 
@@ -77,9 +78,8 @@ def initial_field(cfg: ExperimentConfig) -> sp.SpectralField:
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _run_simulate(cfg: ExperimentConfig):
+def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
-    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     alpha = cfg.alpha if cfg.kind == "simulate-averaged" else 0.0
 
     def one(i):
@@ -106,9 +106,8 @@ def _run_simulate(cfg: ExperimentConfig):
     return {"diagnostics.csv": (header, rows)}, acceptance
 
 
-def _run_equivalence(cfg: ExperimentConfig):
+def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
-    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     labels = uniform_labels(cfg.eq_particles)
     levels = cfg.eq_levels
     nsteps0 = int(round(cfg.horizon / cfg.dt))
@@ -143,7 +142,7 @@ def _run_equivalence(cfg: ExperimentConfig):
     return files, acceptance
 
 
-def _run_convergence(cfg: ExperimentConfig):
+def _run_convergence(cfg: ExperimentConfig, spec: None):
     rng = derive_stream(cfg.seed, "convergence")
     n_paths = max(cfg.ensemble, 64)
     steps = [8, 16, 32, 64, 128, 256]
@@ -178,8 +177,7 @@ def _run_convergence(cfg: ExperimentConfig):
     return {"convergence.csv": (header, rows)}, acceptance
 
 
-def _run_isometry(cfg: ExperimentConfig):
-    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
+def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec):
     n = max(cfg.ensemble, 10_000)
     rng = derive_stream(cfg.seed, "isometry")
     T = 1.0
@@ -218,9 +216,8 @@ def _run_isometry(cfg: ExperimentConfig):
     return {"isometry.csv": (header, rows)}, acceptance
 
 
-def _run_energy_growth(cfg: ExperimentConfig):
+def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
-    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
     e0 = sp.l2_norm(u0) ** 2
 
     def one(i):
@@ -280,7 +277,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    files, acceptance = _RUNNERS[cfg.kind](cfg)
+    # every kind but convergence draws its noise from one Q-Wiener spectrum
+    spec = None if cfg.kind == "convergence" else \
+        build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
+    files, acceptance = _RUNNERS[cfg.kind](cfg, spec)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
     written = []
     for name, (header, rows) in files.items():
@@ -295,6 +295,11 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
         wall_clock_s=time.perf_counter() - t0,
         acceptance=acceptance,
         files=sorted(written),
+        noise=None if spec is None else {
+            "trace_q": spec.trace,
+            "regularity_budget": spec.regularity_budget(),
+            "converges_in_limit": spec.converges_in_limit,
+        },
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     (out / "config.txt").write_text(cfg.to_text(), encoding="utf-8")

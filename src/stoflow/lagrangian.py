@@ -47,19 +47,18 @@ SPRAY_CONSISTENCY_TOL = 1e-3  # relative l-inf mismatch between eta and u o Phi
 class ParticleEnsemble:
     """Labels x, positions Phi(x), velocities eta(x) = u(Phi(x)), time t.
 
-    `positions` are wrapped into [0, 2pi)^2; `positions_unwrapped` track the
-    continuous trajectory for volume monitoring.
+    Only the continuous (unwrapped) trajectory is stored, for volume
+    monitoring; `positions` is that trajectory wrapped into [0, 2pi)^2.
     """
 
     labels: np.ndarray
-    positions: np.ndarray
+    positions_unwrapped: np.ndarray
     velocities: np.ndarray
     t: float
-    positions_unwrapped: np.ndarray = None
 
-    def __post_init__(self):
-        if self.positions_unwrapped is None:
-            object.__setattr__(self, "positions_unwrapped", self.positions.copy())
+    @property
+    def positions(self) -> np.ndarray:
+        return self.positions_unwrapped % TWO_PI
 
     @property
     def n(self) -> int:
@@ -76,7 +75,7 @@ def uniform_labels(n_side: int) -> np.ndarray:
 def initial_ensemble(labels: np.ndarray, u0: SpectralField) -> ParticleEnsemble:
     """Phi = identity on the labels; eta = u0 at the labels."""
     labels = np.asarray(labels, dtype=float) % TWO_PI
-    return ParticleEnsemble(labels=labels, positions=labels.copy(),
+    return ParticleEnsemble(labels=labels, positions_unwrapped=labels.copy(),
                             velocities=evaluate_at(u0, labels), t=0.0)
 
 
@@ -88,9 +87,7 @@ def advect(particles: ParticleEnsemble,
     x = particles.positions_unwrapped
     k1 = evaluate_at(u_provider(t), x)
     k2 = evaluate_at(u_provider(t + 0.5 * dt), x + 0.5 * dt * k1)
-    new_unwrapped = x + dt * k2
-    return replace(particles, positions=new_unwrapped % TWO_PI,
-                   positions_unwrapped=new_unwrapped, t=t + dt)
+    return replace(particles, positions_unwrapped=x + dt * k2, t=t + dt)
 
 
 def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
@@ -210,21 +207,20 @@ def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
         eta = ens.velocities
 
         # spray and kick share one set of phase tables at each stage
-        vals0 = _spray_values(u_n, ens.positions, *kick)
+        vals0 = _spray_values(u_n, phi, *kick)
         acc0 = _spray_from(vals0)
         kick0 = vals0[:, 4] if with_noise_kicks else 0.0
         phi_p = phi + dt * eta
         eta_drift_p = eta + dt * acc0
 
-        vals1 = _spray_values(u_n1, phi_p % TWO_PI, *kick)
+        vals1 = _spray_values(u_n1, phi_p, *kick)
         acc1 = _spray_from(vals1)
         kick1 = vals1[:, 4] if with_noise_kicks else 0.0
         # vertical lift: the position update never sees the noise kicks
         phi_new = phi + 0.5 * dt * (eta + eta_drift_p)
         eta_new = eta + 0.5 * dt * (acc0 + acc1) + 0.5 * (kick0 + kick1)
-        ens = ParticleEnsemble(labels=ens.labels, positions=phi_new % TWO_PI,
-                               velocities=eta_new, t=ens.t + dt,
-                               positions_unwrapped=phi_new)
+        ens = ParticleEnsemble(labels=ens.labels, positions_unwrapped=phi_new,
+                               velocities=eta_new, t=ens.t + dt)
         out.append(ens)
 
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)

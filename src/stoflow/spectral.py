@@ -24,8 +24,6 @@ __all__ = [
     "ScalarField",
     "leray_project",
     "advection_term",
-    "directional_derivative",
-    "grad_transpose_laplacian",
     "pressure_from_velocity",
     "sobolev_norm",
     "l2_norm",
@@ -251,7 +249,7 @@ def enstrophy(v: SpectralField) -> float:
 
 
 # ---------------------------------------------------------------------------
-# nonlinear terms (pseudo-spectral with 2/3-rule dealiasing)
+# nonlinear terms (pseudo-spectral with 2/3-rule dealiasing, real transforms)
 
 def _dealias_grid_size(N: int) -> int:
     # retained band |k| <= N is the lowest third of the product grid, so
@@ -259,67 +257,60 @@ def _dealias_grid_size(N: int) -> int:
     return 3 * N + 2
 
 
-def _pad_coeffs(coeffs: np.ndarray, N: int, Mg: int) -> np.ndarray:
-    M = 2 * N + 1
+@lru_cache(maxsize=None)
+def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
+    """Product-grid size Mg and the half-spectrum rows kx mod Mg and
+    (-kx) mod Mg of the fft-ordered modes; read-only, built once per N."""
+    Mg = _dealias_grid_size(N)
     k = _wavenumbers(N)
-    out = np.zeros(coeffs.shape[:-2] + (Mg, Mg), dtype=complex)
-    idx = k % Mg
-    out[..., idx[:, None], idx[None, :]] = coeffs
+    return Mg, _freeze(k % Mg), _freeze(-k % Mg)
+
+
+def _to_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
+    """Values on the Mg x Mg product grid of a stack (..., M, M) of real
+    fields: the ky >= 0 half is zero-padded, then one irfft2 for the stack."""
+    Mg, rows, _ = _grid_layout(N)
+    half = np.zeros(coeffs.shape[:-2] + (Mg, Mg // 2 + 1), dtype=complex)
+    half[..., rows, :N + 1] = coeffs[..., :N + 1]
+    return np.fft.irfft2(half, s=(Mg, Mg), norm="forward")
+
+
+def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
+    """Coefficients with |k| <= N, shape (..., M, M), of real product-grid
+    values (..., Mg, Mg): one rfft2 gives ky >= 0, and the rest is rebuilt
+    as c(-k) = conj c(k), so the output is exactly Hermitian."""
+    Mg, rows, neg = _grid_layout(N)
+    half = np.fft.rfft2(values, norm="forward")
+    out = np.empty(values.shape[:-2] + (2 * N + 1, 2 * N + 1), dtype=complex)
+    out[..., :N + 1] = half[..., rows, :N + 1]
+    out[..., N + 1:] = np.conj(half[..., neg, N:0:-1])
+    out[..., N + 1:, 0] = np.conj(out[..., N:0:-1, 0])
     return out
 
 
-def _truncate_coeffs(coeffs: np.ndarray, Mg: int, N: int) -> np.ndarray:
-    M = 2 * N + 1
-    k = _wavenumbers(N)
-    idx = k % Mg
-    return coeffs[..., idx[:, None], idx[None, :]].copy()
+def advection_term(u: SpectralField, alpha: float = 0.0) -> SpectralField:
+    """(u . grad) m + alpha^2 (grad u)^T Lap u with m = (id - alpha^2 Lap) u,
+    the quadratic term of the averaged drift, not projected; at alpha = 0
+    it is the Euler term (u . grad) u.
 
-
-def directional_derivative(u: SpectralField, w: SpectralField) -> SpectralField:
-    """(u . grad) w, computed pseudo-spectrally with dealiasing; not projected."""
-    u._check_same(w)
-    N = u.N
-    Mg = _dealias_grid_size(N)
-    kg = np.fft.fftfreq(Mg, d=1.0 / Mg)
-    kgx = kg[:, None]
-    kgy = kg[None, :]
-
-    uc = _pad_coeffs(u.coeffs, N, Mg)
-    wc = _pad_coeffs(w.coeffs, N, Mg)
-
-    ug = np.real(np.fft.ifft2(uc) * Mg**2)
-    dwdx = np.real(np.fft.ifft2(1j * kgx * wc) * Mg**2)
-    dwdy = np.real(np.fft.ifft2(1j * kgy * wc) * Mg**2)
-
-    adv = ug[0] * dwdx + ug[1] * dwdy
-    advc = np.fft.fft2(adv) / Mg**2
-    return SpectralField(N, _truncate_coeffs(advc, Mg, N))
-
-
-def advection_term(u: SpectralField) -> SpectralField:
-    """(u . grad) u; the raw quadratic term of the Euler drift, not projected."""
-    return directional_derivative(u, u)
-
-
-def grad_transpose_laplacian(u: SpectralField) -> SpectralField:
-    """(grad u)^T Laplacian(u), i.e. component i = sum_j (d_i u_j)(Lap u)_j."""
-    N = u.N
-    Mg = _dealias_grid_size(N)
-    kg = np.fft.fftfreq(Mg, d=1.0 / Mg)
-    kgx = kg[:, None]
-    kgy = kg[None, :]
-    ksqg = kgx**2 + kgy**2
-
-    uc = _pad_coeffs(u.coeffs, N, Mg)
-    lap = np.real(np.fft.ifft2(-ksqg * uc) * Mg**2)
-    dudx = np.real(np.fft.ifft2(1j * kgx * uc) * Mg**2)
-    dudy = np.real(np.fft.ifft2(1j * kgy * uc) * Mg**2)
-
-    out = np.empty((2, Mg, Mg))
-    out[0] = dudx[0] * lap[0] + dudx[1] * lap[1]
-    out[1] = dudy[0] * lap[0] + dudy[1] * lap[1]
-    outc = np.fft.fft2(out) / Mg**2
-    return SpectralField(N, _truncate_coeffs(outc, Mg, N))
+    Component i of (grad u)^T Lap u is sum_j (d_i u_j)(Lap u)_j.  The stack
+    (u, d_x m, d_y m[, d_x u, d_y u, Lap u]) takes one inverse transform and
+    the product one forward transform; at alpha = 0 only the first three
+    fields are transformed.
+    """
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    kx, ky, ksq = _k_grids(u.N)
+    c = u.coeffs
+    m = c * (1.0 + alpha**2 * ksq)
+    fields = [c, 1j * kx * m, 1j * ky * m]
+    if alpha > 0.0:
+        fields += [1j * kx * c, 1j * ky * c, -ksq * c]
+    g = _to_grid(np.stack(fields), u.N)
+    prod = g[0, :1] * g[1] + g[0, 1:] * g[2]
+    if alpha > 0.0:
+        prod += alpha**2 * np.sum(g[3:5] * g[5], axis=1)
+    return SpectralField(u.N, _from_grid(prod, u.N))
 
 
 def pressure_from_velocity(u: SpectralField) -> ScalarField:

@@ -9,6 +9,7 @@ import pytest
 from stoflow.cli import main
 from stoflow.config import ConfigError, ExperimentConfig, parse_config_text
 from stoflow.experiments import run_experiment
+from stoflow.qwiener import build_spectrum
 from stoflow.streams import derive_stream
 
 
@@ -40,6 +41,7 @@ def test_full_round_trip():
     ("time.dt", "nan"),
     ("time.horizon", "inf"),
     ("noise.gamma", "nan"),
+    ("time.dt", "0.03"),  # 0.5 / 0.03 steps miss the default horizon
 ])
 def test_negative_dt_names_the_key(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -127,6 +129,19 @@ def test_manifest_lists_streams_drawn(tmp_path, kw, seeds):
     assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
 
 
+@pytest.mark.parametrize("gamma, verdict", [(3.0, False), (3.5, True)])
+def test_manifest_reports_noise_verdict(tmp_path, gamma, verdict):
+    # s' = 2: the H^s' budget converges as N -> infinity iff 2 gamma - 4 > 2
+    cfg = base_cfg(kind="isometry", n=2, c=1.0, gamma=gamma, s_prime=2)
+    run_experiment(cfg, out_dir=tmp_path / "iso")
+    spec = build_spectrum(2, gamma, 1.0, 2)
+    assert json.loads((tmp_path / "iso" / "manifest.json").read_text())["noise"] == {
+        "trace_q": spec.trace, "regularity_budget": spec.regularity_budget(),
+        "converges_in_limit": verdict}
+    run_experiment(base_cfg(kind="convergence"), out_dir=tmp_path / "conv")
+    assert json.loads((tmp_path / "conv" / "manifest.json").read_text())["noise"] is None
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = base_cfg(c=0.5, ensemble=3)
     run_experiment(cfg, out_dir=tmp_path / "a")
@@ -199,6 +214,16 @@ def test_cli_non_finite_value_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "time.horizon" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_dt_not_dividing_horizon_exit_one(tmp_path, capsys):
+    path = write_cfg(tmp_path, "kind = energy-growth\ntime.dt = 0.03\n"
+                               "time.horizon = 0.1\n")
+    assert main(["energy-growth", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "time.dt" in err and "time.horizon" in err
     assert err.count("\n") == 1
 
 

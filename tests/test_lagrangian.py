@@ -100,7 +100,8 @@ def test_material_acceleration_is_transport_minus_projected_advection():
 def test_spray_consistency_warning():
     u = sp.taylor_green(6)
     ens = initial_ensemble(uniform_labels(4), u)
-    bad = lg.ParticleEnsemble(labels=ens.labels, positions=ens.positions,
+    bad = lg.ParticleEnsemble(labels=ens.labels,
+                              positions_unwrapped=ens.positions_unwrapped,
                               velocities=ens.velocities + 1.0, t=0.0)
     with pytest.warns(UserWarning):
         lg.spray(bad, u)

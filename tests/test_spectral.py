@@ -4,12 +4,34 @@ pressure recovery, norms, and pointwise evaluation."""
 import numpy as np
 import pytest
 
+from stoflow import eulerian as eu
 from stoflow import spectral as sp
 from stoflow.spectral import SpectralField
 
 
 def coeff_at(f, kx, ky):
     return f.coeffs[:, kx % f.M, ky % f.M]
+
+
+def pad_coeffs(coeffs, N, Mg):
+    """Zero-pad fft-ordered (..., M, M) coefficients into an (..., Mg, Mg) grid."""
+    idx = sp._wavenumbers(N) % Mg
+    out = np.zeros(coeffs.shape[:-2] + (Mg, Mg), dtype=complex)
+    out[..., idx[:, None], idx[None, :]] = coeffs
+    return out
+
+
+def random_real_field(rng, N):
+    """Random real vector field, exactly Hermitian and not divergence-free."""
+    M = 2 * N + 1
+    c = rng.standard_normal((2, M, M)) + 1j * rng.standard_normal((2, M, M))
+    neg = (-sp._wavenumbers(N)) % M
+    return SpectralField(N, 0.5 * (c + np.conj(c[:, neg[:, None], neg[None, :]])))
+
+
+def is_hermitian(f):
+    neg = (-f.k) % f.M
+    return np.array_equal(f.coeffs, np.conj(f.coeffs[..., neg[:, None], neg[None, :]]))
 
 
 # ---------------------------------------------------------------------------
@@ -98,14 +120,79 @@ def test_advection_against_finite_differences():
     N = 6
     u = sp.taylor_green(N)
     Mf = 1024  # fine grid via zero-padded inverse transforms
-    uf = np.real(np.fft.ifft2(sp._pad_coeffs(u.coeffs, N, Mf)) * Mf**2)
+    uf = np.real(np.fft.ifft2(pad_coeffs(u.coeffs, N, Mf)) * Mf**2)
     h = 2.0 * np.pi / Mf
     dudx = (np.roll(uf, -1, axis=1) - np.roll(uf, 1, axis=1)) / (2 * h)
     dudy = (np.roll(uf, -1, axis=2) - np.roll(uf, 1, axis=2)) / (2 * h)
     adv_fd = uf[0] * dudx + uf[1] * dudy
     a = sp.advection_term(u)
-    adv_spectral = np.real(np.fft.ifft2(sp._pad_coeffs(a.coeffs, N, Mf)) * Mf**2)
+    adv_spectral = np.real(np.fft.ifft2(pad_coeffs(a.coeffs, N, Mf)) * Mf**2)
     assert np.max(np.abs(adv_fd - adv_spectral)) < 1e-4
+
+
+# Reference: the dense complex-FFT product kernel, zero-padded onto the full
+# Mg x Mg spectrum with derivative multipliers on the padded wavenumbers.
+
+def _ref_truncate(coeffs, Mg, N):
+    idx = sp._wavenumbers(N) % Mg
+    return coeffs[..., idx[:, None], idx[None, :]].copy()
+
+
+def _ref_directional_derivative(u, w):
+    N = u.N
+    Mg = sp._dealias_grid_size(N)
+    kg = np.fft.fftfreq(Mg, d=1.0 / Mg)
+    kgx = kg[:, None]
+    kgy = kg[None, :]
+    uc = pad_coeffs(u.coeffs, N, Mg)
+    wc = pad_coeffs(w.coeffs, N, Mg)
+    ug = np.real(np.fft.ifft2(uc) * Mg**2)
+    dwdx = np.real(np.fft.ifft2(1j * kgx * wc) * Mg**2)
+    dwdy = np.real(np.fft.ifft2(1j * kgy * wc) * Mg**2)
+    adv = ug[0] * dwdx + ug[1] * dwdy
+    advc = np.fft.fft2(adv) / Mg**2
+    return SpectralField(N, _ref_truncate(advc, Mg, N))
+
+
+def _ref_grad_transpose_laplacian(u):
+    N = u.N
+    Mg = sp._dealias_grid_size(N)
+    kg = np.fft.fftfreq(Mg, d=1.0 / Mg)
+    kgx = kg[:, None]
+    kgy = kg[None, :]
+    ksqg = kgx**2 + kgy**2
+    uc = pad_coeffs(u.coeffs, N, Mg)
+    lap = np.real(np.fft.ifft2(-ksqg * uc) * Mg**2)
+    dudx = np.real(np.fft.ifft2(1j * kgx * uc) * Mg**2)
+    dudy = np.real(np.fft.ifft2(1j * kgy * uc) * Mg**2)
+    out = np.empty((2, Mg, Mg))
+    out[0] = dudx[0] * lap[0] + dudx[1] * lap[1]
+    out[1] = dudy[0] * lap[0] + dudy[1] * lap[1]
+    outc = np.fft.fft2(out) / Mg**2
+    return SpectralField(N, _ref_truncate(outc, Mg, N))
+
+
+def _ref_advection_term(u, alpha):
+    m = sp.helmholtz_apply(u, alpha)
+    return _ref_directional_derivative(u, m) + alpha**2 * _ref_grad_transpose_laplacian(u)
+
+
+def _ref_averaged_drift(u, alpha):
+    raw = _ref_advection_term(u, alpha)
+    return -1.0 * sp.helmholtz_inverse(sp.leray_project(raw), alpha)
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
+def test_real_fft_kernel_matches_complex_reference(N):
+    # padded grid 3N+2 is odd for N = 1, 5 and even for N = 2, 8, 16
+    rng = np.random.default_rng(100 + N)
+    u = random_real_field(rng, N)
+    pairs = [(sp.advection_term(u, a), _ref_advection_term(u, a)) for a in (0.0, 0.7)]
+    pairs += [(eu.averaged_drift(u, a), _ref_averaged_drift(u, a)) for a in (0.0, 0.7)]
+    for got, ref in pairs:
+        scale = np.max(np.abs(ref.coeffs))
+        assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * scale
+        assert is_hermitian(got)
 
 
 def test_advection_conserves_energy():
@@ -213,6 +300,14 @@ def test_helmholtz_round_trip():
     u = sp.random_divergence_free(6, rng)
     back = sp.helmholtz_apply(sp.helmholtz_inverse(u, 1.7), 1.7)
     assert np.allclose(back.coeffs, u.coeffs, atol=1e-14)
+
+
+def test_leray_and_helmholtz_inverse_commute():
+    # both are Fourier multipliers, so the two orders agree to rounding
+    f = random_real_field(np.random.default_rng(7), 8)
+    a = sp.leray_project(sp.helmholtz_inverse(f, 1.0))
+    b = sp.helmholtz_inverse(sp.leray_project(f), 1.0)
+    assert np.max(np.abs(a.coeffs - b.coeffs)) < 1e-15 * np.max(np.abs(a.coeffs))
 
 
 # ---------------------------------------------------------------------------
