@@ -3,7 +3,7 @@ Euler-alpha model, wrapped as finite SDE problems whose state is the
 (2, M, M) Fourier coefficient array of the velocity.
 
     du = -Pi[(u.grad)u] dt + dW                      (plain Euler)
-    du = -Pi H^-1[(u.grad)m + a^2 (grad u)^T Lap u] dt + H^-1 dW
+    du = -Pi H^-1[(u.grad)m - a^2 (grad u)^T Lap u] dt + H^-1 dW
          with m = H u,  H = id - a^2 Lap             (averaged, alpha = a)
 
 Both drifts and the noise are divergence-free, so the solution stays
@@ -40,7 +40,7 @@ def euler_drift(u: SpectralField) -> SpectralField:
 
 
 def averaged_drift(u: SpectralField, alpha: float) -> SpectralField:
-    """-Pi H^-1[(u.grad)m + alpha^2 (grad u)^T Lap u] with m = H u; alpha = 0
+    """-Pi H^-1[(u.grad)m - alpha^2 (grad u)^T Lap u] with m = H u; alpha = 0
     is the plain Euler drift -Pi[(u.grad)u]."""
     quad = sp.advection_term(u, alpha)
     return -1.0 * sp.helmholtz_inverse(sp.leray_project(quad), alpha)
@@ -84,10 +84,15 @@ def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0
 
 @dataclass
 class EulerianPath:
-    """One trajectory of the Eulerian SDE with per-step diagnostics."""
+    """One trajectory of the Eulerian SDE with per-step diagnostics.
+
+    `states` holds the (2, M, M) coefficient array of the velocity at each
+    grid time, shape (len(times), 2, M, M); a path that left the
+    localization ball stops at its exit time.
+    """
 
     times: np.ndarray
-    fields: list
+    states: np.ndarray
     increments: np.ndarray  # raw noise coordinates per step (pre-multiplier)
     energy: np.ndarray      # |u|_{L2}^2
     enstrophy: np.ndarray
@@ -98,15 +103,20 @@ class EulerianPath:
 
     @property
     def terminal(self) -> SpectralField:
-        return self.fields[-1]
+        return SpectralField((self.states.shape[-1] - 1) // 2, self.states[-1])
+
+
+def _diagnostics(u: SpectralField) -> tuple[float, float, float, float]:
+    """Energy, enstrophy, H^s norm and divergence residual of one field."""
+    return (sp.l2_norm(u) ** 2, sp.enstrophy(u),
+            sp.sobolev_norm(u, LOCALIZATION_SOBOLEV_INDEX), sp.divergence_residual(u))
 
 
 def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
                  scheme: str = "heun", alpha: float = 0.0,
                  rng: Optional[np.random.Generator] = None,
                  increments: Optional[np.ndarray] = None,
-                 radius_factor: float = 10.0,
-                 keep_fields: bool = True) -> EulerianPath:
+                 radius_factor: float = 10.0) -> EulerianPath:
     """Integrate the velocity-field SDE and collect diagnostics.
 
     `increments` are raw Q-Wiener coordinates (before any alpha smoothing);
@@ -119,12 +129,9 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
     res = solve_path(problem, scheme, t_grid, increments=increments)
 
-    fields = [SpectralField(u0.N, x) for x in res.states]
-    energy = np.array([sp.l2_norm(f) ** 2 for f in fields])
-    ens = np.array([sp.enstrophy(f) for f in fields])
-    hs = np.array([sp.sobolev_norm(f, LOCALIZATION_SOBOLEV_INDEX) for f in fields])
-    div = np.array([sp.divergence_residual(f) for f in fields])
-    return EulerianPath(times=res.times, fields=fields if keep_fields else [fields[-1]],
+    diags = np.array([_diagnostics(SpectralField(u0.N, x)) for x in res.states])
+    energy, ens, hs, div = diags.T
+    return EulerianPath(times=res.times, states=res.states,
                         increments=increments[: len(res.times) - 1],
                         energy=energy, enstrophy=ens, hs_norm=hs, div_residual=div,
                         exited=res.exited, exit_time=res.exit_time)

@@ -51,6 +51,7 @@ class RunManifest:
     acceptance: dict
     files: list
     noise: dict | None = None
+    exits: dict | None = None
 
     @property
     def all_passed(self) -> bool:
@@ -60,7 +61,7 @@ class RunManifest:
         d = dict(config_hash=self.config_hash, code_version=self.code_version,
                  kind=self.kind, seeds=self.seeds, wall_clock_s=self.wall_clock_s,
                  acceptance=self.acceptance, files=self.files,
-                 all_passed=self.all_passed, noise=self.noise)
+                 all_passed=self.all_passed, noise=self.noise, exits=self.exits)
         return json.dumps(d, indent=2, sort_keys=True)
 
 
@@ -78,32 +79,37 @@ def initial_field(cfg: ExperimentConfig) -> sp.SpectralField:
 # ---------------------------------------------------------------------------
 # experiment kinds
 
+def _exit_record(exit_times: list) -> dict:
+    """How many paths left the localization ball, and the earliest and mean
+    exit times (None when none left)."""
+    return {"count": len(exit_times),
+            "min_time": min(exit_times) if exit_times else None,
+            "mean_time": float(np.mean(exit_times)) if exit_times else None}
+
+
 def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
     alpha = cfg.alpha if cfg.kind == "simulate-averaged" else 0.0
+    steady = cfg.c == 0.0 and cfg.init_kind == "taylor-green"
 
-    def one(i):
+    rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
+    for i in range(cfg.ensemble):
         rng = derive_stream(cfg.seed, i, "noise")
-        return run_eulerian(u0, spec, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                            alpha=alpha, rng=rng, radius_factor=cfg.radius_factor,
-                            keep_fields=False)
-
-    paths = [one(i) for i in range(cfg.ensemble)]
-
-    rows = []
-    for i, p in enumerate(paths):
-        for j, t in enumerate(p.times):
-            rows.append((i, j, t, p.energy[j], p.enstrophy[j], p.hs_norm[j],
-                         p.div_residual[j]))
+        p = run_eulerian(u0, spec, cfg.dt, cfg.horizon, scheme=cfg.scheme,
+                         alpha=alpha, rng=rng, radius_factor=cfg.radius_factor)
+        rows += [(i, j, t, p.energy[j], p.enstrophy[j], p.hs_norm[j], p.div_residual[j])
+                 for j, t in enumerate(p.times)]
+        max_div = max(max_div, float(np.max(p.div_residual)))
+        if steady:
+            max_drift = max(max_drift, sp.l2_norm(p.terminal - u0) / sp.l2_norm(u0))
+        if p.exited:
+            exit_times.append(p.exit_time)
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
-    max_div = max(float(np.max(p.div_residual)) for p in paths)
     acceptance = {"divergence_free": max_div < 1e-10}
-    if cfg.c == 0.0 and cfg.init_kind == "taylor-green":
-        rel = max(
-            sp.l2_norm(p.terminal - u0) / sp.l2_norm(u0) for p in paths)
-        acceptance["taylor_green_steady"] = rel < 1e-8
-    return {"diagnostics.csv": (header, rows)}, acceptance
+    if steady:
+        acceptance["taylor_green_steady"] = max_drift < 1e-8
+    return {"diagnostics.csv": (header, rows)}, acceptance, _exit_record(exit_times)
 
 
 def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
@@ -124,7 +130,7 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
         n = nsteps0 * factor
         inc = inc_fine.reshape(n, finest_factor // factor, -1).sum(axis=1)
         res = run_equivalence(u0, spec, dt, cfg.horizon, labels=labels,
-                              increments=inc)
+                              increments=inc, radius_factor=cfg.radius_factor)
         rows.append((lvl, dt, res))
         dts.append(dt)
         residuals.append(res)
@@ -139,7 +145,7 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
     header = ["level", "dt", "residual"]
     files = {"equivalence.csv": (header, rows),
              "equivalence_summary.csv": (["slope"], [(slope,)])}
-    return files, acceptance
+    return files, acceptance, None
 
 
 def _run_convergence(cfg: ExperimentConfig, spec: None):
@@ -174,7 +180,7 @@ def _run_convergence(cfg: ExperimentConfig, spec: None):
             ("heun-deterministic", ord_ode, 1.6, 2.4, int(1.6 <= ord_ode <= 2.4))]
     header = ["benchmark", "order", "lo", "hi", "pass"]
     acceptance = {r[0]: bool(r[4]) for r in rows}
-    return {"convergence.csv": (header, rows)}, acceptance
+    return {"convergence.csv": (header, rows)}, acceptance, None
 
 
 def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec):
@@ -213,23 +219,22 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec):
         "cross_covariances": bool(np.max(np.abs(z_cross)) < Z_BOUND),
         "zero_mean": bool(np.max(np.abs(mean_z)) < Z_BOUND),
     }
-    return {"isometry.csv": (header, rows)}, acceptance
+    return {"isometry.csv": (header, rows)}, acceptance, None
 
 
 def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
     e0 = sp.l2_norm(u0) ** 2
 
-    def one(i):
+    terminal, exit_times, max_div = np.empty(cfg.ensemble), [], 0.0
+    for i in range(cfg.ensemble):
         rng = derive_stream(cfg.seed, i, "noise")
         p = run_eulerian(u0, spec, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                         rng=rng, radius_factor=cfg.radius_factor,
-                         keep_fields=False)
-        return p.energy[-1], float(np.max(p.div_residual))
-
-    results = [one(i) for i in range(cfg.ensemble)]
-    terminal = np.array([r[0] for r in results])
-    max_div = max(r[1] for r in results)
+                         rng=rng, radius_factor=cfg.radius_factor)
+        terminal[i] = p.energy[-1]
+        max_div = max(max_div, float(np.max(p.div_residual)))
+        if p.exited:
+            exit_times.append(p.exit_time)
 
     slopes = (terminal - e0) / cfg.horizon
     slope = float(np.mean(slopes))
@@ -241,7 +246,8 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
     acceptance = {"energy_growth_slope": abs(z) < Z_BOUND,
                   "divergence_free": max_div < 1e-10}
     return {"energy.csv": (["traj", "terminal_energy"], rows),
-            "energy_summary.csv": (["slope", "stderr", "trace_q", "z"], summary)}, acceptance
+            "energy_summary.csv": (["slope", "stderr", "trace_q", "z"], summary)}, \
+        acceptance, _exit_record(exit_times)
 
 
 def _drawn_streams(cfg: ExperimentConfig) -> list:
@@ -280,7 +286,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     # every kind but convergence draws its noise from one Q-Wiener spectrum
     spec = None if cfg.kind == "convergence" else \
         build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
-    files, acceptance = _RUNNERS[cfg.kind](cfg, spec)
+    files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
     written = []
     for name, (header, rows) in files.items():
@@ -300,6 +306,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
             "regularity_budget": spec.regularity_budget(),
             "converges_in_limit": spec.converges_in_limit,
         },
+        exits=exits,
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     (out / "config.txt").write_text(cfg.to_text(), encoding="utf-8")

@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from . import spectral as sp
 from .eulerian import run_eulerian
-from .qwiener import NoiseIncrement, QWienerSpec, driving_coefficients, \
-    field_from_coefficients
+from .qwiener import QWienerSpec, driving_coefficients, field_from_coefficients
 from .spectral import SpectralField, evaluate_at, evaluate_stack_at
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "initial_ensemble",
     "advect",
     "spray",
-    "lagrangian_noise",
     "run_lagrangian",
     "equivalence_residual",
     "run_equivalence",
@@ -79,15 +77,14 @@ def initial_ensemble(labels: np.ndarray, u0: SpectralField) -> ParticleEnsemble:
                             velocities=evaluate_at(u0, labels), t=0.0)
 
 
-def advect(particles: ParticleEnsemble,
-           u_provider: Callable[[float], SpectralField],
-           dt: float) -> ParticleEnsemble:
-    """Advance positions by explicit midpoint (RK2); velocities untouched."""
-    t = particles.t
+def advect(particles: ParticleEnsemble, u_start: SpectralField,
+           u_mid: SpectralField, dt: float) -> ParticleEnsemble:
+    """Advance positions by explicit midpoint (RK2) through the field at
+    the step's start and at its midpoint; velocities untouched."""
     x = particles.positions_unwrapped
-    k1 = evaluate_at(u_provider(t), x)
-    k2 = evaluate_at(u_provider(t + 0.5 * dt), x + 0.5 * dt * k1)
-    return replace(particles, positions_unwrapped=x + dt * k2, t=t + dt)
+    k1 = evaluate_at(u_start, x)
+    k2 = evaluate_at(u_mid, x + 0.5 * dt * k1)
+    return replace(particles, positions_unwrapped=x + dt * k2, t=particles.t + dt)
 
 
 def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
@@ -116,28 +113,21 @@ def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray
     return _spray_from(_spray_values(u, points))
 
 
-def spray(particles: ParticleEnsemble, u: SpectralField,
-          check_consistency: bool = True) -> np.ndarray:
+def spray(particles: ParticleEnsemble, u: SpectralField) -> np.ndarray:
     """Material accelerations per particle: -(grad p) o Phi, the
     flat-coordinate geodesic spray.  A curve Phi with dPhi/dt = u o Phi
     then satisfies d(u o Phi)/dt = spray for the forcing-free Euler flow.
+    Warns when the particle velocities are not u o Phi.
     """
     vals = _spray_values(u, particles.positions)
-    if check_consistency:
-        ref = vals[:, 0]
-        scale = max(np.max(np.abs(ref)), 1e-30)
-        mismatch = np.max(np.abs(particles.velocities - ref)) / scale
-        if mismatch > SPRAY_CONSISTENCY_TOL:
-            warnings.warn(
-                f"particle velocities deviate from u o Phi by {mismatch:.2e} "
-                f"(relative l-inf); spray evaluated anyway", stacklevel=2)
+    ref = vals[:, 0]
+    scale = max(np.max(np.abs(ref)), 1e-30)
+    mismatch = np.max(np.abs(particles.velocities - ref)) / scale
+    if mismatch > SPRAY_CONSISTENCY_TOL:
+        warnings.warn(
+            f"particle velocities deviate from u o Phi by {mismatch:.2e} "
+            f"(relative l-inf); spray evaluated anyway", stacklevel=2)
     return _spray_from(vals)
-
-
-def lagrangian_noise(particles: ParticleEnsemble,
-                     increment: NoiseIncrement) -> np.ndarray:
-    """Velocity kicks (dW) o Phi; the vertical lift never moves positions."""
-    return evaluate_at(increment.field, particles.positions)
 
 
 def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
@@ -173,8 +163,21 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
 class LagrangianPath:
     times: np.ndarray
     ensembles: list
-    eulerian_fields: list
     increments: np.ndarray
+
+
+def _eulerian_states(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
+                     increments: np.ndarray, radius_factor: float = 10.0) -> np.ndarray:
+    """Coefficient arrays (nsteps + 1, 2, M, M) of the Heun Eulerian path on
+    the given increments; the particle flow needs it up to the horizon."""
+    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments,
+                         radius_factor=radius_factor)
+    if epath.exited:
+        raise ValueError(
+            f"the Eulerian path left the localization ball at t = {epath.exit_time:.6g}, "
+            f"before the horizon {T:.6g}; the particle flow needs the whole path "
+            f"(raise localization.radius_factor)")
+    return epath.states
 
 
 def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
@@ -194,14 +197,12 @@ def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     if labels is None:
         labels = uniform_labels(32)
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
-
-    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments)
-    fields = epath.fields
+    states = _eulerian_states(u0, spec, dt, T, increments)
 
     ens = initial_ensemble(labels, u0)
     out = [ens]
     for i in range(nsteps):
-        u_n, u_n1 = fields[i], fields[i + 1]
+        u_n, u_n1 = SpectralField(u0.N, states[i]), SpectralField(u0.N, states[i + 1])
         kick = [field_from_coefficients(spec, increments[i]).coeffs] if with_noise_kicks else []
         phi = ens.positions_unwrapped
         eta = ens.velocities
@@ -224,11 +225,10 @@ def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
         out.append(ens)
 
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    return LagrangianPath(times=times, ensembles=out, eulerian_fields=fields,
-                          increments=increments)
+    return LagrangianPath(times=times, ensembles=out, increments=increments)
 
 
-def equivalence_residual(fields: list, particle_path: list,
+def equivalence_residual(states: np.ndarray, particle_path: list,
                          increments: np.ndarray, spec: QWienerSpec,
                          dt: float) -> float:
     """Discrete Lagrangian-identity defect along Eulerian characteristics.
@@ -239,11 +239,12 @@ def equivalence_residual(fields: list, particle_path: list,
         u(T, Phi_T(x)) = u0(x) + int ((I-Pi)[(u.grad)u])(r, Phi_r(x)) dr
                                + int (dW)(Phi_r(x)).
 
+    `states` holds the Eulerian coefficient arrays, one row per grid time.
     Returns max_i of the defect norm; the dt-integral uses the trapezoid
     rule, the noise sum left-point (Ito) evaluation.
     """
     nsteps = len(increments)
-    if len(fields) != nsteps + 1 or len(particle_path) != nsteps + 1:
+    if len(states) != nsteps + 1 or len(particle_path) != nsteps + 1:
         raise ValueError("field path, particle path and increments do not align")
     # one evaluation per step on shared tables: the spray fields of u_j, then
     # dW_j (j < n), at Phi_j; slot 0 (u_j) gives final at j = n and, since
@@ -251,7 +252,8 @@ def equivalence_residual(fields: list, particle_path: list,
     vals = []
     for j in range(nsteps + 1):
         dw = [field_from_coefficients(spec, increments[j]).coeffs] if j < nsteps else []
-        vals.append(_spray_values(fields[j], particle_path[j].positions, *dw))
+        u_j = SpectralField(spec.N, states[j])
+        vals.append(_spray_values(u_j, particle_path[j].positions, *dw))
     grads = [_spray_from(v) for v in vals]
     acc_sum = np.zeros_like(grads[0])
     for j in range(nsteps):
@@ -264,33 +266,26 @@ def equivalence_residual(fields: list, particle_path: list,
 def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
                     labels: Optional[np.ndarray] = None,
                     rng: Optional[np.random.Generator] = None,
-                    increments: Optional[np.ndarray] = None) -> float:
-    """Drive the Eulerian path, advect particles along it, return the residual."""
+                    increments: Optional[np.ndarray] = None,
+                    radius_factor: float = 10.0) -> float:
+    """Drive the Eulerian path, advect particles along it, return the residual.
+
+    Each particle step is the midpoint rule with the midpoint field taken
+    as the average of the step's end fields, good to O(dt^2).
+    """
     nsteps = int(round(T / dt))
     if labels is None:
         labels = uniform_labels(8)
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
-
-    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments)
-    fields = epath.fields
-
-    def make_provider(i):
-        # midpoint field: average of step endpoints, good to O(dt^2)
-        def provider(t):
-            frac = (t - i * dt) / dt
-            if frac < 0.25:
-                return fields[i]
-            if frac > 0.75:
-                return fields[i + 1]
-            return 0.5 * (fields[i] + fields[i + 1])
-        return provider
+    states = _eulerian_states(u0, spec, dt, T, increments, radius_factor)
 
     ens = initial_ensemble(labels, u0)
     path = [ens]
     for i in range(nsteps):
-        ens = advect(ens, make_provider(i), dt)
+        u_mid = SpectralField(u0.N, 0.5 * (states[i] + states[i + 1]))
+        ens = advect(ens, SpectralField(u0.N, states[i]), u_mid, dt)
         path.append(ens)
-    return equivalence_residual(fields, path, increments, spec, dt)
+    return equivalence_residual(states, path, increments, spec, dt)
 
 
 def quad_jacobians(particles: ParticleEnsemble, n_side: int) -> np.ndarray:

@@ -21,13 +21,10 @@ from .spectral import SpectralField, l2_norm
 
 __all__ = [
     "QWienerSpec",
-    "NoiseIncrement",
     "build_spectrum",
-    "sample_increment",
     "sample_coefficients",
     "driving_coefficients",
     "field_from_coefficients",
-    "increment_from_coefficients",
     "eigenmode_field",
     "mode_coefficients",
     "l2q_norm",
@@ -112,15 +109,6 @@ class QWienerSpec:
         return 2.0 * self.gamma - 2.0 * self.s_prime > 2.0
 
 
-@dataclass(frozen=True)
-class NoiseIncrement:
-    """One Q-Wiener increment over a step of length dt."""
-
-    dt: float
-    field: SpectralField
-    coefficients: np.ndarray | None = None  # raw dW per noise coordinate
-
-
 def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerSpec:
     """Power-law spectrum lambda_k = c (1+|k|^2)^(-gamma) on |k|_inf <= N."""
     if N <= 0:
@@ -176,7 +164,9 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralFi
     """The real field sum_j coeffs_j e_j over the unit eigenfields.
 
     This is the one map from noise coordinates to velocity fields; the
-    Eulerian diffusion, the Lagrangian kicks and every increment use it.
+    Eulerian diffusion and the Lagrangian kicks use it.  An increment is
+    its row of coordinates: the field of a row of sample_coefficients is
+    W(t + dt) - W(t).
     """
     M = 2 * spec.N + 1
     d, plus, minus = spec._layout
@@ -192,24 +182,6 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralFi
     c[:, plus] = vec.T
     c[:, minus] = np.conj(vec.T)
     return SpectralField(spec.N, c.reshape(2, M, M))
-
-
-def increment_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray,
-                                dt: float) -> NoiseIncrement:
-    """Assemble the spectral field sum_j dW_j e_j from raw coordinates."""
-    w = np.asarray(coeffs, dtype=float)
-    return NoiseIncrement(dt=float(dt), field=field_from_coefficients(spec, w),
-                          coefficients=w.copy())
-
-
-def sample_increment(spec: QWienerSpec, dt: float, rng: np.random.Generator,
-                     keep_gaussians: bool = True) -> NoiseIncrement:
-    """Draw one increment W(t+dt) - W(t) from the given stream."""
-    w = sample_coefficients(spec, dt, 1, rng)[0]
-    inc = increment_from_coefficients(spec, w, dt)
-    if not keep_gaussians:
-        inc = NoiseIncrement(dt=inc.dt, field=inc.field, coefficients=None)
-    return inc
 
 
 def mode_coefficients(f: SpectralField, spec: QWienerSpec) -> np.ndarray:

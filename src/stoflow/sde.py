@@ -47,9 +47,9 @@ class SdeProblem:
     `diffusion(x, dW)` is sigma(x) dW, an array shaped like the state.
     `dim` counts the real degrees of freedom of the state (a complex entry
     counts twice); `noise_variances` has one entry per noise coordinate.
-    U is the closed ball of radius `domain_radius` about `domain_center`
-    in the norm `domain_norm` (Euclidean when None); paths are certified
-    only up to the first grid time they leave U.
+    U is the closed ball of radius `domain_radius` about the origin in the
+    norm `domain_norm` (Euclidean when None); paths are certified only up
+    to the first grid time they leave U.
     """
 
     dim: int
@@ -58,20 +58,18 @@ class SdeProblem:
     noise_variances: np.ndarray
     x0: np.ndarray
     domain_radius: float = np.inf
-    domain_center: Optional[np.ndarray] = None
     domain_norm: Optional[Callable[[np.ndarray], float]] = None
 
-    def distance_from_center(self, x: np.ndarray) -> float:
-        c = self.domain_center if self.domain_center is not None else 0.0
-        d = x - c
-        if self.domain_norm is not None:
-            return float(self.domain_norm(d))
-        return float(np.linalg.norm(d))
+    def outside(self, x: np.ndarray) -> bool:
+        """Whether the state x lies outside U."""
+        norm = self.domain_norm if self.domain_norm is not None else np.linalg.norm
+        return float(norm(x)) > self.domain_radius
 
 
 @dataclass
 class PathResult:
-    """Time grid and states up to (and including) the exit-time state."""
+    """Time grid and states up to (and including) the exit-time state;
+    `states` has one row per grid time, shape (len(times), *x0.shape)."""
 
     times: np.ndarray
     states: np.ndarray
@@ -163,7 +161,7 @@ def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     nsteps = len(t_grid) - 1
     x = np.array(problem.x0, dtype=np.result_type(problem.x0, float))
 
-    if problem.distance_from_center(x) > problem.domain_radius:
+    if problem.outside(x):
         raise ValueError("initial state outside the localization domain U")
     if increments is None:
         if rng is None:
@@ -172,18 +170,19 @@ def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     if increments.shape[0] != nsteps:
         raise ValueError("increment array does not match the time grid")
 
-    states = [x.copy()]
+    states = np.empty((nsteps + 1,) + x.shape, dtype=x.dtype)
+    states[0] = x
     for i in range(nsteps):
         dt = t_grid[i + 1] - t_grid[i]
         x = stepper(problem, t_grid[i], x, increments[i], dt)
         if not np.all(np.isfinite(x)):
             raise SdePathError(i, float(t_grid[i + 1]))
-        states.append(x.copy())
-        if problem.distance_from_center(x) > problem.domain_radius:
-            return PathResult(times=t_grid[: i + 2], states=np.array(states),
+        states[i + 1] = x
+        if problem.outside(x):
+            return PathResult(times=t_grid[: i + 2], states=states[: i + 2],
                               exited=True, exit_time=float(t_grid[i + 1]),
                               exit_index=i + 1)
-    return PathResult(times=t_grid, states=np.array(states), exited=False,
+    return PathResult(times=t_grid, states=states, exited=False,
                       exit_time=None, exit_index=None)
 
 

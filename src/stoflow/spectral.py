@@ -34,7 +34,6 @@ __all__ = [
     "evaluate_at",
     "evaluate_stack_at",
     "pointwise_advection_at",
-    "divergence_coeffs",
     "divergence_residual",
     "taylor_green",
     "single_mode_field",
@@ -126,9 +125,6 @@ class SpectralField(_FieldBase):
         x = 2.0 * np.pi * np.arange(self.M) / self.M
         return np.meshgrid(x, x, indexing="ij")
 
-    def with_coeffs(self, coeffs: np.ndarray) -> "SpectralField":
-        return SpectralField(self.N, coeffs)
-
     def __add__(self, other: "SpectralField") -> "SpectralField":
         self._check_same(other)
         return SpectralField(self.N, self.coeffs + other.coeffs)
@@ -187,12 +183,6 @@ def leray_project(v: SpectralField) -> SpectralField:
     out[1] = v.coeffs[1] - ky * kdotc / ksq_safe
     out[:, 0, 0] = v.coeffs[:, 0, 0]
     return SpectralField(v.N, out)
-
-
-def divergence_coeffs(v: SpectralField) -> np.ndarray:
-    """Fourier coefficients of div v, i.e. i k . vhat(k)."""
-    kx, ky, _ = _k_grids(v.N)
-    return 1j * (kx * v.coeffs[0] + ky * v.coeffs[1])
 
 
 def divergence_residual(v: SpectralField) -> float:
@@ -289,10 +279,13 @@ def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
 
 
 def advection_term(u: SpectralField, alpha: float = 0.0) -> SpectralField:
-    """(u . grad) m + alpha^2 (grad u)^T Lap u with m = (id - alpha^2 Lap) u,
+    """(u . grad) m - alpha^2 (grad u)^T Lap u with m = (id - alpha^2 Lap) u,
     the quadratic term of the averaged drift, not projected; at alpha = 0
     it is the Euler term (u . grad) u.
 
+    It equals (u . grad) m + (grad u)^T m up to the gradient
+    grad |u|^2 / 2, the nonlinearity of the Euler-alpha momentum equation
+    dm/dt + (u . grad) m + (grad u)^T m = -grad p.
     Component i of (grad u)^T Lap u is sum_j (d_i u_j)(Lap u)_j.  The stack
     (u, d_x m, d_y m[, d_x u, d_y u, Lap u]) takes one inverse transform and
     the product one forward transform; at alpha = 0 only the first three
@@ -309,7 +302,7 @@ def advection_term(u: SpectralField, alpha: float = 0.0) -> SpectralField:
     g = _to_grid(np.stack(fields), u.N)
     prod = g[0, :1] * g[1] + g[0, 1:] * g[2]
     if alpha > 0.0:
-        prod += alpha**2 * np.sum(g[3:5] * g[5], axis=1)
+        prod -= alpha**2 * np.sum(g[3:5] * g[5], axis=1)
     return SpectralField(u.N, _from_grid(prod, u.N))
 
 

@@ -32,8 +32,7 @@ def test_taylor_green_steadiness():
     u0 = sp.taylor_green(16)
     spec = build_spectrum(16, 2.0, 0.0)
     t0 = time.perf_counter()
-    path = eu.run_eulerian(u0, spec, 1e-3, 1.0, scheme="heun",
-                           keep_fields=False)
+    path = eu.run_eulerian(u0, spec, 1e-3, 1.0, scheme="heun")
     wall = time.perf_counter() - t0
     rel = sp.l2_norm(path.terminal - u0) / sp.l2_norm(u0)
     print(f"steadiness: rel drift {rel:.3e}, wall {wall:.2f}s")
@@ -159,10 +158,9 @@ def test_heun_em_coupled_difference_linear_in_dt():
     for nsteps in (10, 20, 40, 80):
         dt = T / nsteps
         inc = fine.reshape(nsteps, finest // nsteps, -1).sum(axis=1)
-        a = eu.run_eulerian(u0, spec, dt, T, scheme="heun", increments=inc,
-                            keep_fields=False)
+        a = eu.run_eulerian(u0, spec, dt, T, scheme="heun", increments=inc)
         b = eu.run_eulerian(u0, spec, dt, T, scheme="euler-maruyama",
-                            increments=inc, keep_fields=False)
+                            increments=inc)
         consts.append(sp.l2_norm(a.terminal - b.terminal) / dt)
     print(f"difference/dt constants {['%.4f' % c for c in consts]}")
     assert max(consts) < 4.0 * min(consts)
@@ -225,9 +223,8 @@ def test_alpha_zero_bitwise_identical(tmp_path):
     spec = build_spectrum(6, 3.0, 0.5)
     u0 = sp.taylor_green(6, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(66, "bits"))
-    a = eu.run_eulerian(u0, spec, 0.01, 0.2, alpha=0.0, increments=inc,
-                        keep_fields=False)
-    b = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc, keep_fields=False)
+    a = eu.run_eulerian(u0, spec, 0.01, 0.2, alpha=0.0, increments=inc)
+    b = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
     assert np.array_equal(a.terminal.coeffs, b.terminal.coeffs)
     assert np.array_equal(a.energy, b.energy)
 

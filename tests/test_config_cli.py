@@ -142,6 +142,28 @@ def test_manifest_reports_noise_verdict(tmp_path, gamma, verdict):
     assert json.loads((tmp_path / "conv" / "manifest.json").read_text())["noise"] is None
 
 
+def test_manifest_reports_exits(tmp_path):
+    # a ball of radius 1 about zero data: some of the four paths leave it
+    # before the horizon, and each stops at its exit time
+    kw = dict(init_kind="zero", c=0.5, horizon=0.2, ensemble=4, radius_factor=1.0)
+    run_experiment(base_cfg(**kw), out_dir=tmp_path / "sim")
+    rows = np.loadtxt(tmp_path / "sim" / "diagnostics.csv", delimiter=",", skiprows=1)
+    last_t = [rows[rows[:, 0] == i, 2][-1] for i in range(4)]
+    exit_times = [t for t in last_t if t < 0.2 - 1e-12]
+    assert 0 < len(exit_times) < 4
+    expected = {"count": len(exit_times), "min_time": min(exit_times),
+                "mean_time": float(np.mean(exit_times))}
+    assert json.loads((tmp_path / "sim" / "manifest.json").read_text())["exits"] == expected
+    # energy-growth draws the same per-trajectory streams
+    run_experiment(base_cfg(kind="energy-growth", **kw), out_dir=tmp_path / "eg")
+    assert json.loads((tmp_path / "eg" / "manifest.json").read_text())["exits"] == expected
+    run_experiment(base_cfg(), out_dir=tmp_path / "none")
+    assert json.loads((tmp_path / "none" / "manifest.json").read_text())["exits"] == {
+        "count": 0, "min_time": None, "mean_time": None}
+    run_experiment(base_cfg(kind="isometry", n=2, c=1.0), out_dir=tmp_path / "iso")
+    assert json.loads((tmp_path / "iso" / "manifest.json").read_text())["exits"] is None
+
+
 def test_rerun_is_byte_identical(tmp_path):
     cfg = base_cfg(c=0.5, ensemble=3)
     run_experiment(cfg, out_dir=tmp_path / "a")
@@ -265,6 +287,22 @@ def test_cli_domain_exit_is_operational_error(tmp_path, capsys):
     assert main(["simulate-euler", "--config", path,
                  "--out", str(tmp_path / "o")]) == 1
     assert "error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    "noise.c = 500\n",
+    "noise.c = 0.5\nlocalization.radius_factor = 1.0\n",
+], ids=["strong-noise", "small-ball"])
+def test_cli_equivalence_exit_is_operational_error(tmp_path, capsys, extra):
+    # the particle flow needs the Eulerian path up to the horizon, so an
+    # exit from the localization ball ends the run with one line
+    path = write_cfg(tmp_path, "kind = equivalence\ngrid.n = 4\ntime.dt = 0.05\n"
+                               "time.horizon = 0.25\nequivalence.levels = 1\n"
+                               "equivalence.particles = 3\n" + extra)
+    assert main(["equivalence", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "localization.radius_factor" in err and "t = " in err
+    assert err.count("\n") == 1
 
 
 def test_cli_env_var_default_out(tmp_path, monkeypatch):

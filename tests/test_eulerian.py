@@ -98,6 +98,23 @@ def test_smoothed_noise_divergence_free():
         assert sp.divergence_residual(f) < 1e-13
 
 
+def curl_coeffs(v):
+    """Fourier coefficients of the scalar curl d_x v_y - d_y v_x."""
+    k = sp._wavenumbers(v.N)
+    return 1j * (k[:, None] * v.coeffs[1] - k[None, :] * v.coeffs[0])
+
+
+@pytest.mark.parametrize("alpha", [0.3, 0.7])
+def test_averaged_drift_conserves_potential_enstrophy(alpha):
+    # q = curl H u is carried by the flow, dq/dt + (u.grad) q = 0, and the
+    # Galerkin-truncated drift keeps d/dt (1/2) int q^2 = <q, curl H du/dt> = 0
+    u = sp.random_divergence_free(8, np.random.default_rng(27))
+    q = curl_coeffs(sp.helmholtz_apply(u, alpha))
+    dq = curl_coeffs(sp.helmholtz_apply(eu.averaged_drift(u, alpha), alpha))
+    rate = np.real(np.sum(q * np.conj(dq)))
+    assert abs(rate) < 1e-12 * np.sum(np.abs(q) ** 2)
+
+
 def test_averaged_diffusion_matches_eigenmode_sum():
     spec = build_spectrum(3, 2.0, 1.0)
     problem = eu.make_eulerian_problem(sp.taylor_green(3), spec, alpha=0.7)
@@ -125,8 +142,7 @@ def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
     path = eu.run_eulerian(sp.SpectralField.zero(4), spec, 0.01, 0.1)
     assert np.max(path.energy) == 0.0
-    for f in path.fields:
-        assert np.max(np.abs(f.coeffs)) == 0.0
+    assert np.max(np.abs(path.states)) == 0.0
 
 
 def test_taylor_green_steady_short_run():
@@ -143,7 +159,7 @@ def test_stochastic_path_divergence_free():
     rng = derive_stream(11, "noise")
     path = eu.run_eulerian(sp.SpectralField.zero(6), spec, 0.01, 0.2, rng=rng)
     assert np.max(path.div_residual) < 1e-10
-    assert len(path.fields) == len(path.times)
+    assert path.states.shape == (len(path.times), 2, 13, 13)
 
 
 def test_path_reproducible_from_increments():

@@ -7,7 +7,7 @@ import pytest
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
 from stoflow.lagrangian import TWO_PI, initial_ensemble, uniform_labels
-from stoflow.qwiener import build_spectrum, increment_from_coefficients, \
+from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
 from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
@@ -34,7 +34,7 @@ def test_advect_constant_field_exact():
     ens = initial_ensemble(uniform_labels(3), u)
     t = 0.0
     for _ in range(10):
-        ens = lg.advect(ens, lambda s: u, 0.7)
+        ens = lg.advect(ens, u, u, 0.7)
         t += 0.7
     expected = (ens.labels + np.array([t, 0.0])) % TWO_PI
     assert np.max(np.abs(ens.positions - expected)) < 1e-12
@@ -48,7 +48,7 @@ def test_advect_shear_closed_form():
     ens = initial_ensemble(labels, u)
     dt, nsteps = 0.05, 40
     for _ in range(nsteps):
-        ens = lg.advect(ens, lambda s: u, dt)
+        ens = lg.advect(ens, u, u, dt)
     t = dt * nsteps
     expected_x = (labels[:, 0] + t * np.sin(labels[:, 1])) % TWO_PI
     assert np.max(np.abs(ens.positions[:, 0] - expected_x)) < 1e-12
@@ -57,7 +57,8 @@ def test_advect_shear_closed_form():
 
 def test_advect_zero_field_static():
     ens = initial_ensemble(uniform_labels(4), sp.SpectralField.zero(3))
-    out = lg.advect(ens, lambda s: sp.SpectralField.zero(3), 0.3)
+    zero = sp.SpectralField.zero(3)
+    out = lg.advect(ens, zero, zero, 0.3)
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -111,21 +112,24 @@ def test_spray_consistency_warning():
 # vertically lifted noise
 
 def test_kicks_at_identity_equal_grid_values():
+    # the kicks of the vertical lift at the collocation points are the
+    # grid values of the increment field
     spec = build_spectrum(3, 2.0, 1.0)
     w = sample_coefficients(spec, 0.1, 1, derive_stream(3, "k"))[0]
-    inc = increment_from_coefficients(spec, w, 0.1)
-    M = inc.field.M
-    ens = initial_ensemble(uniform_labels(M), inc.field)
-    kicks = lg.lagrangian_noise(ens, inc)
-    grid = inc.field.grid_values().reshape(2, -1).T
+    dW = field_from_coefficients(spec, w)
+    P = dW.M ** 2
+    u = sp.SpectralField.zero(3)
+    problem = lg.make_lagrangian_problem(u, spec, initial_ensemble(uniform_labels(dW.M), u))
+    kicks = problem.diffusion(problem.x0, w)[2 * P:].reshape(P, 2)
+    grid = dW.grid_values().reshape(2, -1).T
     assert np.max(np.abs(kicks - grid)) < 1e-12
 
 
 def test_zero_increment_zero_kicks():
     spec = build_spectrum(3, 2.0, 1.0)
-    inc = increment_from_coefficients(spec, np.zeros(spec.n_modes), 0.1)
-    ens = initial_ensemble(uniform_labels(4), sp.SpectralField.zero(3))
-    assert np.max(np.abs(lg.lagrangian_noise(ens, inc))) == 0.0
+    u = sp.SpectralField.zero(3)
+    problem = lg.make_lagrangian_problem(u, spec, initial_ensemble(uniform_labels(4), u))
+    assert np.max(np.abs(problem.diffusion(problem.x0, np.zeros(spec.n_modes)))) == 0.0
 
 
 def test_stacked_diffusion_matches_eigenmode_evaluation():
@@ -230,7 +234,7 @@ def test_residual_zero_horizon():
     u0 = sp.taylor_green(4)
     spec = build_spectrum(4, 2.0, 0.0)
     ens = initial_ensemble(uniform_labels(4), u0)
-    res = lg.equivalence_residual([u0], [ens], np.zeros((0, spec.n_modes)),
+    res = lg.equivalence_residual(u0.coeffs[None], [ens], np.zeros((0, spec.n_modes)),
                                   spec, 0.01)
     assert res == 0.0
 

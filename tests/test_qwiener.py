@@ -39,9 +39,8 @@ def test_trace_counts_modes_at_gamma_zero():
 def test_zero_amplitude_spectrum():
     spec = build_spectrum(3, 2.0, 0.0)
     assert spec.trace == 0.0
-    rng = derive_stream(0, "z")
-    inc = qw.sample_increment(spec, 0.1, rng)
-    assert np.max(np.abs(inc.field.coeffs)) == 0.0
+    w = qw.sample_coefficients(spec, 0.1, 1, derive_stream(0, "z"))[0]
+    assert np.max(np.abs(qw.field_from_coefficients(spec, w).coeffs)) == 0.0
 
 
 def test_build_spectrum_rejects_bad_args():
@@ -79,10 +78,10 @@ def test_single_eigenpair_increment():
                        wavevectors=np.array([[1, 0]]),
                        eigenvalues=np.array([4.0]))
     xi = np.array([0.3, -1.1])
-    inc = qw.increment_from_coefficients(spec, 2.0 * xi, 1.0)
+    dW = qw.field_from_coefficients(spec, 2.0 * xi)
     ref = (2.0 * xi[0]) * qw.eigenmode_field(spec, 0) \
         + (2.0 * xi[1]) * qw.eigenmode_field(spec, 1)
-    assert np.allclose(inc.field.coeffs, ref.coeffs, atol=1e-14)
+    assert np.allclose(dW.coeffs, ref.coeffs, atol=1e-14)
 
     rng = derive_stream(21, "var")
     w = qw.sample_coefficients(spec, 1.0, 20_000, rng)
@@ -114,10 +113,10 @@ def test_increment_statistics_monte_carlo():
 
 def test_increment_field_divergence_free_and_real():
     spec = build_spectrum(3, 2.0, 1.0)
-    rng = derive_stream(9, "df")
-    inc = qw.sample_increment(spec, 0.05, rng)
-    assert sp.divergence_residual(inc.field) < 1e-13
-    vals = np.fft.ifft2(inc.field.coeffs) * inc.field.M ** 2
+    w = qw.sample_coefficients(spec, 0.05, 1, derive_stream(9, "df"))[0]
+    dW = qw.field_from_coefficients(spec, w)
+    assert sp.divergence_residual(dW) < 1e-13
+    vals = np.fft.ifft2(dW.coeffs) * dW.M ** 2
     assert np.max(np.abs(vals.imag)) < 1e-12
 
 
@@ -127,10 +126,10 @@ def test_increment_additivity():
     spec = build_spectrum(2, 2.0, 0.8)
     rng = derive_stream(31, "add")
     parts = qw.sample_coefficients(spec, 0.1, 8, rng)
-    whole = qw.increment_from_coefficients(spec, parts.sum(axis=0), 0.8)
-    summed = sum((qw.increment_from_coefficients(spec, p, 0.1).field for p in parts),
+    whole = qw.field_from_coefficients(spec, parts.sum(axis=0))
+    summed = sum((qw.field_from_coefficients(spec, p) for p in parts),
                  sp.SpectralField.zero(2))
-    assert np.allclose(whole.field.coeffs, summed.coeffs, atol=1e-14)
+    assert np.allclose(whole.coeffs, summed.coeffs, atol=1e-14)
 
 
 def test_amplitude_scaling():
@@ -168,8 +167,7 @@ def test_mode_coefficients_round_trip():
     spec = build_spectrum(3, 2.0, 1.0)
     rng = derive_stream(13, "rt")
     w = qw.sample_coefficients(spec, 0.2, 1, rng)[0]
-    inc = qw.increment_from_coefficients(spec, w, 0.2)
-    back = qw.mode_coefficients(inc.field, spec)
+    back = qw.mode_coefficients(qw.field_from_coefficients(spec, w), spec)
     assert np.allclose(back, w, atol=1e-13)
 
 
@@ -199,15 +197,6 @@ def test_l2q_operator_norm_inequality():
         return 0.3 * e
 
     assert abs(qw.l2q_norm(scaled, spec) - 0.3 * np.sqrt(spec.trace)) < 1e-12
-
-
-def test_sample_increment_keeps_gaussians():
-    spec = build_spectrum(2, 2.0, 1.0)
-    inc = qw.sample_increment(spec, 0.1, derive_stream(1, "g"))
-    assert inc.coefficients is not None
-    inc2 = qw.sample_increment(spec, 0.1, derive_stream(1, "g"), keep_gaussians=False)
-    assert inc2.coefficients is None
-    assert np.allclose(inc.field.coeffs, inc2.field.coeffs)
 
 
 def test_sample_rejects_bad_dt():

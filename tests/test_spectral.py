@@ -174,7 +174,7 @@ def _ref_grad_transpose_laplacian(u):
 
 def _ref_advection_term(u, alpha):
     m = sp.helmholtz_apply(u, alpha)
-    return _ref_directional_derivative(u, m) + alpha**2 * _ref_grad_transpose_laplacian(u)
+    return _ref_directional_derivative(u, m) - alpha**2 * _ref_grad_transpose_laplacian(u)
 
 
 def _ref_averaged_drift(u, alpha):
