@@ -86,6 +86,8 @@ class ExperimentConfig:
             raise ConfigError("alpha must be >= 0")
         if self.ensemble < 1:
             raise ConfigError("ensemble.size must be >= 1")
+        if self.kind == "energy-growth" and self.ensemble < 2:
+            raise ConfigError("ensemble.size must be >= 2 for energy-growth")
         if self.eq_levels < 1:
             raise ConfigError("equivalence.levels must be >= 1")
         if self.eq_particles < 2:

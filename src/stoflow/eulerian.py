@@ -1,13 +1,14 @@
-"""Eulerian velocity-field SDEs: stochastic Euler and the averaged
-Euler-alpha model, wrapped as finite SDE problems whose state is the
-(2, M, M) Fourier coefficient array of the velocity.
+"""Eulerian SDEs of stochastic Euler and the averaged Euler-alpha model,
+wrapped as finite SDE problems whose state is the (M, M) Fourier
+coefficient array of the potential vorticity q = curl(H u), H = id - a^2 Lap:
 
-    du = -Pi[(u.grad)u] dt + dW                      (plain Euler)
-    du = -Pi H^-1[(u.grad)m - a^2 (grad u)^T Lap u] dt + H^-1 dW
-         with m = H u,  H = id - a^2 Lap             (averaged, alpha = a)
+    dq + (u.grad)q dt = curl dW,    u = U + H^-1 grad-perp Lap^-1 q
 
-Both drifts and the noise are divergence-free, so the solution stays
-divergence-free at every step.
+with alpha = a; plain Euler is a = 0, where q is the vorticity.  In velocity
+form, du = -Pi H^-1[(u.grad)m + (grad u)^T m] dt + H^-1 dW with m = H u.
+The mean flow U = uhat(0) is constant (the drift has no k = 0 mode and the
+noise none), so the problem holds it apart.  Velocities rebuilt from q are
+divergence-free by construction.
 """
 
 from __future__ import annotations
@@ -25,7 +26,6 @@ from .spectral import SpectralField
 __all__ = [
     "euler_drift",
     "averaged_drift",
-    "noise_mode_multiplier",
     "make_eulerian_problem",
     "EulerianPath",
     "run_eulerian",
@@ -40,45 +40,49 @@ def euler_drift(u: SpectralField) -> SpectralField:
 
 
 def averaged_drift(u: SpectralField, alpha: float) -> SpectralField:
-    """-Pi H^-1[(u.grad)m - alpha^2 (grad u)^T Lap u] with m = H u; alpha = 0
-    is the plain Euler drift -Pi[(u.grad)u]."""
-    quad = sp.advection_term(u, alpha)
-    return -1.0 * sp.helmholtz_inverse(sp.leray_project(quad), alpha)
+    """-Pi H^-1[(u.grad)m + (grad u)^T m] with m = H u, at a divergence-free u:
+    the velocity of dq/dt = -(u.grad)q, q = curl(H u).  alpha = 0 is -Pi[(u.grad)u]."""
+    q = sp.curl(sp.helmholtz_apply(u, alpha))
+    return SpectralField(u.N, sp.biot_savart(-sp.advection_term(q, u.coeffs), alpha))
 
 
-def noise_mode_multiplier(spec: QWienerSpec, alpha: float) -> np.ndarray:
-    """Per-noise-coordinate factor 1/(1 + alpha^2 |k|^2); identity at alpha=0."""
-    ksq = np.sum(spec.wavevectors.astype(float) ** 2, axis=1)
-    return np.repeat(1.0 / (1.0 + alpha**2 * ksq), 2)
+def _velocity(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
+    """Velocity coefficients (..., 2, M, M) of a stack (..., M, M) of q,
+    with the mean flow `mean` at k = 0."""
+    u = sp.biot_savart(q, alpha)
+    u[..., :, 0, 0] = mean
+    return u
 
 
 def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0.0,
                           radius_factor: float = 10.0) -> SdeProblem:
-    """The SdeProblem over the (2, M, M) coefficient array of the velocity.
+    """The SdeProblem over the (M, M) coefficient array of q = curl(H u).
 
-    The diffusion maps raw noise coordinates dW to the field
-    sum_j mult_j dW_j e_j, with mult from noise_mode_multiplier.
-    The localization domain is the H^s ball (s fixed by
-    LOCALIZATION_SOBOLEV_INDEX) of radius radius_factor * max(|u0|_{H^s}, 1)
-    centered at the origin.
+    The drift is -(u.grad)q with u = U + biot_savart(q); the diffusion maps raw
+    noise coordinates dW to curl field_from_coefficients(spec, dW), as H^-1
+    cancels against H.  The localization domain is the H^s ball of the
+    velocity (s fixed by LOCALIZATION_SOBOLEV_INDEX) of radius
+    radius_factor * max(|u0|_{H^s}, 1) centered at the origin.
     """
     if spec.N != u0.N:
         raise ValueError("noise spectrum and initial field resolutions differ")
     N = u0.N
-    mult = noise_mode_multiplier(spec, alpha)
+    mean = u0.coeffs[:, 0, 0]
 
-    def drift(t: float, x: np.ndarray) -> np.ndarray:
-        return averaged_drift(SpectralField(N, x), alpha).coeffs
+    def drift(t: float, q: np.ndarray) -> np.ndarray:
+        return -sp.advection_term(q, _velocity(q, alpha, mean))
 
-    def diffusion(x: np.ndarray, dW: np.ndarray) -> np.ndarray:
-        return field_from_coefficients(spec, mult * dW).coeffs
+    def diffusion(q: np.ndarray, dW: np.ndarray) -> np.ndarray:
+        return sp.curl(field_from_coefficients(spec, dW))
 
-    def hs_norm(x: np.ndarray) -> float:
-        return sp.sobolev_norm(SpectralField(N, x), LOCALIZATION_SOBOLEV_INDEX)
+    def hs_norm(q: np.ndarray) -> float:
+        u = SpectralField(N, _velocity(q, alpha, mean))
+        return sp.sobolev_norm(u, LOCALIZATION_SOBOLEV_INDEX)
 
+    q0 = sp.curl(sp.helmholtz_apply(u0, alpha))
     radius = radius_factor * max(sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX), 1.0)
-    return SdeProblem(dim=2 * u0.coeffs.size, drift=drift, diffusion=diffusion,
-                      noise_variances=spec.mode_variances, x0=u0.coeffs,
+    return SdeProblem(dim=2 * q0.size, drift=drift, diffusion=diffusion,
+                      noise_variances=spec.mode_variances, x0=q0,
                       domain_radius=radius, domain_norm=hs_norm)
 
 
@@ -86,14 +90,14 @@ def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0
 class EulerianPath:
     """One trajectory of the Eulerian SDE with per-step diagnostics.
 
-    `states` holds the (2, M, M) coefficient array of the velocity at each
-    grid time, shape (len(times), 2, M, M); a path that left the
-    localization ball stops at its exit time.
+    `states` holds the velocity coefficients rebuilt from q at each grid
+    time, shape (len(times), 2, M, M); a path that left the localization
+    ball stops at its exit time.
     """
 
     times: np.ndarray
     states: np.ndarray
-    increments: np.ndarray  # raw noise coordinates per step (pre-multiplier)
+    increments: np.ndarray  # raw noise coordinates per step
     energy: np.ndarray      # |u|_{L2}^2
     enstrophy: np.ndarray
     hs_norm: np.ndarray
@@ -117,9 +121,9 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
                  rng: Optional[np.random.Generator] = None,
                  increments: Optional[np.ndarray] = None,
                  radius_factor: float = 10.0) -> EulerianPath:
-    """Integrate the velocity-field SDE and collect diagnostics.
+    """Integrate the potential-vorticity SDE and collect velocity diagnostics.
 
-    `increments` are raw Q-Wiener coordinates (before any alpha smoothing);
+    `increments` are raw Q-Wiener coordinates, the same for every alpha;
     when absent they are drawn from `rng`.  The same increments drive both
     the plain and the averaged model in coupled experiments.
     """
@@ -129,9 +133,10 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
     res = solve_path(problem, scheme, t_grid, increments=increments)
 
-    diags = np.array([_diagnostics(SpectralField(u0.N, x)) for x in res.states])
+    states = _velocity(res.states, alpha, u0.coeffs[:, 0, 0])
+    diags = np.array([_diagnostics(SpectralField(u0.N, x)) for x in states])
     energy, ens, hs, div = diags.T
-    return EulerianPath(times=res.times, states=res.states,
+    return EulerianPath(times=res.times, states=states,
                         increments=increments[: len(res.times) - 1],
                         energy=energy, enstrophy=ens, hs_norm=hs, div_residual=div,
                         exited=res.exited, exit_time=res.exit_time)

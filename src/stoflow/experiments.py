@@ -91,6 +91,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
     alpha = cfg.alpha if cfg.kind == "simulate-averaged" else 0.0
     steady = cfg.c == 0.0 and cfg.init_kind == "taylor-green"
+    scale = sp.l2_norm(u0) or 1.0  # a zero field is steady: absolute drift
 
     rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
     for i in range(cfg.ensemble):
@@ -101,7 +102,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
                  for j, t in enumerate(p.times)]
         max_div = max(max_div, float(np.max(p.div_residual)))
         if steady:
-            max_drift = max(max_drift, sp.l2_norm(p.terminal - u0) / sp.l2_norm(u0))
+            max_drift = max(max_drift, sp.l2_norm(p.terminal - u0) / scale)
         if p.exited:
             exit_times.append(p.exit_time)
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]

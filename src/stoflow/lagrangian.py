@@ -21,7 +21,7 @@ from typing import Optional
 import numpy as np
 
 from . import spectral as sp
-from .eulerian import run_eulerian
+from .eulerian import euler_drift, run_eulerian
 from .qwiener import QWienerSpec, driving_coefficients, field_from_coefficients
 from .spectral import SpectralField, evaluate_at, evaluate_stack_at
 
@@ -91,7 +91,7 @@ def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> n
     """Values at the points of u, d_x u, d_y u, Pi[(u.grad)u] and then of
     each extra coefficient array, shape (P, 4 + len(extra), 2), all on one
     set of phase tables."""
-    proj = sp.leray_project(sp.advection_term(u))
+    proj = -euler_drift(u)
     stack = [sp._gradient_stack(u), proj.coeffs[None]] + [e[None] for e in extra]
     return evaluate_stack_at(np.concatenate(stack), points)
 

@@ -5,9 +5,9 @@ square lattice of modes with |k|_inf <= N, using the convention
 
     u(x) = sum_k  uhat(k) exp(i k.x),
 
-so the coefficient array has shape (2, M, M) (vector) or (M, M) (scalar)
-with M = 2N + 1 and numpy fftfreq mode ordering.  Real-valued fields obey
-the Hermitian symmetry uhat(-k) = conj(uhat(k)).
+so the coefficient array has shape (2, M, M) (a vector SpectralField) or
+(M, M) (a scalar) with M = 2N + 1 and numpy fftfreq mode ordering.
+Real-valued fields obey the Hermitian symmetry uhat(-k) = conj(uhat(k)).
 
 All operations are pure: they return new field values and never mutate
 their inputs (coefficient buffers are frozen at construction).
@@ -21,10 +21,10 @@ import numpy as np
 
 __all__ = [
     "SpectralField",
-    "ScalarField",
     "leray_project",
+    "curl",
+    "biot_savart",
     "advection_term",
-    "pressure_from_velocity",
     "sobolev_norm",
     "l2_norm",
     "l2_inner",
@@ -57,13 +57,15 @@ def _wavenumbers(N: int) -> np.ndarray:
     return _freeze(np.fft.fftfreq(M, d=1.0 / M).astype(int))
 
 
-class _FieldBase:
+class SpectralField:
+    """Real vector field on the torus, held as truncated Fourier coefficients."""
+
     def __init__(self, N: int, coeffs: np.ndarray):
         if N <= 0:
             raise ValueError("resolution N must be positive")
         M = 2 * N + 1
-        if coeffs.shape[-2:] != (M, M):
-            raise ValueError(f"coefficient array shape {coeffs.shape} does not match N={N}")
+        if coeffs.shape != (2, M, M):
+            raise ValueError(f"vector field shape {coeffs.shape} does not match N={N}")
         self.N = N
         self.M = M
         self.coeffs = _freeze(coeffs.astype(complex, copy=True))
@@ -72,18 +74,9 @@ class _FieldBase:
     def k(self) -> np.ndarray:
         return _wavenumbers(self.N)
 
-    def _check_same(self, other: "_FieldBase") -> None:
+    def _check_same(self, other: "SpectralField") -> None:
         if self.N != other.N:
             raise ValueError(f"resolution mismatch: {self.N} vs {other.N}")
-
-
-class SpectralField(_FieldBase):
-    """Real vector field on the torus, held as truncated Fourier coefficients."""
-
-    def __init__(self, N: int, coeffs: np.ndarray):
-        if coeffs.shape[0] != 2:
-            raise ValueError("vector field needs a leading component axis of size 2")
-        super().__init__(N, coeffs)
 
     @classmethod
     def zero(cls, N: int) -> "SpectralField":
@@ -142,18 +135,6 @@ class SpectralField(_FieldBase):
         return SpectralField(self.N, -self.coeffs)
 
 
-class ScalarField(_FieldBase):
-    """Real scalar field on the torus (pressure, stream function, ...)."""
-
-    @classmethod
-    def zero(cls, N: int) -> "ScalarField":
-        M = 2 * N + 1
-        return cls(N, np.zeros((M, M), dtype=complex))
-
-    def grid_values(self) -> np.ndarray:
-        return np.real(np.fft.ifft2(self.coeffs) * self.M**2)
-
-
 # ---------------------------------------------------------------------------
 # mode geometry helpers
 
@@ -183,6 +164,33 @@ def leray_project(v: SpectralField) -> SpectralField:
     out[1] = v.coeffs[1] - ky * kdotc / ksq_safe
     out[:, 0, 0] = v.coeffs[:, 0, 0]
     return SpectralField(v.N, out)
+
+
+def curl(v: SpectralField) -> np.ndarray:
+    """Coefficients (M, M) of the scalar curl d_x v_y - d_y v_x."""
+    kx, ky, _ = _k_grids(v.N)
+    return 1j * (kx * v.coeffs[1] - ky * v.coeffs[0])
+
+
+@lru_cache(maxsize=None)
+def _biot_savart_multiplier(N: int, alpha: float) -> np.ndarray:
+    """(i ky, -i kx) / (|k|^2 (1 + alpha^2 |k|^2)), zero at k = 0, shape
+    (2, M, M); read-only, built once per (N, alpha)."""
+    kx, ky, ksq = _k_grids(N)
+    h = ksq * (1.0 + alpha**2 * ksq)
+    h[0, 0] = np.inf
+    return _freeze(np.stack([1j * ky / h, -1j * kx / h]))
+
+
+def biot_savart(q: np.ndarray, alpha: float = 0.0) -> np.ndarray:
+    """Zero-mean velocities u = H^-1 grad-perp Lap^-1 q, shape (..., 2, M, M),
+    of a stack (..., M, M) of potential vorticities q = curl(H u) with
+    H = id - alpha^2 Lap: the inverse of curl H on zero-mean divergence-free
+    fields, and the Biot-Savart law at alpha = 0.  q's k = 0 mode is ignored."""
+    if alpha < 0:
+        raise ValueError("alpha must be >= 0")
+    N = (q.shape[-1] - 1) // 2
+    return _biot_savart_multiplier(N, float(alpha)) * q[..., None, :, :]
 
 
 def divergence_residual(v: SpectralField) -> float:
@@ -278,45 +286,17 @@ def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def advection_term(u: SpectralField, alpha: float = 0.0) -> SpectralField:
-    """(u . grad) m - alpha^2 (grad u)^T Lap u with m = (id - alpha^2 Lap) u,
-    the quadratic term of the averaged drift, not projected; at alpha = 0
-    it is the Euler term (u . grad) u.
+def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Coefficients (M, M) of u . grad q, Galerkin-truncated to |k| <= N, for
+    a real scalar q (M, M) carried by a real velocity u (2, M, M).
 
-    It equals (u . grad) m + (grad u)^T m up to the gradient
-    grad |u|^2 / 2, the nonlinearity of the Euler-alpha momentum equation
-    dm/dt + (u . grad) m + (grad u)^T m = -grad p.
-    Component i of (grad u)^T Lap u is sum_j (d_i u_j)(Lap u)_j.  The stack
-    (u, d_x m, d_y m[, d_x u, d_y u, Lap u]) takes one inverse transform and
-    the product one forward transform; at alpha = 0 only the first three
-    fields are transformed.
+    The one dealiased quadratic kernel: the stack (u_x, u_y, d_x q, d_y q)
+    takes one inverse transform and the product one forward transform.
     """
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    kx, ky, ksq = _k_grids(u.N)
-    c = u.coeffs
-    m = c * (1.0 + alpha**2 * ksq)
-    fields = [c, 1j * kx * m, 1j * ky * m]
-    if alpha > 0.0:
-        fields += [1j * kx * c, 1j * ky * c, -ksq * c]
-    g = _to_grid(np.stack(fields), u.N)
-    prod = g[0, :1] * g[1] + g[0, 1:] * g[2]
-    if alpha > 0.0:
-        prod -= alpha**2 * np.sum(g[3:5] * g[5], axis=1)
-    return SpectralField(u.N, _from_grid(prod, u.N))
-
-
-def pressure_from_velocity(u: SpectralField) -> ScalarField:
-    """Zero-mean pressure with grad p = -(I - Pi)[(u.grad)u].
-
-    Mode-wise: phat(k) = i k . ahat(k) / |k|^2 where a = (u.grad)u.
-    """
-    a = advection_term(u)
-    kx, ky, ksq = _k_grids(u.N)
-    ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
-    phat = 1j * (kx * a.coeffs[0] + ky * a.coeffs[1]) / ksq_safe
-    phat[0, 0] = 0.0
-    return ScalarField(u.N, phat)
+    N = (q.shape[-1] - 1) // 2
+    kx, ky, _ = _k_grids(N)
+    g = _to_grid(np.stack([u[0], u[1], 1j * kx * q, 1j * ky * q]), N)
+    return _from_grid(g[0] * g[2] + g[1] * g[3], N)
 
 
 # ---------------------------------------------------------------------------

@@ -217,6 +217,27 @@ def test_cli_pass_exit_zero(tmp_path, capsys):
     assert "[PASS] ito_isometry" in out
 
 
+def test_cli_zero_amplitude_taylor_green_is_steady(tmp_path, capsys):
+    # a zero field is steady; its drift is judged in absolute terms
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 4\ntime.horizon = 0.05\n"
+                               "init.kind = taylor-green\ninit.amplitude = 0.0\n"
+                               "noise.c = 0\n")
+    code = main(["simulate-euler", "--config", path, "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert "[PASS] taylor_green_steady" in capsys.readouterr().out
+
+
+def test_cli_energy_growth_single_path_exit_one(tmp_path, capsys):
+    # one path has no standard error, so the slope check could not fail
+    with pytest.raises(ConfigError, match="ensemble.size"):
+        parse_config_text("kind = energy-growth\nensemble.size = 1\n")
+    path = write_cfg(tmp_path, "kind = energy-growth\nnoise.c = 0.5\nensemble.size = 1\n")
+    assert main(["energy-growth", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "ensemble.size" in err
+    assert err.count("\n") == 1
+
+
 def test_cli_kind_mismatch_is_operational_error(tmp_path, capsys):
     path = write_cfg(tmp_path, "kind = isometry\n")
     code = main(["convergence", "--config", path])

@@ -49,12 +49,20 @@ def test_alpha_zero_reduces_to_euler():
 
 
 def test_euler_drift_is_projected_advection_term():
-    # the spray uses leray_project(advection_term(u)); the Eulerian drift
-    # at alpha = 0 must agree with it bit for bit for the equivalence residual
+    # the spray reads Pi[(u.grad)u] as -euler_drift(u); the equivalence
+    # residual needs it to be the velocity of the q drift the Eulerian path
+    # integrates.  The problem rebuilds u from curl u, which is the identity
+    # on zero-mean divergence-free fields only up to the rounding of the
+    # per-mode Biot-Savart multipliers, so the match is to 1e-14 relative
     rng = derive_stream(6, "alpha0")
-    for u in [sp.taylor_green(6), sp.random_divergence_free(6, rng)]:
-        ref = -1.0 * sp.leray_project(sp.advection_term(u))
-        assert np.array_equal(eu.euler_drift(u).coeffs, ref.coeffs)
+    spec = build_spectrum(6, 2.0, 1.0)
+    mean = sp.SpectralField.from_modes(6, {(0, 0): [0.4, -0.1]})
+    for u in [sp.taylor_green(6), sp.random_divergence_free(6, rng),
+              mean + sp.random_divergence_free(6, rng)]:
+        problem = eu.make_eulerian_problem(u, spec)
+        ref = problem.drift(0.0, sp.curl(u))
+        got = sp.curl(eu.euler_drift(u))
+        assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
 
 def test_single_shear_averaged_drift_zero():
@@ -73,28 +81,30 @@ def test_averaged_drift_rejects_negative_alpha():
 # ---------------------------------------------------------------------------
 # noise smoothing
 
-def test_noise_multiplier_identity_at_alpha_zero():
+def test_averaged_diffusion_matches_eigenmode_sum():
+    # the problem's noise acts on q = curl(H u); its velocity is the smoothed
+    # noise sum_j w_j H^-1 e_j, divergence-free
+    alpha = 0.7
     spec = build_spectrum(3, 2.0, 1.0)
-    mult = eu.noise_mode_multiplier(spec, 0.0)
-    assert np.array_equal(mult, np.ones(spec.n_modes))
-
-
-def test_noise_multiplier_single_mode():
-    spec = build_spectrum(1, 2.0, 1.0)
-    mult = eu.noise_mode_multiplier(spec, 1.0)
-    j = [tuple(k) for k in spec.wavevectors].index((1, 0))
-    assert abs(mult[2 * j] - 0.5) < 1e-15
-    assert abs(mult[2 * j + 1] - 0.5) < 1e-15
+    problem = eu.make_eulerian_problem(sp.taylor_green(3), spec, alpha=alpha)
+    w = derive_stream(19, "diffusion").standard_normal(spec.n_modes)
+    got = sp.SpectralField(3, sp.biot_savart(problem.diffusion(problem.x0, w), alpha))
+    ref = sum(w[j] * sp.helmholtz_inverse(eigenmode_field(spec, j), alpha).coeffs
+              for j in range(spec.n_modes))
+    assert np.max(np.abs(got.coeffs - ref)) < 1e-13
+    assert sp.divergence_residual(got) < 1e-13
 
 
 def test_smoothed_noise_divergence_free():
+    # each eigenmode's noise velocity H^-1 e_j, recovered from the q-state
+    # noise, is divergence-free
+    alpha = 1.0
     spec = build_spectrum(4, 2.0, 1.0)
-    u0 = sp.SpectralField.zero(4)
-    problem = eu.make_eulerian_problem(u0, spec, alpha=1.0)
+    problem = eu.make_eulerian_problem(sp.SpectralField.zero(4), spec, alpha=alpha)
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
         e[j] = 1.0
-        f = sp.SpectralField(4, problem.diffusion(problem.x0, e))
+        f = sp.SpectralField(4, sp.biot_savart(problem.diffusion(problem.x0, e), alpha))
         assert sp.divergence_residual(f) < 1e-13
 
 
@@ -113,17 +123,6 @@ def test_averaged_drift_conserves_potential_enstrophy(alpha):
     dq = curl_coeffs(sp.helmholtz_apply(eu.averaged_drift(u, alpha), alpha))
     rate = np.real(np.sum(q * np.conj(dq)))
     assert abs(rate) < 1e-12 * np.sum(np.abs(q) ** 2)
-
-
-def test_averaged_diffusion_matches_eigenmode_sum():
-    spec = build_spectrum(3, 2.0, 1.0)
-    problem = eu.make_eulerian_problem(sp.taylor_green(3), spec, alpha=0.7)
-    w = derive_stream(19, "diffusion").standard_normal(spec.n_modes)
-    mult = eu.noise_mode_multiplier(spec, 0.7)
-    ref = sum(mult[j] * w[j] * eigenmode_field(spec, j).coeffs
-              for j in range(spec.n_modes))
-    got = problem.diffusion(problem.x0, w)
-    assert np.max(np.abs(got - ref)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +151,16 @@ def test_taylor_green_steady_short_run():
     rel = sp.l2_norm(path.terminal - u0) / sp.l2_norm(u0)
     assert rel < 1e-10
     assert not path.exited
+
+
+def test_path_keeps_mean_flow():
+    # the mean flow is held apart from q, so every velocity row carries it
+    U = [0.4, -0.1]
+    u0 = sp.SpectralField.from_modes(4, {(0, 0): U}) + sp.taylor_green(4, 0.5)
+    spec = build_spectrum(4, 3.0, 0.5)
+    path = eu.run_eulerian(u0, spec, 0.01, 0.2, rng=derive_stream(23, "mean"))
+    assert np.array_equal(path.states[:, :, 0, 0], np.broadcast_to(U, (21, 2)))
+    assert np.max(np.abs(path.states[0] - u0.coeffs)) < 1e-15
 
 
 def test_stochastic_path_divergence_free():

@@ -11,6 +11,7 @@ from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
 from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
+from test_spectral import _ref_advection_term
 
 
 def const_field(N, vec):
@@ -93,8 +94,9 @@ def test_material_acceleration_is_transport_minus_projected_advection():
     rng = np.random.default_rng(18)
     u = sp.random_divergence_free(6, rng)
     pts = rng.uniform(-TWO_PI, 2 * TWO_PI, size=(31, 2))
+    # Pi[(u.grad)u] from the complex-FFT velocity kernel of test_spectral
     ref = sp.pointwise_advection_at(u, pts) \
-        - sp.evaluate_at(sp.leray_project(sp.advection_term(u)), pts)
+        - sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pts)
     assert np.max(np.abs(lg.material_acceleration_at(u, pts) - ref)) < 1e-13
 
 

@@ -1,5 +1,5 @@
-"""Tests for the spectral field layer: projections, nonlinear terms,
-pressure recovery, norms, and pointwise evaluation."""
+"""Tests for the spectral field layer: projections, curl and Biot-Savart,
+the nonlinear transport term, norms, and pointwise evaluation."""
 
 import numpy as np
 import pytest
@@ -77,56 +77,94 @@ def test_leray_output_divergence_free():
         assert div < 1e-12 * max(norm, 1.0)
 
 
+def test_curl_biot_savart_round_trip():
+    # biot_savart inverts curl H on zero-mean divergence-free fields, and
+    # curl H inverts biot_savart on zero-mean scalars
+    rng = np.random.default_rng(19)
+    for alpha in (0.0, 0.7):
+        u = sp.random_divergence_free(6, rng)
+        q = sp.curl(sp.helmholtz_apply(u, alpha))
+        assert np.max(np.abs(sp.biot_savart(q, alpha) - u.coeffs)) < 1e-15
+        w = sp.curl(random_real_field(rng, 6))
+        back = sp.curl(sp.helmholtz_apply(SpectralField(6, sp.biot_savart(w, alpha)), alpha))
+        assert np.max(np.abs(back - w)) < 1e-13 * np.max(np.abs(w))
+    # the mean flow has no curl and does not come back
+    const = SpectralField.from_modes(4, {(0, 0): [0.7, -0.2]})
+    assert np.max(np.abs(sp.curl(const))) == 0.0
+    assert np.max(np.abs(sp.biot_savart(np.ones((9, 9)))[:, 0, 0])) == 0.0
+
+
 def test_taylor_green_advection_projects_to_zero():
+    # u . grad omega = 0 for the Taylor-Green field: (u.grad)u is a gradient
     u = sp.taylor_green(8)
-    out = sp.leray_project(sp.advection_term(u))
-    assert np.max(np.abs(out.coeffs)) < 1e-14
+    out = sp.advection_term(sp.curl(u), u.coeffs)
+    assert np.max(np.abs(out)) < 1e-14
 
 
 # ---------------------------------------------------------------------------
 # advection term
 
+def scalar_grid_values(c):
+    M = c.shape[-1]
+    return np.real(np.fft.ifft2(c) * M**2)
+
+
 def test_advection_constant_field_is_zero():
-    u = SpectralField.from_modes(4, {(0, 0): [0.3, -1.2]})
-    a = sp.advection_term(u)
-    assert np.max(np.abs(a.coeffs)) < 1e-15
+    rng = np.random.default_rng(3)
+    u = random_real_field(rng, 4)
+    const_q = np.zeros((9, 9), dtype=complex)
+    const_q[0, 0] = 2.5
+    assert np.max(np.abs(sp.advection_term(const_q, u.coeffs))) == 0.0
+    # a constant velocity carries q rigidly: the term is i (U.k) qhat
+    U = SpectralField.from_modes(4, {(0, 0): [0.3, -1.2]})
+    q = sp.curl(random_real_field(rng, 4))
+    kx, ky, _ = sp._k_grids(4)
+    ref = 1j * (0.3 * kx - 1.2 * ky) * q
+    assert np.max(np.abs(sp.advection_term(q, U.coeffs) - ref)) < 1e-14 * np.max(np.abs(ref))
+    assert np.max(np.abs(sp.advection_term(sp.curl(U), U.coeffs))) == 0.0
 
 
 def test_advection_shear_is_zero():
-    # u = (sin y, 0): u2 = 0 and d/dx u1 = 0
+    # u = (sin y, 0) carries its vorticity -cos y along x, where it is constant
     u = SpectralField.from_modes(4, {(0, 1): [-0.5j, 0.0]}, hermitize=True)
     vals = u.grid_values()
     X, Y = u.grid_points()
     assert np.allclose(vals[0], np.sin(Y), atol=1e-13)
-    a = sp.advection_term(u)
-    assert np.max(np.abs(a.coeffs)) < 1e-14
+    q = sp.curl(u)
+    assert np.allclose(scalar_grid_values(q), -np.cos(Y), atol=1e-13)
+    a = sp.advection_term(q, u.coeffs)
+    assert np.max(np.abs(a)) < 1e-14
 
 
 def test_taylor_green_advection_closed_form():
-    # (u.grad)u = 1/2 (sin 2x, sin 2y) for the Taylor-Green field
+    # u . grad cos x = -sin^2 x cos y = -1/2 cos y + 1/2 cos 2x cos y for
+    # the Taylor-Green field
     u = sp.taylor_green(8)
-    a = sp.advection_term(u)
     X, Y = u.grid_points()
-    vals = a.grid_values()
-    assert np.allclose(vals[0], 0.5 * np.sin(2 * X), atol=1e-13)
-    assert np.allclose(vals[1], 0.5 * np.sin(2 * Y), atol=1e-13)
+    q = np.fft.fft2(np.cos(X)) / u.M**2
+    a = scalar_grid_values(sp.advection_term(q, u.coeffs))
+    assert np.allclose(a, -0.5 * np.cos(Y) + 0.5 * np.cos(2 * X) * np.cos(Y), atol=1e-13)
 
 
 def test_advection_against_finite_differences():
     # independent check on a fine collocation grid with periodic central
     # differences; FD error O(h^2)
-    # Taylor-Green: the quadratic product has modes up to 2, so the
-    # truncated term is exact and only the FD error O(h^2) remains
+    # Taylor-Green carrying q = cos x + sin(x + 2y): the product has modes
+    # up to (2, 3), so the truncated term is exact and only the FD error
+    # O(h^2) remains
     N = 6
     u = sp.taylor_green(N)
+    X, Y = u.grid_points()
+    q = np.fft.fft2(np.cos(X) + np.sin(X + 2 * Y)) / u.M**2
     Mf = 1024  # fine grid via zero-padded inverse transforms
     uf = np.real(np.fft.ifft2(pad_coeffs(u.coeffs, N, Mf)) * Mf**2)
+    qf = np.real(np.fft.ifft2(pad_coeffs(q, N, Mf)) * Mf**2)
     h = 2.0 * np.pi / Mf
-    dudx = (np.roll(uf, -1, axis=1) - np.roll(uf, 1, axis=1)) / (2 * h)
-    dudy = (np.roll(uf, -1, axis=2) - np.roll(uf, 1, axis=2)) / (2 * h)
-    adv_fd = uf[0] * dudx + uf[1] * dudy
-    a = sp.advection_term(u)
-    adv_spectral = np.real(np.fft.ifft2(pad_coeffs(a.coeffs, N, Mf)) * Mf**2)
+    dqdx = (np.roll(qf, -1, axis=0) - np.roll(qf, 1, axis=0)) / (2 * h)
+    dqdy = (np.roll(qf, -1, axis=1) - np.roll(qf, 1, axis=1)) / (2 * h)
+    adv_fd = uf[0] * dqdx + uf[1] * dqdy
+    a = sp.advection_term(q, u.coeffs)
+    adv_spectral = np.real(np.fft.ifft2(pad_coeffs(a, N, Mf)) * Mf**2)
     assert np.max(np.abs(adv_fd - adv_spectral)) < 1e-4
 
 
@@ -184,68 +222,30 @@ def _ref_averaged_drift(u, alpha):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
 def test_real_fft_kernel_matches_complex_reference(N):
-    # padded grid 3N+2 is odd for N = 1, 5 and even for N = 2, 8, 16
+    # padded grid 3N+2 is odd for N = 1, 5 and even for N = 2, 8, 16; the
+    # q kernel assumes u is the velocity of its q, so u is divergence-free
     rng = np.random.default_rng(100 + N)
-    u = random_real_field(rng, N)
-    pairs = [(sp.advection_term(u, a), _ref_advection_term(u, a)) for a in (0.0, 0.7)]
-    pairs += [(eu.averaged_drift(u, a), _ref_averaged_drift(u, a)) for a in (0.0, 0.7)]
-    for got, ref in pairs:
+    u = sp.leray_project(random_real_field(rng, N))
+    for a in (0.0, 0.7):
+        got, ref = eu.averaged_drift(u, a), _ref_averaged_drift(u, a)
         scale = np.max(np.abs(ref.coeffs))
         assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * scale
         assert is_hermitian(got)
 
 
 def test_advection_conserves_energy():
-    # <Pi[(u.grad)u], u> = 0 for divergence-free u
+    # for divergence-free u = K q the truncated transport u . grad q keeps
+    # both the energy <u, K(u.grad q)> and the enstrophy <q, u.grad q> at 0
     rng = np.random.default_rng(42)
     for _ in range(100):
         u = sp.random_divergence_free(5, rng)
-        a = sp.leray_project(sp.advection_term(u))
-        inner = sp.l2_inner(a, u)
-        scale = sp.l2_norm(a) * sp.l2_norm(u)
-        assert abs(inner) < 1e-10 * max(scale, 1e-30)
-
-
-# ---------------------------------------------------------------------------
-# pressure
-
-def test_pressure_gradient_identity():
-    # grad p = -(I - Pi)[(u.grad)u], coefficient-wise: i k phat = -(a - Pi a)
-    rng = np.random.default_rng(5)
-    for u in [sp.taylor_green(8), sp.random_divergence_free(8, rng)]:
-        p = sp.pressure_from_velocity(u)
-        a = sp.advection_term(u)
-        pa = sp.leray_project(a)
-        kx, ky, _ = sp._k_grids(u.N)
-        gradp = np.stack([1j * kx * p.coeffs, 1j * ky * p.coeffs])
-        resid = gradp + (a.coeffs - pa.coeffs)
-        resid[:, 0, 0] = 0.0  # mean of the gradient part is gauge
-        assert np.max(np.abs(resid)) < 1e-13
-
-
-def test_taylor_green_pressure_values():
-    # p = 1/4 (cos 2x + cos 2y): modes (+-2, 0) and (0, +-2) with coeff 1/8
-    u = sp.taylor_green(8)
-    p = sp.pressure_from_velocity(u)
-    X, Y = u.grid_points()
-    assert np.allclose(p.grid_values(), 0.25 * (np.cos(2 * X) + np.cos(2 * Y)),
-                       atol=1e-13)
-    assert abs(p.coeffs[2 % p.M, 0] - 0.125) < 1e-14
-    assert abs(p.coeffs[0, 2 % p.M] - 0.125) < 1e-14
-
-
-def test_pressure_zero_cases():
-    const = SpectralField.from_modes(4, {(0, 0): [1.0, 2.0]})
-    assert np.max(np.abs(sp.pressure_from_velocity(const).coeffs)) < 1e-15
-    shear = SpectralField.from_modes(4, {(1, 0): [0.0, 0.5]}, hermitize=True)
-    assert np.max(np.abs(sp.pressure_from_velocity(shear).coeffs)) < 1e-14
-
-
-def test_pressure_zero_mean():
-    rng = np.random.default_rng(9)
-    u = sp.random_divergence_free(6, rng)
-    p = sp.pressure_from_velocity(u)
-    assert p.coeffs[0, 0] == 0.0
+        q = sp.curl(u)
+        a = sp.advection_term(q, u.coeffs)
+        da = SpectralField(5, sp.biot_savart(a))
+        scale = sp.l2_norm(da) * sp.l2_norm(u)
+        assert abs(sp.l2_inner(da, u)) < 1e-10 * max(scale, 1e-30)
+        ens = np.real(np.sum(q * np.conj(a)))
+        assert abs(ens) < 1e-10 * max(np.linalg.norm(q) * np.linalg.norm(a), 1e-30)
 
 
 # ---------------------------------------------------------------------------
