@@ -25,6 +25,7 @@ __all__ = [
     "sample_coefficients",
     "driving_coefficients",
     "field_from_coefficients",
+    "curl_from_coefficients",
     "eigenmode_field",
     "mode_coefficients",
     "l2q_norm",
@@ -80,6 +81,15 @@ class QWienerSpec:
         for a in (d, plus, minus):
             a.flags.writeable = False
         return d, plus, minus
+
+    @cached_property
+    def _curl_factor(self) -> np.ndarray:
+        """i |k| sqrt(2)/2 per wavevector (nk,): the curl of the unit
+        eigenfield (kperp/|k|) exp(i k.x) is i |k| exp(i k.x); read-only."""
+        knorm = np.sqrt(np.sum(self.wavevectors.astype(float) ** 2, axis=1))
+        f = 1j * knorm * (np.sqrt(2.0) / 2.0)
+        f.flags.writeable = False
+        return f
 
     @property
     def n_modes(self) -> int:
@@ -163,10 +173,9 @@ def driving_coefficients(spec: QWienerSpec, dt: float, nsteps: int,
 def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralField:
     """The real field sum_j coeffs_j e_j over the unit eigenfields.
 
-    This is the one map from noise coordinates to velocity fields; the
-    Eulerian diffusion and the Lagrangian kicks use it.  An increment is
-    its row of coordinates: the field of a row of sample_coefficients is
-    W(t + dt) - W(t).
+    The map from noise coordinates to velocity fields, used by the
+    Lagrangian kicks.  An increment is its row of coordinates: the field of
+    a row of sample_coefficients is W(t + dt) - W(t).
     """
     M = 2 * spec.N + 1
     d, plus, minus = spec._layout
@@ -182,6 +191,21 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralFi
     c[:, plus] = vec.T
     c[:, minus] = np.conj(vec.T)
     return SpectralField(spec.N, c.reshape(2, M, M))
+
+
+def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (M, M) of the scalar curl of field_from_coefficients(spec,
+    coeffs), in closed form: i |k| sqrt(2)/2 (w_cos - i w_sin) at +k and its
+    conjugate at -k, so the output is exactly Hermitian and zero at k = 0.
+    The Eulerian diffusion uses it."""
+    M = 2 * spec.N + 1
+    _, plus, minus = spec._layout
+    w = np.asarray(coeffs, dtype=float)
+    a = spec._curl_factor * (w[0::2] - 1j * w[1::2])
+    c = np.zeros(M * M, dtype=complex)
+    c[plus] = a
+    c[minus] = np.conj(a)
+    return c.reshape(M, M)
 
 
 def mode_coefficients(f: SpectralField, spec: QWienerSpec) -> np.ndarray:

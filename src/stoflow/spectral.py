@@ -250,9 +250,18 @@ def enstrophy(v: SpectralField) -> float:
 # nonlinear terms (pseudo-spectral with 2/3-rule dealiasing, real transforms)
 
 def _dealias_grid_size(N: int) -> int:
-    # retained band |k| <= N is the lowest third of the product grid, so
-    # quadratic products are alias-free after truncation
-    return 3 * N + 2
+    """The smallest 5-smooth size >= 3N + 1.  The retained band |k| <= N is
+    then within the lowest third of the product grid, so quadratic products
+    are alias-free after truncation (the 2/3 rule)."""
+    Mg = 3 * N + 1
+    while True:
+        m = Mg
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        if m == 1:
+            return Mg
+        Mg += 1
 
 
 @lru_cache(maxsize=None)
@@ -266,21 +275,26 @@ def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
 
 def _to_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
     """Values on the Mg x Mg product grid of a stack (..., M, M) of real
-    fields: the ky >= 0 half is zero-padded, then one irfft2 for the stack."""
+    fields.  Only the N + 1 columns ky >= 0 are zero-padded along kx and
+    transformed there; irfft(n=Mg) zero-pads the rest of the half spectrum.
+    Equals irfft2 of the zero-padded half spectrum."""
     Mg, rows, _ = _grid_layout(N)
-    half = np.zeros(coeffs.shape[:-2] + (Mg, Mg // 2 + 1), dtype=complex)
-    half[..., rows, :N + 1] = coeffs[..., :N + 1]
-    return np.fft.irfft2(half, s=(Mg, Mg), norm="forward")
+    half = np.zeros(coeffs.shape[:-2] + (Mg, N + 1), dtype=complex)
+    half[..., rows, :] = coeffs[..., :N + 1]
+    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=Mg,
+                        axis=-1, norm="forward")
 
 
 def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
     """Coefficients with |k| <= N, shape (..., M, M), of real product-grid
-    values (..., Mg, Mg): one rfft2 gives ky >= 0, and the rest is rebuilt
-    as c(-k) = conj c(k), so the output is exactly Hermitian."""
+    values (..., Mg, Mg): rfft along y, then fft along x of the N + 1
+    retained columns ky >= 0 only (equal to those columns of rfft2).  The
+    rest is rebuilt as c(-k) = conj c(k), so the output is exactly Hermitian."""
     Mg, rows, neg = _grid_layout(N)
-    half = np.fft.rfft2(values, norm="forward")
+    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., :N + 1]
+    half = np.fft.fft(cols, axis=-2, norm="forward")
     out = np.empty(values.shape[:-2] + (2 * N + 1, 2 * N + 1), dtype=complex)
-    out[..., :N + 1] = half[..., rows, :N + 1]
+    out[..., :N + 1] = half[..., rows, :]
     out[..., N + 1:] = np.conj(half[..., neg, N:0:-1])
     out[..., N + 1:, 0] = np.conj(out[..., N:0:-1, 0])
     return out
@@ -305,9 +319,13 @@ def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
     """exp(i x k) over the fft-ordered modes k, shape (P, M).
 
-    Only k = 0..N are exponentiated; exp(-i x k) is their conjugate.
+    Only k = 0..N are computed, as cos + i sin of x k; exp(-i x k) is their
+    conjugate.
     """
-    e = np.exp(1j * (x[:, None] * _wavenumbers(N)[:N + 1]))
+    xk = x[:, None] * _wavenumbers(N)[:N + 1]
+    e = np.empty(xk.shape, dtype=complex)
+    e.real = np.cos(xk)
+    e.imag = np.sin(xk)
     return np.concatenate([e, np.conj(e[:, N:0:-1])], axis=1)
 
 

@@ -180,6 +180,35 @@ def test_path_reproducible_from_increments():
     assert np.array_equal(a.terminal.coeffs, b.terminal.coeffs)
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.7])
+def test_exit_norm_read_from_q(alpha):
+    # |u|_{H^2} from the weights on q equals the norm of the rebuilt velocity
+    N = 6
+    rng = np.random.default_rng(61)
+    u0 = sp.SpectralField.from_modes(N, {(0, 0): [0.4, -0.1]}) + \
+        sp.random_divergence_free(N, rng)
+    problem = eu.make_eulerian_problem(u0, build_spectrum(N, 3.0, 0.5), alpha=alpha)
+    mean = u0.coeffs[:, 0, 0]
+    for q in (problem.x0, sp.curl(sp.random_divergence_free(N, rng, amplitude=3.0))):
+        ref = sp.sobolev_norm(sp.SpectralField(N, eu._velocity(q, alpha, mean)), 2)
+        assert abs(problem.domain_norm(q) - ref) <= 1e-14 * ref
+
+
+def test_path_diagnostics_match_per_field_functions():
+    # the whole-path reductions give every row bit for bit as the per-field
+    # norm functions do; at N = 16 the 11 rows span two reduction blocks
+    N = 16
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.random_divergence_free(N, np.random.default_rng(5))
+    path = eu.run_eulerian(u0, spec, 0.01, 0.1, alpha=0.3, rng=derive_stream(29, "diag"))
+    assert eu._DIAGNOSTIC_BLOCK_BYTES // path.states[0].nbytes < len(path.states)
+    fields = [sp.SpectralField(N, x) for x in path.states]
+    assert np.array_equal(path.energy, [sp.l2_norm(f) ** 2 for f in fields])
+    assert np.array_equal(path.enstrophy, [sp.enstrophy(f) for f in fields])
+    assert np.array_equal(path.hs_norm, [sp.sobolev_norm(f, 2) for f in fields])
+    assert np.array_equal(path.div_residual, [sp.divergence_residual(f) for f in fields])
+
+
 def test_heun_vs_em_coupled_difference_order_dt():
     # additive noise: the schemes differ only through drift averaging,
     # so coupled paths differ by O(dt) with a stable constant

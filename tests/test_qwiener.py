@@ -163,6 +163,20 @@ def test_field_from_coefficients_matches_scatter_add(N):
     assert np.max(np.abs(got - ref)) < 1e-15
 
 
+@pytest.mark.parametrize("N", [2, 8, 16])
+def test_curl_from_coefficients_is_curl_of_field(N):
+    # closed form: the curl of the unit eigenfield (kperp/|k|) e^{ik.x} is
+    # i|k| e^{ik.x}; the result is exactly Hermitian and zero at k = 0
+    spec = build_spectrum(N, 2.0, 1.0)
+    w = derive_stream(N, "curl").standard_normal(spec.n_modes)
+    got = qw.curl_from_coefficients(spec, w)
+    ref = sp.curl(qw.field_from_coefficients(spec, w))
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    neg = (-sp._wavenumbers(N)) % (2 * N + 1)
+    assert np.array_equal(got, np.conj(got[neg[:, None], neg[None, :]]))
+    assert got[0, 0] == 0.0
+
+
 def test_mode_coefficients_round_trip():
     spec = build_spectrum(3, 2.0, 1.0)
     rng = derive_stream(13, "rt")

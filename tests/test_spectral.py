@@ -222,7 +222,7 @@ def _ref_averaged_drift(u, alpha):
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
 def test_real_fft_kernel_matches_complex_reference(N):
-    # padded grid 3N+2 is odd for N = 1, 5 and even for N = 2, 8, 16; the
+    # the padded grid is odd for N = 8 (25) and even for N = 1, 2, 5, 16; the
     # q kernel assumes u is the velocity of its q, so u is divergence-free
     rng = np.random.default_rng(100 + N)
     u = sp.leray_project(random_real_field(rng, N))
@@ -231,6 +231,56 @@ def test_real_fft_kernel_matches_complex_reference(N):
         scale = np.max(np.abs(ref.coeffs))
         assert np.max(np.abs(got.coeffs - ref.coeffs)) <= 1e-13 * scale
         assert is_hermitian(got)
+
+
+@pytest.mark.parametrize("N", [1, 2, 4, 5, 8, 16])
+def test_advection_term_alias_free_against_fixed_padding(N):
+    # the reference pads to 4N + 2, independent of _dealias_grid_size, so an
+    # aliasing error at the 5-smooth sizes (odd at N = 4 and 8) would show
+    rng = np.random.default_rng(300 + N)
+    u = sp.random_divergence_free(N, rng)
+    q = sp.curl(random_real_field(rng, N))
+    Mg = 4 * N + 2
+    kg = np.fft.fftfreq(Mg, d=1.0 / Mg)
+    ug = np.real(np.fft.ifft2(pad_coeffs(u.coeffs, N, Mg)) * Mg**2)
+    qc = pad_coeffs(q, N, Mg)
+    dqdx = np.real(np.fft.ifft2(1j * kg[:, None] * qc) * Mg**2)
+    dqdy = np.real(np.fft.ifft2(1j * kg[None, :] * qc) * Mg**2)
+    ref = _ref_truncate(np.fft.fft2(ug[0] * dqdx + ug[1] * dqdy) / Mg**2, Mg, N)
+    got = sp.advection_term(q, u.coeffs)
+    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+
+def test_dealias_grid_size_is_minimal_5_smooth():
+    def smooth(m):
+        for p in (2, 3, 5):
+            while m % p == 0:
+                m //= p
+        return m == 1
+
+    for N in range(1, 65):
+        Mg = sp._dealias_grid_size(N)
+        assert Mg >= 3 * N + 1 and smooth(Mg)
+        assert not any(smooth(m) for m in range(3 * N + 1, Mg))
+
+
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
+def test_pruned_transforms_match_full_real_ffts(N):
+    # _to_grid transforms only the retained ky columns, _from_grid keeps them
+    # before the kx transform; both agree with the full 2-D real transforms
+    rng = np.random.default_rng(400 + N)
+    Mg, rows, _ = sp._grid_layout(N)
+    c = np.stack([random_real_field(rng, N).coeffs[0], sp.curl(random_real_field(rng, N))])
+    half = np.zeros((2, Mg, Mg // 2 + 1), dtype=complex)
+    half[..., rows, :N + 1] = c[..., :N + 1]
+    ref = np.fft.irfft2(half, s=(Mg, Mg), norm="forward")
+    got = sp._to_grid(c, N)
+    assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+    v = rng.standard_normal((3, Mg, Mg))
+    full = np.fft.rfft2(v, norm="forward")
+    back = sp._from_grid(v, N)
+    ref = full[..., rows, :N + 1]
+    assert np.max(np.abs(back[..., :N + 1] - ref)) <= 1e-15 * np.max(np.abs(ref))
 
 
 def test_advection_conserves_energy():
