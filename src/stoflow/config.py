@@ -80,6 +80,9 @@ class ExperimentConfig:
         if abs(steps - round(steps)) > 1e-9 * steps:
             raise ConfigError(f"time.dt = {self.dt!r} does not divide time.horizon = "
                               f"{self.horizon!r} (horizon/dt = {steps:.6g})")
+        for key, val in (("seed", self.seed), ("init.seed", self.init_seed)):
+            if val < 0:
+                raise ConfigError(f"{key} must be >= 0, got {val}")
         if self.c < 0:
             raise ConfigError("noise.c must be >= 0")
         if self.alpha < 0:

@@ -20,7 +20,7 @@ from .config import ExperimentConfig
 from .eulerian import run_eulerian
 from .lagrangian import run_equivalence, uniform_labels
 from .qwiener import QWienerSpec, build_spectrum, sample_coefficients
-from .sde import SdeProblem, strong_convergence_order
+from .sde import SdeProblem, coarsen_increments, strong_convergence_order
 from .streams import derive_stream
 
 __all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean"]
@@ -128,8 +128,7 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
     for lvl in range(levels + 1):
         factor = 2 ** lvl
         dt = cfg.dt / factor
-        n = nsteps0 * factor
-        inc = inc_fine.reshape(n, finest_factor // factor, -1).sum(axis=1)
+        inc = coarsen_increments(inc_fine, finest_factor // factor)
         res = run_equivalence(u0, spec, dt, cfg.horizon, labels=labels,
                               increments=inc, radius_factor=cfg.radius_factor)
         rows.append((lvl, dt, res))

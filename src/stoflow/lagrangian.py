@@ -1,20 +1,24 @@
 """Particle-flow (Lagrangian) formulation.
 
-The flow map Phi and the carried material velocity eta = u o Phi evolve by
+The lab integrates the flow map Phi of the Eulerian SDE: `run_equivalence`
+drives the Eulerian path and moves particles along it by RK2 (`advect`),
 
-    dPhi = eta dt
-    deta = ((I - Pi)[(u.grad)u]) o Phi dt + (dW) o Phi     (vertical lift)
+    dPhi = u o Phi dt,
 
-where u is the co-evolving Eulerian solution driven by the same noise
-stream.  The drift is the flat-coordinate localization of the geodesic
-spray: the full transport term (u.grad)u minus its divergence-free part,
-i.e. the pressure-gradient acceleration -(grad p) o Phi.  Noise kicks act
-on velocities only, never on positions.
+where u is the Eulerian solution.  `equivalence_residual` then measures the
+defect of the identity eta = u o Phi for the carried material velocity
+
+    deta = ((I - Pi)[(u.grad)u]) o Phi dt + (dW) o Phi     (vertical lift).
+
+The drift is the flat-coordinate localization of the geodesic spray: the
+full transport term (u.grad)u minus its divergence-free part, i.e. the
+pressure-gradient acceleration -(grad p) o Phi.  The stacked (Phi, eta)
+system, with noise kicks on velocities only, is `make_lagrangian_problem`,
+used for the Stratonovich-degeneracy check.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -30,23 +34,19 @@ __all__ = [
     "uniform_labels",
     "initial_ensemble",
     "advect",
-    "spray",
-    "run_lagrangian",
     "equivalence_residual",
     "run_equivalence",
-    "quad_jacobians",
 ]
 
 TWO_PI = 2.0 * np.pi
-SPRAY_CONSISTENCY_TOL = 1e-3  # relative l-inf mismatch between eta and u o Phi
 
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
     """Labels x, positions Phi(x), velocities eta(x) = u(Phi(x)), time t.
 
-    Only the continuous (unwrapped) trajectory is stored, for volume
-    monitoring; `positions` is that trajectory wrapped into [0, 2pi)^2.
+    Only the continuous (unwrapped) trajectory is stored; `positions` is
+    that trajectory wrapped into [0, 2pi)^2.
     """
 
     labels: np.ndarray
@@ -113,23 +113,6 @@ def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray
     return _spray_from(_spray_values(u, points))
 
 
-def spray(particles: ParticleEnsemble, u: SpectralField) -> np.ndarray:
-    """Material accelerations per particle: -(grad p) o Phi, the
-    flat-coordinate geodesic spray.  A curve Phi with dPhi/dt = u o Phi
-    then satisfies d(u o Phi)/dt = spray for the forcing-free Euler flow.
-    Warns when the particle velocities are not u o Phi.
-    """
-    vals = _spray_values(u, particles.positions)
-    ref = vals[:, 0]
-    scale = max(np.max(np.abs(ref)), 1e-30)
-    mismatch = np.max(np.abs(particles.velocities - ref)) / scale
-    if mismatch > SPRAY_CONSISTENCY_TOL:
-        warnings.warn(
-            f"particle velocities deviate from u o Phi by {mismatch:.2e} "
-            f"(relative l-inf); spray evaluated anyway", stacklevel=2)
-    return _spray_from(vals)
-
-
 def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
                             particles: ParticleEnsemble):
     """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift.
@@ -157,75 +140,6 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
 
     return SdeProblem(dim=4 * P, drift=drift, diffusion=diffusion,
                       noise_variances=spec.mode_variances, x0=x0)
-
-
-@dataclass
-class LagrangianPath:
-    times: np.ndarray
-    ensembles: list
-    increments: np.ndarray
-
-
-def _eulerian_states(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
-                     increments: np.ndarray, radius_factor: float = 10.0) -> np.ndarray:
-    """Coefficient arrays (nsteps + 1, 2, M, M) of the Heun Eulerian path on
-    the given increments; the particle flow needs it up to the horizon."""
-    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments,
-                         radius_factor=radius_factor)
-    if epath.exited:
-        raise ValueError(
-            f"the Eulerian path left the localization ball at t = {epath.exit_time:.6g}, "
-            f"before the horizon {T:.6g}; the particle flow needs the whole path "
-            f"(raise localization.radius_factor)")
-    return epath.states
-
-
-def run_lagrangian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
-                   labels: Optional[np.ndarray] = None,
-                   rng: Optional[np.random.Generator] = None,
-                   increments: Optional[np.ndarray] = None,
-                   with_noise_kicks: bool = True) -> LagrangianPath:
-    """Co-evolve the particle flow with the Eulerian solution on one stream.
-
-    Heun on (Phi, eta) with the spray drift and vertically lifted noise;
-    the field u needed by the spray is the Eulerian path driven by the SAME
-    increments (operator-splitting equivalence harness).
-    `with_noise_kicks=False` suppresses the velocity kicks while keeping the
-    identical Eulerian field, which must leave all positions unchanged.
-    """
-    nsteps = int(round(T / dt))
-    if labels is None:
-        labels = uniform_labels(32)
-    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
-    states = _eulerian_states(u0, spec, dt, T, increments)
-
-    ens = initial_ensemble(labels, u0)
-    out = [ens]
-    for i in range(nsteps):
-        u_n, u_n1 = SpectralField(u0.N, states[i]), SpectralField(u0.N, states[i + 1])
-        kick = [field_from_coefficients(spec, increments[i]).coeffs] if with_noise_kicks else []
-        phi = ens.positions_unwrapped
-        eta = ens.velocities
-
-        # spray and kick share one set of phase tables at each stage
-        vals0 = _spray_values(u_n, phi, *kick)
-        acc0 = _spray_from(vals0)
-        kick0 = vals0[:, 4] if with_noise_kicks else 0.0
-        phi_p = phi + dt * eta
-        eta_drift_p = eta + dt * acc0
-
-        vals1 = _spray_values(u_n1, phi_p, *kick)
-        acc1 = _spray_from(vals1)
-        kick1 = vals1[:, 4] if with_noise_kicks else 0.0
-        # vertical lift: the position update never sees the noise kicks
-        phi_new = phi + 0.5 * dt * (eta + eta_drift_p)
-        eta_new = eta + 0.5 * dt * (acc0 + acc1) + 0.5 * (kick0 + kick1)
-        ens = ParticleEnsemble(labels=ens.labels, positions_unwrapped=phi_new,
-                               velocities=eta_new, t=ens.t + dt)
-        out.append(ens)
-
-    times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    return LagrangianPath(times=times, ensembles=out, increments=increments)
 
 
 def equivalence_residual(states: np.ndarray, particle_path: list,
@@ -264,20 +178,25 @@ def equivalence_residual(states: np.ndarray, particle_path: list,
 
 
 def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
-                    labels: Optional[np.ndarray] = None,
-                    rng: Optional[np.random.Generator] = None,
-                    increments: Optional[np.ndarray] = None,
+                    labels: np.ndarray, increments: Optional[np.ndarray] = None,
                     radius_factor: float = 10.0) -> float:
-    """Drive the Eulerian path, advect particles along it, return the residual.
+    """Drive the Heun Eulerian path on the increments, advect particles
+    along it, return the residual.
 
     Each particle step is the midpoint rule with the midpoint field taken
-    as the average of the step's end fields, good to O(dt^2).
+    as the average of the step's end fields, good to O(dt^2).  Without
+    increments the noise must be off.
     """
     nsteps = int(round(T / dt))
-    if labels is None:
-        labels = uniform_labels(8)
-    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
-    states = _eulerian_states(u0, spec, dt, T, increments, radius_factor)
+    increments = driving_coefficients(spec, dt, nsteps, increments=increments)
+    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments,
+                         radius_factor=radius_factor)
+    if epath.exited:
+        raise ValueError(
+            f"the Eulerian path left the localization ball at t = {epath.exit_time:.6g}, "
+            f"before the horizon {T:.6g}; the particle flow needs the whole path "
+            f"(raise localization.radius_factor)")
+    states = epath.states
 
     ens = initial_ensemble(labels, u0)
     path = [ens]
@@ -286,30 +205,3 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
         ens = advect(ens, SpectralField(u0.N, states[i]), u_mid, dt)
         path.append(ens)
     return equivalence_residual(states, path, increments, spec, dt)
-
-
-def quad_jacobians(particles: ParticleEnsemble, n_side: int) -> np.ndarray:
-    """Signed area ratio of each label quadrilateral under the flow map.
-
-    Labels must come from uniform_labels(n_side).  Uses the unwrapped
-    positions so periodic wrapping does not corrupt areas.  For a
-    divergence-free flow these stay near 1.
-    """
-    pos = particles.positions_unwrapped.reshape(n_side, n_side, 2)
-    cell = (TWO_PI / n_side) ** 2
-    ip = np.arange(n_side)
-    jp = (ip + 1) % n_side
-    # wrap the last row/column by shifting a full period
-    a = pos
-    b = pos[jp, :, :].copy()
-    b[-1, :, 0] += TWO_PI
-    c = pos[:, jp, :].copy()
-    c[:, -1, 1] += TWO_PI
-    d = pos[jp][:, jp].copy()
-    d[-1, :, 0] += TWO_PI
-    d[:, -1, 1] += TWO_PI
-    # shoelace area of the quad (a, b, d, c)
-    def cross(p, q):
-        return p[..., 0] * q[..., 1] - p[..., 1] * q[..., 0]
-    area = 0.5 * (cross(b - a, d - a) + cross(d - a, c - a))
-    return area / cell

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import SpectralField, l2_norm
+from .spectral import SpectralField
 
 __all__ = [
     "QWienerSpec",
@@ -27,8 +27,6 @@ __all__ = [
     "field_from_coefficients",
     "curl_from_coefficients",
     "eigenmode_field",
-    "mode_coefficients",
-    "l2q_norm",
 ]
 
 
@@ -207,27 +205,3 @@ def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
     c[minus] = np.conj(a)
     return c.reshape(M, M)
 
-
-def mode_coefficients(f: SpectralField, spec: QWienerSpec) -> np.ndarray:
-    """L2 projections of a real field onto the eigenmodes, shape (n_modes,)."""
-    d, plus, _ = spec._layout
-    cplus = f.coeffs.reshape(2, -1)[:, plus].T  # (nk, 2)
-    cdotd = np.sum(cplus * d, axis=1)
-    out = np.empty(spec.n_modes)
-    out[0::2] = np.sqrt(2.0) * np.real(cdotd)
-    out[1::2] = -np.sqrt(2.0) * np.imag(cdotd)
-    return out
-
-
-def l2q_norm(apply_to_mode, spec: QWienerSpec) -> float:
-    """Hilbert-Schmidt norm of A against Q: sqrt(sum_j lambda_j ||A e_j||^2).
-
-    `apply_to_mode` maps an eigenmode SpectralField to a SpectralField.
-    """
-    lam = spec.mode_variances
-    total = 0.0
-    for j in range(spec.n_modes):
-        if lam[j] == 0.0:
-            continue
-        total += lam[j] * l2_norm(apply_to_mode(eigenmode_field(spec, j))) ** 2
-    return float(np.sqrt(total))

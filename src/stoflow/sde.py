@@ -149,12 +149,10 @@ def sample_increments(problem: SdeProblem, t_grid: np.ndarray,
 
 
 def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
-               rng: Optional[np.random.Generator] = None,
-               increments: Optional[np.ndarray] = None) -> PathResult:
+               increments: np.ndarray) -> PathResult:
     """Integrate on the grid until the end or the first exit from U.
 
-    Either an RNG stream or a precomputed increment array must be given;
-    the output is a pure function of (problem, scheme, grid, increments).
+    The output is a pure function of (problem, scheme, grid, increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -163,10 +161,6 @@ def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
 
     if problem.outside(x):
         raise ValueError("initial state outside the localization domain U")
-    if increments is None:
-        if rng is None:
-            raise ValueError("need an rng stream or explicit increments")
-        increments = sample_increments(problem, t_grid, rng)
     if increments.shape[0] != nsteps:
         raise ValueError("increment array does not match the time grid")
 

@@ -33,7 +33,6 @@ __all__ = [
     "helmholtz_apply",
     "evaluate_at",
     "evaluate_stack_at",
-    "pointwise_advection_at",
     "divergence_residual",
     "taylor_green",
     "single_mode_field",
@@ -374,16 +373,6 @@ def _transport(vals: np.ndarray) -> np.ndarray:
     """(u.grad)u from the values (P, 3, 2) of a _gradient_stack."""
     u, dudx, dudy = vals[:, 0], vals[:, 1], vals[:, 2]
     return u[:, :1] * dudx + u[:, 1:] * dudy
-
-
-def pointwise_advection_at(u: SpectralField, points: np.ndarray) -> np.ndarray:
-    """(u.grad)u evaluated exactly at arbitrary points.
-
-    Unlike advection_term (Galerkin-truncated to |k| <= N), this keeps the
-    full quadratic trig polynomial: u and its first derivatives are summed
-    directly at the points, on one set of phase tables, and multiplied there.
-    """
-    return _transport(evaluate_stack_at(_gradient_stack(u), points))
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,7 @@ import hashlib
 
 import numpy as np
 
-__all__ = ["derive_stream", "derive_seed_sequence"]
+__all__ = ["derive_stream"]
 
 
 def _key_to_int(key) -> int:
@@ -21,11 +21,7 @@ def _key_to_int(key) -> int:
     return int.from_bytes(digest[:4], "little")
 
 
-def derive_seed_sequence(master_seed: int, *keys) -> np.random.SeedSequence:
-    entropy = [int(master_seed)] + [_key_to_int(k) for k in keys]
-    return np.random.SeedSequence(entropy)
-
-
 def derive_stream(master_seed: int, *keys) -> np.random.Generator:
     """Generator for (master seed, key...); same inputs give the same stream."""
-    return np.random.Generator(np.random.Philox(derive_seed_sequence(master_seed, *keys)))
+    entropy = [int(master_seed)] + [_key_to_int(k) for k in keys]
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy)))

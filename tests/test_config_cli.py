@@ -42,6 +42,8 @@ def test_full_round_trip():
     ("time.horizon", "inf"),
     ("noise.gamma", "nan"),
     ("time.dt", "0.03"),  # 0.5 / 0.03 steps miss the default horizon
+    ("seed", "-3"),
+    ("init.seed", "-1"),
 ])
 def test_negative_dt_names_the_key(key, value):
     with pytest.raises(ConfigError, match=key):
@@ -257,6 +259,15 @@ def test_cli_non_finite_value_exit_one(tmp_path, capsys):
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "time.horizon" in err
+    assert err.count("\n") == 1
+
+
+def test_cli_negative_seed_names_the_key(tmp_path, capsys):
+    path = write_cfg(tmp_path, "kind = isometry\n")
+    assert main(["isometry", "--config", path, "--seed", "-3",
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "seed" in err
     assert err.count("\n") == 1
 
 

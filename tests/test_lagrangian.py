@@ -1,8 +1,7 @@
 """Tests for the particle-flow formulation: advection, spray drift,
-vertically lifted noise, volume monitoring, and the equivalence residual."""
+vertically lifted noise, and the equivalence residual."""
 
 import numpy as np
-import pytest
 
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
@@ -68,46 +67,43 @@ def test_advect_zero_field_static():
 
 def test_spray_zero_field():
     ens = initial_ensemble(uniform_labels(4), sp.SpectralField.zero(4))
-    acc = lg.spray(ens, sp.SpectralField.zero(4))
+    acc = lg.material_acceleration_at(sp.SpectralField.zero(4), ens.positions)
     assert np.max(np.abs(acc)) == 0.0
 
 
 def test_spray_single_shear_zero():
     u = sp.single_mode_field(6, (2, 1))
     ens = initial_ensemble(uniform_labels(5), u)
-    acc = lg.spray(ens, u)
+    acc = lg.material_acceleration_at(u, ens.positions)
     assert np.max(np.abs(acc)) < 1e-12
 
 
 def test_spray_taylor_green_is_pressure_gradient():
     # Pi[(u.grad)u] = 0 for Taylor-Green, so the spray equals the full
-    # transport term 1/2 (sin 2x, sin 2y) = -(grad p)
+    # transport term 1/2 (sin 2x, sin 2y) = -(grad p), on the label grid
+    # and at random points off it
     u = sp.taylor_green(8)
-    ens = initial_ensemble(uniform_labels(6), u)
-    acc = lg.spray(ens, u)
-    pos = ens.positions
-    ref = 0.5 * np.stack([np.sin(2 * pos[:, 0]), np.sin(2 * pos[:, 1])], axis=1)
-    assert np.max(np.abs(acc - ref)) < 1e-12
+    labels = initial_ensemble(uniform_labels(6), u).positions
+    random = np.random.default_rng(13).uniform(0, TWO_PI, size=(25, 2))
+    for pos in (labels, random):
+        acc = lg.material_acceleration_at(u, pos)
+        ref = 0.5 * np.stack([np.sin(2 * pos[:, 0]), np.sin(2 * pos[:, 1])], axis=1)
+        assert np.max(np.abs(acc - ref)) < 1e-12
 
 
 def test_material_acceleration_is_transport_minus_projected_advection():
     rng = np.random.default_rng(18)
     u = sp.random_divergence_free(6, rng)
     pts = rng.uniform(-TWO_PI, 2 * TWO_PI, size=(31, 2))
+    # (u.grad)u from u, d_x u and d_y u evaluated one by one, and
     # Pi[(u.grad)u] from the complex-FFT velocity kernel of test_spectral
-    ref = sp.pointwise_advection_at(u, pts) \
-        - sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pts)
+    k = sp._wavenumbers(6)
+    val = sp.evaluate_at(u, pts)
+    dudx = sp.evaluate_at(sp.SpectralField(6, 1j * k[:, None] * u.coeffs), pts)
+    dudy = sp.evaluate_at(sp.SpectralField(6, 1j * k[None, :] * u.coeffs), pts)
+    transport = val[:, :1] * dudx + val[:, 1:] * dudy
+    ref = transport - sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pts)
     assert np.max(np.abs(lg.material_acceleration_at(u, pts) - ref)) < 1e-13
-
-
-def test_spray_consistency_warning():
-    u = sp.taylor_green(6)
-    ens = initial_ensemble(uniform_labels(4), u)
-    bad = lg.ParticleEnsemble(labels=ens.labels,
-                              positions_unwrapped=ens.positions_unwrapped,
-                              velocities=ens.velocities + 1.0, t=0.0)
-    with pytest.warns(UserWarning):
-        lg.spray(bad, u)
 
 
 # ---------------------------------------------------------------------------
@@ -161,72 +157,14 @@ def test_stratonovich_correction_degenerates():
     assert np.max(np.abs(corr)) < 1e-8
 
 
-def test_noise_kicks_never_move_positions_within_step():
-    spec = build_spectrum(4, 3.0, 1.0)
-    u0 = sp.taylor_green(4, 0.5)
-    labels = uniform_labels(4)
-    inc = sample_coefficients(spec, 0.05, 1, derive_stream(9, "kick"))
-    with_k = lg.run_lagrangian(u0, spec, 0.05, 0.05, labels=labels,
-                               increments=inc, with_noise_kicks=True)
-    without = lg.run_lagrangian(u0, spec, 0.05, 0.05, labels=labels,
-                                increments=inc, with_noise_kicks=False)
-    a, b = with_k.ensembles[-1], without.ensembles[-1]
-    assert np.array_equal(a.positions, b.positions)
-    assert not np.allclose(a.velocities, b.velocities)
-
-
 # ---------------------------------------------------------------------------
 # coupled trajectories
 
 def test_zero_noise_zero_field_static():
     spec = build_spectrum(3, 2.0, 0.0)
-    path = lg.run_lagrangian(sp.SpectralField.zero(3), spec, 0.05, 0.5,
+    res = lg.run_equivalence(sp.SpectralField.zero(3), spec, 0.05, 0.5,
                              labels=uniform_labels(4))
-    first, last = path.ensembles[0], path.ensembles[-1]
-    assert np.array_equal(first.positions, last.positions)
-    assert np.max(np.abs(last.velocities)) == 0.0
-
-
-def test_zero_noise_taylor_green_velocities_track_field():
-    # steady field: eta(t) = u0(Phi_t) up to O(dt^2) * t scheme error
-    u0 = sp.taylor_green(8)
-    spec = build_spectrum(8, 2.0, 0.0)
-    dt, T = 0.005, 0.5
-    path = lg.run_lagrangian(u0, spec, dt, T, labels=uniform_labels(6))
-    last = path.ensembles[-1]
-    ref = sp.evaluate_at(u0, last.positions)
-    assert np.max(np.abs(last.velocities - ref)) < 50 * dt**2 * T
-
-
-def test_quad_jacobians_identity():
-    ens = initial_ensemble(uniform_labels(6), sp.SpectralField.zero(3))
-    jac = lg.quad_jacobians(ens, 6)
-    assert np.allclose(jac, 1.0, atol=1e-12)
-
-
-def test_volume_proxy_deterministic_taylor_green():
-    # the defect is dominated by the O(cell^2) polygonal-area approximation,
-    # so it must shrink ~4x when the label grid is refined 2x
-    u0 = sp.taylor_green(8)
-    spec = build_spectrum(8, 2.0, 0.0)
-    defects = {}
-    for n_side in (12, 24):
-        path = lg.run_lagrangian(u0, spec, 0.005, 0.5,
-                                 labels=uniform_labels(n_side))
-        jac = lg.quad_jacobians(path.ensembles[-1], n_side)
-        defects[n_side] = np.max(np.abs(jac - 1.0))
-    assert defects[12] < 0.02
-    assert defects[24] < 0.35 * defects[12]
-
-
-def test_volume_proxy_stochastic():
-    u0 = sp.taylor_green(6, 0.5)
-    spec = build_spectrum(6, 3.0, 0.3)
-    rng = derive_stream(21, "vol")
-    path = lg.run_lagrangian(u0, spec, 0.005, 0.5, labels=uniform_labels(12),
-                             rng=rng)
-    jac = lg.quad_jacobians(path.ensembles[-1], 12)
-    assert np.max(np.abs(jac - 1.0)) < 0.05
+    assert res == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -177,42 +177,6 @@ def test_curl_from_coefficients_is_curl_of_field(N):
     assert got[0, 0] == 0.0
 
 
-def test_mode_coefficients_round_trip():
-    spec = build_spectrum(3, 2.0, 1.0)
-    rng = derive_stream(13, "rt")
-    w = qw.sample_coefficients(spec, 0.2, 1, rng)[0]
-    back = qw.mode_coefficients(qw.field_from_coefficients(spec, w), spec)
-    assert np.allclose(back, w, atol=1e-13)
-
-
-def test_l2q_identity_operator():
-    spec = build_spectrum(2, 2.0, 1.0)
-    assert abs(qw.l2q_norm(lambda e: e, spec) - np.sqrt(spec.trace)) < 1e-12
-
-
-def test_l2q_zero_operator():
-    spec = build_spectrum(2, 2.0, 1.0)
-    zero = sp.SpectralField.zero(2)
-    assert qw.l2q_norm(lambda e: zero, spec) == 0.0
-
-
-def test_l2q_operator_norm_inequality():
-    # ||A||_{L2Q} <= sqrt(tr Q) ||A||_op for Fourier-multiplier operators
-    spec = build_spectrum(2, 2.0, 1.0)
-
-    def smooth(e):
-        return sp.helmholtz_inverse(e, 1.0)
-
-    # largest multiplier on the eigenmode span (all |k| >= 1) is 1/2
-    op_norm = 0.5
-    assert qw.l2q_norm(smooth, spec) <= np.sqrt(spec.trace) * op_norm + 1e-12
-
-    def scaled(e):
-        return 0.3 * e
-
-    assert abs(qw.l2q_norm(scaled, spec) - 0.3 * np.sqrt(spec.trace)) < 1e-12
-
-
 def test_sample_rejects_bad_dt():
     spec = build_spectrum(2, 2.0, 1.0)
     with pytest.raises(ValueError):

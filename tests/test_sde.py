@@ -204,8 +204,8 @@ def test_nonfinite_state_aborts():
 def test_solve_path_deterministic():
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     grid = np.linspace(0.0, 1.0, 65)
-    a = solve_path(p, "heun", grid, rng=derive_stream(3, "det"))
-    b = solve_path(p, "heun", grid, rng=derive_stream(3, "det"))
+    a = solve_path(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det")))
+    b = solve_path(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det")))
     assert np.array_equal(a.states, b.states)
 
 
