@@ -416,6 +416,17 @@ def test_evaluate_stack_matches_per_field():
         assert np.max(np.abs(vals[:, i] - sp.evaluate_at(f, pts))) < 1e-15
 
 
+def test_pointwise_advection_matches_closed_form():
+    # the exact pointwise (u.grad)u that the spray drift is built from:
+    # 1/2 (sin 2x, sin 2y) for Taylor-Green, at random points
+    u = sp.taylor_green(8)
+    rng = np.random.default_rng(13)
+    pts = rng.uniform(0, 2 * np.pi, size=(25, 2))
+    adv = sp._transport(sp.evaluate_stack_at(sp._gradient_stack(u), pts))
+    ref = 0.5 * np.stack([np.sin(2 * pts[:, 0]), np.sin(2 * pts[:, 1])], axis=1)
+    assert np.max(np.abs(adv - ref)) < 1e-12
+
+
 # ---------------------------------------------------------------------------
 # construction and reality
 
