@@ -12,14 +12,18 @@ defect of the identity eta = u o Phi for the carried material velocity
 
 The drift is the flat-coordinate localization of the geodesic spray: the
 full transport term (u.grad)u minus its divergence-free part, i.e. the
-pressure-gradient acceleration -(grad p) o Phi.  The stacked (Phi, eta)
-system, with noise kicks on velocities only, is `make_lagrangian_problem`,
-used for the Stratonovich-degeneracy check.
+pressure-gradient acceleration -(grad p) o Phi.  Each particle step makes
+one stacked evaluation at Phi_j, of u_j, its gradient, Pi[(u_j.grad)u_j]
+and dW_j (`_spray_values`): its u_j slot is RK2's first stage, so `advect`
+evaluates only the midpoint field, and the residual reduces the collected
+values without evaluating again.  The stacked (Phi, eta) system, with noise
+kicks on velocities only, is `make_lagrangian_problem`, used for the
+Stratonovich-degeneracy check.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -43,7 +47,7 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Labels x, positions Phi(x), velocities eta(x) = u(Phi(x)), time t.
+    """Labels x and positions Phi(x).
 
     Only the continuous (unwrapped) trajectory is stored; `positions` is
     that trajectory wrapped into [0, 2pi)^2.
@@ -51,8 +55,6 @@ class ParticleEnsemble:
 
     labels: np.ndarray
     positions_unwrapped: np.ndarray
-    velocities: np.ndarray
-    t: float
 
     @property
     def positions(self) -> np.ndarray:
@@ -70,21 +72,20 @@ def uniform_labels(n_side: int) -> np.ndarray:
     return np.stack([X.ravel(), Y.ravel()], axis=1)
 
 
-def initial_ensemble(labels: np.ndarray, u0: SpectralField) -> ParticleEnsemble:
-    """Phi = identity on the labels; eta = u0 at the labels."""
+def initial_ensemble(labels: np.ndarray) -> ParticleEnsemble:
+    """Phi = identity on the labels."""
     labels = np.asarray(labels, dtype=float) % TWO_PI
-    return ParticleEnsemble(labels=labels, positions_unwrapped=labels.copy(),
-                            velocities=evaluate_at(u0, labels), t=0.0)
+    return ParticleEnsemble(labels=labels, positions_unwrapped=labels.copy())
 
 
-def advect(particles: ParticleEnsemble, u_start: SpectralField,
-           u_mid: SpectralField, dt: float) -> ParticleEnsemble:
-    """Advance positions by explicit midpoint (RK2) through the field at
-    the step's start and at its midpoint; velocities untouched."""
+def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: SpectralField,
+           dt: float) -> ParticleEnsemble:
+    """Advance positions by explicit midpoint (RK2): k1 (P, 2) is the field
+    at the step's start evaluated at the positions, u_mid the midpoint
+    field."""
     x = particles.positions_unwrapped
-    k1 = evaluate_at(u_start, x)
     k2 = evaluate_at(u_mid, x + 0.5 * dt * k1)
-    return replace(particles, positions_unwrapped=x + dt * k2, t=particles.t + dt)
+    return ParticleEnsemble(labels=particles.labels, positions_unwrapped=x + dt * k2)
 
 
 def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
@@ -114,8 +115,9 @@ def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray
 
 
 def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
-                            particles: ParticleEnsemble):
-    """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift.
+                            positions: np.ndarray, velocities: np.ndarray):
+    """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift,
+    starting from positions and velocities, each of shape (P, 2).
 
     State layout: [Phi.ravel(), eta.ravel()].  The diffusion is the
     vertical lift: dW kicks the velocity slots by (dW)(Phi(x_i)) and never
@@ -124,8 +126,8 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
     """
     from .sde import SdeProblem
 
-    P = particles.n
-    x0 = np.concatenate([particles.positions.ravel(), particles.velocities.ravel()])
+    P = len(positions)
+    x0 = np.concatenate([np.ravel(positions), np.ravel(velocities)])
 
     def drift(t, z):
         eta = z[2 * P:]
@@ -142,9 +144,7 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
                       noise_variances=spec.mode_variances, x0=x0)
 
 
-def equivalence_residual(states: np.ndarray, particle_path: list,
-                         increments: np.ndarray, spec: QWienerSpec,
-                         dt: float) -> float:
+def equivalence_residual(vals: list, dt: float) -> float:
     """Discrete Lagrangian-identity defect along Eulerian characteristics.
 
     For eta(t) = u(t) o Phi_t the chain rule (Phi has finite variation, so
@@ -153,21 +153,16 @@ def equivalence_residual(states: np.ndarray, particle_path: list,
         u(T, Phi_T(x)) = u0(x) + int ((I-Pi)[(u.grad)u])(r, Phi_r(x)) dr
                                + int (dW)(Phi_r(x)).
 
-    `states` holds the Eulerian coefficient arrays, one row per grid time.
-    Returns max_i of the defect norm; the dt-integral uses the trapezoid
-    rule, the noise sum left-point (Ito) evaluation.
+    `vals[j]` is `_spray_values(u_j, Phi_j, dW_j)` at grid time j, without
+    the dW slot at the last time.  Returns max_i of the defect norm; the
+    dt-integral uses the trapezoid rule, the noise sum left-point (Ito)
+    evaluation.
     """
-    nsteps = len(increments)
-    if len(states) != nsteps + 1 or len(particle_path) != nsteps + 1:
-        raise ValueError("field path, particle path and increments do not align")
-    # one evaluation per step on shared tables: the spray fields of u_j, then
-    # dW_j (j < n), at Phi_j; slot 0 (u_j) gives final at j = n and, since
-    # Phi_0 is the identity on the labels, init at j = 0
-    vals = []
-    for j in range(nsteps + 1):
-        dw = [field_from_coefficients(spec, increments[j]).coeffs] if j < nsteps else []
-        u_j = SpectralField(spec.N, states[j])
-        vals.append(_spray_values(u_j, particle_path[j].positions, *dw))
+    nsteps = len(vals) - 1
+    if any(v.shape[1] != 5 for v in vals[:-1]) or vals[-1].shape[1] != 4:
+        raise ValueError("spray values and increments do not align")
+    # slot 0 (u_j) gives final at j = n and, since Phi_0 is the identity on
+    # the labels, init at j = 0
     grads = [_spray_from(v) for v in vals]
     acc_sum = np.zeros_like(grads[0])
     for j in range(nsteps):
@@ -184,8 +179,10 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     along it, return the residual.
 
     Each particle step is the midpoint rule with the midpoint field taken
-    as the average of the step's end fields, good to O(dt^2).  Without
-    increments the noise must be off.
+    as the average of the step's end fields, good to O(dt^2).  The one
+    evaluation per step of the spray fields of u_j and of dW_j at Phi_j
+    serves both the residual and, through its slot 0, the step's k1.
+    Without increments the noise must be off.
     """
     nsteps = int(round(T / dt))
     increments = driving_coefficients(spec, dt, nsteps, increments=increments)
@@ -198,10 +195,12 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
             f"(raise localization.radius_factor)")
     states = epath.states
 
-    ens = initial_ensemble(labels, u0)
-    path = [ens]
-    for i in range(nsteps):
-        u_mid = SpectralField(u0.N, 0.5 * (states[i] + states[i + 1]))
-        ens = advect(ens, SpectralField(u0.N, states[i]), u_mid, dt)
-        path.append(ens)
-    return equivalence_residual(states, path, increments, spec, dt)
+    ens = initial_ensemble(labels)
+    vals = []
+    for j in range(nsteps + 1):
+        dw = [field_from_coefficients(spec, increments[j]).coeffs] if j < nsteps else []
+        vals.append(_spray_values(SpectralField(u0.N, states[j]), ens.positions, *dw))
+        if j < nsteps:
+            u_mid = SpectralField(u0.N, 0.5 * (states[j] + states[j + 1]))
+            ens = advect(ens, vals[j][:, 0], u_mid, dt)
+    return equivalence_residual(vals, dt)

@@ -315,50 +315,59 @@ def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
-def _phase_table(x: np.ndarray, N: int) -> np.ndarray:
-    """exp(i x k) over the fft-ordered modes k, shape (P, M).
-
-    Only k = 0..N are computed, as cos + i sin of x k; exp(-i x k) is their
-    conjugate.
-    """
-    xk = x[:, None] * _wavenumbers(N)[:N + 1]
-    e = np.empty(xk.shape, dtype=complex)
-    e.real = np.cos(xk)
-    e.imag = np.sin(xk)
-    return np.concatenate([e, np.conj(e[:, N:0:-1])], axis=1)
+def _phase_tables(pts: np.ndarray, N: int) -> np.ndarray:
+    """exp(i x k) and exp(i y k) for k = 0..N at the points (P, 2), shape
+    (P, 2, N + 1).  One cos and one sin of the points give exp(i x); the
+    higher k are its powers, built by repeated multiplication."""
+    e = np.empty(pts.shape + (N + 1,), dtype=complex)
+    e[..., 0] = 1.0
+    e[..., 1].real = np.cos(pts)
+    e[..., 1].imag = np.sin(pts)
+    for k in range(2, N + 1):
+        np.multiply(e[..., k - 1], e[..., 1], out=e[..., k])
+    return e
 
 
 def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate a stack of real fields at the same points by direct summation.
 
-    coeffs: array (..., M, M) of Fourier coefficients; points: array (P, 2).
-    Returns the real values, shape (P, ...).  The phase exp(i k.x) is
-    separable, exp(i x kx) exp(i y ky), so one pair of (P, M) phase tables
-    serves every field in the stack: 2 P (N+1) complex exponentials, plus
-    a P M^2 contraction per field.  Exact: matches grid_values at
+    coeffs: array (..., M, M) of Fourier coefficients of real fields (the
+    Hermitian symmetry c(-k) = conj c(k) is assumed, not checked); points:
+    array (P, 2).  Returns the real values, shape (P, ...).  The phase
+    exp(i k.x) is separable, exp(i x kx) exp(i y ky), so one pair of phase
+    tables serves every field in the stack; the tables cost 2 P cos/sin
+    and 2 P (N - 1) complex products (see _phase_tables).  Since the fields
+    are real, the contraction runs over the N + 1 columns ky >= 0 only,
+    with weight 1 on ky = 0 and 2 on the rest, and keeps the real part: a
+    P M (N+1) contraction per field.  Exact: matches grid_values at
     collocation points.  The points are reduced mod 2 pi before the tables
     are built, so points a period apart give bitwise-equal values.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
     M = coeffs.shape[-1]
     N = (M - 1) // 2
-    ex = _phase_table(pts[:, 0], N)
-    ey = _phase_table(pts[:, 1], N)
+    P = len(pts)
+    e = _phase_tables(pts, N)
+    ex = np.concatenate([e[:, 0], np.conj(e[:, 0, N:0:-1])], axis=1)
     lead = coeffs.shape[:-2]
-    c = coeffs.reshape(-1, M, M)
-    # sum over kx as one matrix product, then over ky against ey per point
-    partial = (ex @ c.transpose(1, 0, 2).reshape(M, -1)).reshape(len(pts), -1, M)
-    vals = (partial @ ey[:, :, None])[..., 0]
-    return np.real(vals).reshape((len(pts),) + lead)
+    weight = np.full(N + 1, 2.0)
+    weight[0] = 1.0
+    half = coeffs.reshape(-1, M, M)[..., :N + 1].transpose(1, 0, 2) * weight
+    # sum over kx as one matrix product, then over ky >= 0 against the y
+    # table per point
+    partial = (ex @ half.reshape(M, -1)).reshape(P, -1, N + 1)
+    vals = (partial @ e[:, 1, :, None])[..., 0]
+    return vals.real.reshape((P,) + lead)
 
 
 def evaluate_at(v: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the field by direct trigonometric summation.
+    """Evaluate the real field by direct trigonometric summation.
 
     points: array (P, 2); returns array (P, 2) of real velocity vectors.
-    Costs 2 P (N+1) complex exponentials plus a P M^2 contraction
-    (see evaluate_stack_at); exact (matches grid_values at collocation
-    points).
+    Costs 2 P cos/sin, 2 P (N - 1) complex products and a P M (N+1)
+    contraction per component (see evaluate_stack_at); exact (matches
+    grid_values at collocation points).  v must be real (Hermitian
+    coefficients): only the half spectrum ky >= 0 is read.
     """
     return evaluate_stack_at(v.coeffs, points)
 

@@ -139,8 +139,8 @@ def test_vertical_lift_stratonovich_degeneracy():
     # velocities: the finite-difference correction trace is < 1e-8
     spec = build_spectrum(3, 2.0, 1.0)
     u = sp.taylor_green(3, 0.7)
-    ens = lg.initial_ensemble(uniform_labels(5), u)
-    problem = lg.make_lagrangian_problem(u, spec, ens)
+    labels = uniform_labels(5)
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
     corr = stratonovich_correction(problem, problem.x0)
     print(f"stacked correction sup-norm {np.max(np.abs(corr)):.3e}")
     assert np.max(np.abs(corr)) < 1e-8
@@ -256,6 +256,21 @@ def test_reproducible_across_threads(tmp_path):
     run_experiment(cfg, out_dir=tmp_path / "t8", threads=8)
     run_experiment(cfg, out_dir=tmp_path / "again", threads=8)
     for name in ("energy.csv", "energy_summary.csv"):
+        ref = (tmp_path / "t1" / name).read_bytes()
+        assert (tmp_path / "t8" / name).read_bytes() == ref
+        assert (tmp_path / "again" / name).read_bytes() == ref
+
+
+def test_equivalence_reproducible_across_threads(tmp_path):
+    # identical equivalence CSV bytes at 1 and at 8 worker threads, and
+    # across reruns
+    cfg = ExperimentConfig(kind="equivalence", n=6, dt=0.05, horizon=0.2,
+                           gamma=3.0, c=0.5, init_kind="taylor-green",
+                           eq_levels=2, eq_particles=6, seed=8128)
+    run_experiment(cfg, out_dir=tmp_path / "t1", threads=1)
+    run_experiment(cfg, out_dir=tmp_path / "t8", threads=8)
+    run_experiment(cfg, out_dir=tmp_path / "again", threads=8)
+    for name in ("equivalence.csv", "equivalence_summary.csv"):
         ref = (tmp_path / "t1" / name).read_bytes()
         assert (tmp_path / "t8" / name).read_bytes() == ref
         assert (tmp_path / "again" / name).read_bytes() == ref

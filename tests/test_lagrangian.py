@@ -5,6 +5,7 @@ import numpy as np
 
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
+from stoflow.eulerian import run_eulerian
 from stoflow.lagrangian import TWO_PI, initial_ensemble, uniform_labels
 from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
@@ -22,19 +23,17 @@ def const_field(N, vec):
 
 def test_initial_ensemble_identity():
     labels = uniform_labels(4)
-    u0 = sp.taylor_green(4)
-    ens = initial_ensemble(labels, u0)
+    ens = initial_ensemble(labels)
     assert np.array_equal(ens.positions, labels)
-    assert np.allclose(ens.velocities, sp.evaluate_at(u0, labels), atol=1e-14)
-    assert ens.t == 0.0
+    assert ens.n == 16
 
 
 def test_advect_constant_field_exact():
     u = const_field(3, (1.0, 0.0))
-    ens = initial_ensemble(uniform_labels(3), u)
+    ens = initial_ensemble(uniform_labels(3))
     t = 0.0
     for _ in range(10):
-        ens = lg.advect(ens, u, u, 0.7)
+        ens = lg.advect(ens, sp.evaluate_at(u, ens.positions), u, 0.7)
         t += 0.7
     expected = (ens.labels + np.array([t, 0.0])) % TWO_PI
     assert np.max(np.abs(ens.positions - expected)) < 1e-12
@@ -45,10 +44,10 @@ def test_advect_shear_closed_form():
     # for the midpoint scheme
     u = sp.SpectralField.from_modes(5, {(0, 1): [-0.5j, 0.0]}, hermitize=True)
     labels = uniform_labels(5)
-    ens = initial_ensemble(labels, u)
+    ens = initial_ensemble(labels)
     dt, nsteps = 0.05, 40
     for _ in range(nsteps):
-        ens = lg.advect(ens, u, u, dt)
+        ens = lg.advect(ens, sp.evaluate_at(u, ens.positions), u, dt)
     t = dt * nsteps
     expected_x = (labels[:, 0] + t * np.sin(labels[:, 1])) % TWO_PI
     assert np.max(np.abs(ens.positions[:, 0] - expected_x)) < 1e-12
@@ -56,9 +55,9 @@ def test_advect_shear_closed_form():
 
 
 def test_advect_zero_field_static():
-    ens = initial_ensemble(uniform_labels(4), sp.SpectralField.zero(3))
+    ens = initial_ensemble(uniform_labels(4))
     zero = sp.SpectralField.zero(3)
-    out = lg.advect(ens, zero, zero, 0.3)
+    out = lg.advect(ens, sp.evaluate_at(zero, ens.positions), zero, 0.3)
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -66,14 +65,14 @@ def test_advect_zero_field_static():
 # spray drift (material acceleration)
 
 def test_spray_zero_field():
-    ens = initial_ensemble(uniform_labels(4), sp.SpectralField.zero(4))
+    ens = initial_ensemble(uniform_labels(4))
     acc = lg.material_acceleration_at(sp.SpectralField.zero(4), ens.positions)
     assert np.max(np.abs(acc)) == 0.0
 
 
 def test_spray_single_shear_zero():
     u = sp.single_mode_field(6, (2, 1))
-    ens = initial_ensemble(uniform_labels(5), u)
+    ens = initial_ensemble(uniform_labels(5))
     acc = lg.material_acceleration_at(u, ens.positions)
     assert np.max(np.abs(acc)) < 1e-12
 
@@ -83,7 +82,7 @@ def test_spray_taylor_green_is_pressure_gradient():
     # transport term 1/2 (sin 2x, sin 2y) = -(grad p), on the label grid
     # and at random points off it
     u = sp.taylor_green(8)
-    labels = initial_ensemble(uniform_labels(6), u).positions
+    labels = initial_ensemble(uniform_labels(6)).positions
     random = np.random.default_rng(13).uniform(0, TWO_PI, size=(25, 2))
     for pos in (labels, random):
         acc = lg.material_acceleration_at(u, pos)
@@ -117,7 +116,8 @@ def test_kicks_at_identity_equal_grid_values():
     dW = field_from_coefficients(spec, w)
     P = dW.M ** 2
     u = sp.SpectralField.zero(3)
-    problem = lg.make_lagrangian_problem(u, spec, initial_ensemble(uniform_labels(dW.M), u))
+    labels = uniform_labels(dW.M)
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
     kicks = problem.diffusion(problem.x0, w)[2 * P:].reshape(P, 2)
     grid = dW.grid_values().reshape(2, -1).T
     assert np.max(np.abs(kicks - grid)) < 1e-12
@@ -126,7 +126,8 @@ def test_kicks_at_identity_equal_grid_values():
 def test_zero_increment_zero_kicks():
     spec = build_spectrum(3, 2.0, 1.0)
     u = sp.SpectralField.zero(3)
-    problem = lg.make_lagrangian_problem(u, spec, initial_ensemble(uniform_labels(4), u))
+    labels = uniform_labels(4)
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
     assert np.max(np.abs(problem.diffusion(problem.x0, np.zeros(spec.n_modes)))) == 0.0
 
 
@@ -135,7 +136,7 @@ def test_stacked_diffusion_matches_eigenmode_evaluation():
     rng = derive_stream(5, "pos")
     pos = rng.uniform(0, TWO_PI, size=(7, 2))
     u = sp.taylor_green(2, 0.5)
-    problem = lg.make_lagrangian_problem(u, spec, initial_ensemble(pos, u))
+    problem = lg.make_lagrangian_problem(u, spec, pos, sp.evaluate_at(u, pos))
     from stoflow.qwiener import eigenmode_field
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
@@ -151,8 +152,8 @@ def test_stratonovich_correction_degenerates():
     # so the finite-difference correction trace vanishes
     spec = build_spectrum(2, 2.0, 1.0)
     u = sp.taylor_green(2, 0.5)
-    ens = initial_ensemble(uniform_labels(4), u)
-    problem = lg.make_lagrangian_problem(u, spec, ens)
+    labels = uniform_labels(4)
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
     corr = stratonovich_correction(problem, problem.x0)
     assert np.max(np.abs(corr)) < 1e-8
 
@@ -172,11 +173,8 @@ def test_zero_noise_zero_field_static():
 
 def test_residual_zero_horizon():
     u0 = sp.taylor_green(4)
-    spec = build_spectrum(4, 2.0, 0.0)
-    ens = initial_ensemble(uniform_labels(4), u0)
-    res = lg.equivalence_residual(u0.coeffs[None], [ens], np.zeros((0, spec.n_modes)),
-                                  spec, 0.01)
-    assert res == 0.0
+    vals = lg._spray_values(u0, initial_ensemble(uniform_labels(4)).positions)
+    assert lg.equivalence_residual([vals], 0.01) == 0.0
 
 
 def test_residual_deterministic_taylor_green_small():
@@ -195,6 +193,45 @@ def test_residual_invariant_under_label_period_shift():
     r2 = lg.run_equivalence(u0, spec, 0.01, 0.1, labels=labels + TWO_PI,
                             increments=inc)
     assert r1 == r2
+
+
+def test_fused_loop_matches_two_pass_reference():
+    # run_equivalence takes RK2's k1 and the residual's terms from one
+    # stacked evaluation per step; the reference evaluates k1 and k2 field
+    # by field, then makes a second pass over the path for the residual
+    N, dt, nsteps = 6, 0.01, 8
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    inc = sample_coefficients(spec, dt, nsteps, derive_stream(21, "fused"))
+    labels = uniform_labels(5)
+    res = lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
+
+    states = run_eulerian(u0, spec, dt, nsteps * dt, scheme="heun",
+                          increments=inc).states
+    fields = [sp.SpectralField(N, q) for q in states]
+    x = [labels]
+    for j in range(nsteps):
+        k1 = sp.evaluate_at(fields[j], x[j])
+        mid = sp.SpectralField(N, 0.5 * (states[j] + states[j + 1]))
+        x.append(x[j] + dt * sp.evaluate_at(mid, x[j] + 0.5 * dt * k1))
+
+    k = sp._wavenumbers(N)
+
+    def spray(u, pos):
+        val = sp.evaluate_at(u, pos)
+        dudx = sp.evaluate_at(sp.SpectralField(N, 1j * k[:, None] * u.coeffs), pos)
+        dudy = sp.evaluate_at(sp.SpectralField(N, 1j * k[None, :] * u.coeffs), pos)
+        proj = sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pos)
+        return val[:, :1] * dudx + val[:, 1:] * dudy - proj
+
+    acc = [spray(fields[j], x[j]) for j in range(nsteps + 1)]
+    defect = sp.evaluate_at(fields[-1], x[-1]) - sp.evaluate_at(fields[0], labels)
+    for j in range(nsteps):
+        defect -= 0.5 * dt * (acc[j] + acc[j + 1])
+        defect -= sp.evaluate_at(field_from_coefficients(spec, inc[j]), x[j])
+    ref = np.max(np.linalg.norm(defect, axis=1))
+    assert ref > 0.0
+    assert abs(res - ref) <= 1e-12 * ref
 
 
 def test_residual_decreases_under_coupled_refinement():

@@ -396,14 +396,24 @@ def test_evaluate_linear_in_field():
 
 def test_evaluate_matches_dense_phase_sum():
     rng = np.random.default_rng(16)
-    u = sp.random_divergence_free(5, rng)
-    pts = rng.uniform(-3 * np.pi, 5 * np.pi, size=(40, 2))
-    assert np.any(pts < 0) and np.any(pts > 2 * np.pi)
-    k = sp._wavenumbers(u.N)
-    phase = np.exp(1j * (pts[:, 0, None, None] * k[None, :, None]
-                         + pts[:, 1, None, None] * k[None, None, :]))
-    ref = np.real(np.einsum("pxy,cxy->pc", phase, u.coeffs))
-    assert np.max(np.abs(sp.evaluate_at(u, pts) - ref)) < 1e-13
+    for N in (5, 32):
+        u = sp.random_divergence_free(N, rng)
+        pts = rng.uniform(-3 * np.pi, 5 * np.pi, size=(40, 2))
+        assert np.any(pts < 0) and np.any(pts > 2 * np.pi)
+        k = sp._wavenumbers(u.N)
+        phase = np.exp(1j * (pts[:, 0, None, None] * k[None, :, None]
+                             + pts[:, 1, None, None] * k[None, None, :]))
+        ref = np.real(np.einsum("pxy,cxy->pc", phase, u.coeffs))
+        assert np.max(np.abs(sp.evaluate_at(u, pts) - ref)) < 1e-13
+
+
+def test_phase_tables_match_exponentials():
+    # the tables by powers of exp(i x) against the direct exponential
+    rng = np.random.default_rng(19)
+    pts = rng.uniform(-4 * np.pi, 4 * np.pi, size=(50, 2))
+    for N in (1, 8, 32):
+        ref = np.exp(1j * pts[:, :, None] * np.arange(N + 1))
+        assert np.max(np.abs(sp._phase_tables(pts, N) - ref)) <= 1e-13
 
 
 def test_evaluate_stack_matches_per_field():
