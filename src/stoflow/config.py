@@ -87,6 +87,9 @@ class ExperimentConfig:
             raise ConfigError("noise.c must be >= 0")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
+        if self.alpha != 0 and self.kind != "simulate-averaged":
+            raise ConfigError(f"alpha = {self.alpha!r} is not used by kind "
+                              f"{self.kind!r}; only simulate-averaged reads alpha")
         if self.ensemble < 1:
             raise ConfigError("ensemble.size must be >= 1")
         if self.kind == "energy-growth" and self.ensemble < 2:

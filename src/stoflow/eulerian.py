@@ -24,7 +24,6 @@ import numpy as np
 from . import spectral as sp
 from .qwiener import QWienerSpec, curl_from_coefficients, driving_coefficients
 from .sde import SdeProblem, solve_path
-from .spectral import SpectralField
 
 __all__ = [
     "euler_drift",
@@ -38,16 +37,17 @@ LOCALIZATION_SOBOLEV_INDEX = 2.0  # H^s norm used for the exit ball
 _DIAGNOSTIC_BLOCK_BYTES = 2**18  # velocity rows reduced at once by the path diagnostics
 
 
-def euler_drift(u: SpectralField) -> SpectralField:
+def euler_drift(u: np.ndarray) -> np.ndarray:
     """-Pi[(u.grad)u], the averaged drift at alpha = 0."""
     return averaged_drift(u, 0.0)
 
 
-def averaged_drift(u: SpectralField, alpha: float) -> SpectralField:
-    """-Pi H^-1[(u.grad)m + (grad u)^T m] with m = H u, at a divergence-free u:
-    the velocity of dq/dt = -(u.grad)q, q = curl(H u).  alpha = 0 is -Pi[(u.grad)u]."""
+def averaged_drift(u: np.ndarray, alpha: float) -> np.ndarray:
+    """-Pi H^-1[(u.grad)m + (grad u)^T m] with m = H u, at a divergence-free u
+    (2, M, M): the velocity of dq/dt = -(u.grad)q, q = curl(H u).  alpha = 0
+    is -Pi[(u.grad)u]."""
     q = sp.curl(sp.helmholtz_apply(u, alpha))
-    return SpectralField(u.N, sp.biot_savart(-sp.advection_term(q, u.coeffs), alpha))
+    return sp.biot_savart(-sp.advection_term(q, u), alpha)
 
 
 def _velocity(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
@@ -58,7 +58,7 @@ def _velocity(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
     return u
 
 
-def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0.0,
+def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
                           radius_factor: float = 10.0) -> SdeProblem:
     """The SdeProblem over the (M, M) coefficient array of q = curl(H u).
 
@@ -68,12 +68,15 @@ def make_eulerian_problem(u0: SpectralField, spec: QWienerSpec, alpha: float = 0
     velocity (s fixed by LOCALIZATION_SOBOLEV_INDEX) of radius
     radius_factor * max(|u0|_{H^s}, 1) centered at the origin; the norm is
     read from q as |u|_{H^s}^2 = |U|^2 + sum_k (1+|k|^2)^s |K(k)|^2 |q(k)|^2,
-    with K the biot_savart multiplier.
+    with K the biot_savart multiplier.  u0 must have the shape (2, M, M) of
+    the noise resolution, M = 2 spec.N + 1.
     """
-    if spec.N != u0.N:
-        raise ValueError("noise spectrum and initial field resolutions differ")
-    N = u0.N
-    mean = u0.coeffs[:, 0, 0]
+    N = spec.N
+    expected = (2, 2 * N + 1, 2 * N + 1)
+    if np.shape(u0) != expected:
+        raise ValueError(f"initial field has shape {np.shape(u0)}, expected {expected} "
+                         f"for the noise resolution N = {N}")
+    mean = np.array(u0[:, 0, 0], dtype=complex)
 
     def drift(t: float, q: np.ndarray) -> np.ndarray:
         return -sp.advection_term(q, _velocity(q, alpha, mean))
@@ -115,34 +118,23 @@ class EulerianPath:
     exited: bool
     exit_time: Optional[float]
 
-    @property
-    def terminal(self) -> SpectralField:
-        return SpectralField((self.states.shape[-1] - 1) // 2, self.states[-1])
-
 
 def _path_diagnostics(u: np.ndarray) -> np.ndarray:
     """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
-    row of a path u (n, 2, M, M), shape (4, n).  Reductions over the last
-    three axes with the arithmetic of sp.l2_norm, sp.enstrophy,
-    sp.sobolev_norm and sp.divergence_residual, so each row equals the
-    per-field value bit for bit.  Rows go in blocks of about
-    _DIAGNOSTIC_BLOCK_BYTES, which keeps the temporaries small and in cache."""
-    kx, ky, ksq = sp._k_grids((u.shape[-1] - 1) // 2)
-    w_hs = (1.0 + ksq) ** LOCALIZATION_SOBOLEV_INDEX
+    row of a path u (n, 2, M, M), shape (4, n).  Rows go through the norm
+    functions in blocks of about _DIAGNOSTIC_BLOCK_BYTES, which keeps the
+    temporaries small and in cache."""
     out = np.empty((4, len(u)))
     step = max(1, _DIAGNOSTIC_BLOCK_BYTES // u[0].nbytes)
     for i in range(0, len(u), step):
         b = u[i:i + step]
-        sq = np.abs(b) ** 2
-        norm = np.sqrt(np.sum(sq, axis=(-3, -2, -1)))
-        div = np.max(np.abs(kx * b[:, 0] + ky * b[:, 1]), axis=(-2, -1))
-        out[:, i:i + step] = (norm ** 2, np.sum(ksq * sq, axis=(-3, -2, -1)),
-                              np.sqrt(np.sum(w_hs * sq, axis=(-3, -2, -1))),
-                              np.divide(div, norm, out=np.zeros_like(div), where=norm != 0.0))
+        out[:, i:i + step] = (sp.l2_norm(b) ** 2, sp.enstrophy(b),
+                              sp.sobolev_norm(b, LOCALIZATION_SOBOLEV_INDEX),
+                              sp.divergence_residual(b))
     return out
 
 
-def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
+def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
                  scheme: str = "heun", alpha: float = 0.0,
                  rng: Optional[np.random.Generator] = None,
                  increments: Optional[np.ndarray] = None,
@@ -159,7 +151,7 @@ def run_eulerian(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     increments = driving_coefficients(spec, dt, nsteps, rng, increments)
     res = solve_path(problem, scheme, t_grid, increments=increments)
 
-    states = _velocity(res.states, alpha, u0.coeffs[:, 0, 0])
+    states = _velocity(res.states, alpha, u0[:, 0, 0])
     energy, ens, hs, div = _path_diagnostics(states)
     return EulerianPath(times=res.times, states=states,
                         increments=increments[: len(res.times) - 1],

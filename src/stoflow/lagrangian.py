@@ -31,7 +31,7 @@ import numpy as np
 from . import spectral as sp
 from .eulerian import euler_drift, run_eulerian
 from .qwiener import QWienerSpec, driving_coefficients, field_from_coefficients
-from .spectral import SpectralField, evaluate_at, evaluate_stack_at
+from .spectral import evaluate_stack_at
 
 __all__ = [
     "ParticleEnsemble",
@@ -78,22 +78,22 @@ def initial_ensemble(labels: np.ndarray) -> ParticleEnsemble:
     return ParticleEnsemble(labels=labels, positions_unwrapped=labels.copy())
 
 
-def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: SpectralField,
+def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: np.ndarray,
            dt: float) -> ParticleEnsemble:
     """Advance positions by explicit midpoint (RK2): k1 (P, 2) is the field
-    at the step's start evaluated at the positions, u_mid the midpoint
-    field."""
+    at the step's start evaluated at the positions, u_mid (2, M, M) the
+    midpoint field."""
     x = particles.positions_unwrapped
-    k2 = evaluate_at(u_mid, x + 0.5 * dt * k1)
+    k2 = evaluate_stack_at(u_mid, x + 0.5 * dt * k1)
     return ParticleEnsemble(labels=particles.labels, positions_unwrapped=x + dt * k2)
 
 
-def _spray_values(u: SpectralField, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
+def _spray_values(u: np.ndarray, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
     """Values at the points of u, d_x u, d_y u, Pi[(u.grad)u] and then of
-    each extra coefficient array, shape (P, 4 + len(extra), 2), all on one
-    set of phase tables."""
+    each extra vector field, shape (P, 4 + len(extra), 2), all on one set
+    of phase tables."""
     proj = -euler_drift(u)
-    stack = [sp._gradient_stack(u), proj.coeffs[None]] + [e[None] for e in extra]
+    stack = [sp._gradient_stack(u), proj[None]] + [e[None] for e in extra]
     return evaluate_stack_at(np.concatenate(stack), points)
 
 
@@ -102,7 +102,7 @@ def _spray_from(vals: np.ndarray) -> np.ndarray:
     return sp._transport(vals[:, :3]) - vals[:, 3]
 
 
-def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray:
+def material_acceleration_at(u: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Spray drift ((u.grad)u - Pi[(u.grad)u]) evaluated at the points.
 
     The transport part is the exact pointwise product (modes up to 2N),
@@ -114,7 +114,7 @@ def material_acceleration_at(u: SpectralField, points: np.ndarray) -> np.ndarray
     return _spray_from(_spray_values(u, points))
 
 
-def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
+def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
                             positions: np.ndarray, velocities: np.ndarray):
     """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift,
     starting from positions and velocities, each of shape (P, 2).
@@ -137,7 +137,7 @@ def make_lagrangian_problem(u: SpectralField, spec: QWienerSpec,
 
     def diffusion(z, dW):
         pos = z[:2 * P].reshape(P, 2)
-        kicks = evaluate_at(field_from_coefficients(spec, dW), pos)
+        kicks = evaluate_stack_at(field_from_coefficients(spec, dW), pos)
         return np.concatenate([np.zeros(2 * P), kicks.ravel()])
 
     return SdeProblem(dim=4 * P, drift=drift, diffusion=diffusion,
@@ -172,7 +172,7 @@ def equivalence_residual(vals: list, dt: float) -> float:
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
+def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
                     labels: np.ndarray, increments: Optional[np.ndarray] = None,
                     radius_factor: float = 10.0) -> float:
     """Drive the Heun Eulerian path on the increments, advect particles
@@ -182,7 +182,8 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     as the average of the step's end fields, good to O(dt^2).  The one
     evaluation per step of the spray fields of u_j and of dW_j at Phi_j
     serves both the residual and, through its slot 0, the step's k1.
-    Without increments the noise must be off.
+    Without increments the noise must be off.  u0 is a (2, M, M) field at
+    the resolution of spec; run_eulerian rejects any other shape.
     """
     nsteps = int(round(T / dt))
     increments = driving_coefficients(spec, dt, nsteps, increments=increments)
@@ -198,9 +199,8 @@ def run_equivalence(u0: SpectralField, spec: QWienerSpec, dt: float, T: float,
     ens = initial_ensemble(labels)
     vals = []
     for j in range(nsteps + 1):
-        dw = [field_from_coefficients(spec, increments[j]).coeffs] if j < nsteps else []
-        vals.append(_spray_values(SpectralField(u0.N, states[j]), ens.positions, *dw))
+        dw = [field_from_coefficients(spec, increments[j])] if j < nsteps else []
+        vals.append(_spray_values(states[j], ens.positions, *dw))
         if j < nsteps:
-            u_mid = SpectralField(u0.N, 0.5 * (states[j] + states[j + 1]))
-            ens = advect(ens, vals[j][:, 0], u_mid, dt)
+            ens = advect(ens, vals[j][:, 0], 0.5 * (states[j] + states[j + 1]), dt)
     return equivalence_residual(vals, dt)

@@ -17,7 +17,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import SpectralField
+from .spectral import _mode_pair
 
 __all__ = [
     "QWienerSpec",
@@ -130,8 +130,8 @@ def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerS
                        wavevectors=ks, eigenvalues=lam)
 
 
-def eigenmode_field(spec: QWienerSpec, j: int) -> SpectralField:
-    """The j-th unit eigenfield (even j: cosine, odd j: sine)."""
+def eigenmode_field(spec: QWienerSpec, j: int) -> np.ndarray:
+    """The j-th unit eigenfield (even j: cosine, odd j: sine), shape (2, M, M)."""
     kx, ky = spec.wavevectors[j // 2]
     d = spec._layout[0][j // 2].astype(complex)
     amp = np.sqrt(2.0) / 2.0
@@ -139,7 +139,7 @@ def eigenmode_field(spec: QWienerSpec, j: int) -> SpectralField:
         half = amp * d
     else:
         half = -1j * amp * d  # sin(k.x) = (e^{ikx} - e^{-ikx}) / 2i
-    return SpectralField.from_modes(spec.N, {(int(kx), int(ky)): half}, hermitize=True)
+    return _mode_pair(spec.N, int(kx), int(ky), half)
 
 
 def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
@@ -168,8 +168,9 @@ def driving_coefficients(spec: QWienerSpec, dt: float, nsteps: int,
     raise ValueError("need an rng stream or explicit increments")
 
 
-def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralField:
-    """The real field sum_j coeffs_j e_j over the unit eigenfields.
+def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
+    """The real field sum_j coeffs_j e_j over the unit eigenfields, shape
+    (2, M, M).
 
     The map from noise coordinates to velocity fields, used by the
     Lagrangian kicks.  An increment is its row of coordinates: the field of
@@ -188,7 +189,7 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> SpectralFi
     c = np.zeros((2, M * M), dtype=complex)
     c[:, plus] = vec.T
     c[:, minus] = np.conj(vec.T)
-    return SpectralField(spec.N, c.reshape(2, M, M))
+    return c.reshape(2, M, M)
 
 
 def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:

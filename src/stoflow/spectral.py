@@ -1,16 +1,18 @@
 """Truncated Fourier fields on the flat 2-torus [0, 2pi)^2.
 
-Vector and scalar fields are stored by their Fourier coefficients on the
+A field is the plain complex array of its Fourier coefficients on the
 square lattice of modes with |k|_inf <= N, using the convention
 
     u(x) = sum_k  uhat(k) exp(i k.x),
 
-so the coefficient array has shape (2, M, M) (a vector SpectralField) or
-(M, M) (a scalar) with M = 2N + 1 and numpy fftfreq mode ordering.
-Real-valued fields obey the Hermitian symmetry uhat(-k) = conj(uhat(k)).
+of shape (..., 2, M, M) for vector fields and (..., M, M) for scalars,
+with M = 2N + 1 read from the last axis and numpy fftfreq mode ordering.
+Leading axes stack fields, such as the rows of a path: operators and norms
+act on the trailing axes and broadcast over the leading ones.  Real-valued
+fields obey the Hermitian symmetry uhat(-k) = conj(uhat(k)).
 
-All operations are pure: they return new field values and never mutate
-their inputs (coefficient buffers are frozen at construction).
+All operations are pure: they return new arrays and never write to their
+inputs.  The per-N constants are built once and are read-only.
 """
 
 from __future__ import annotations
@@ -20,18 +22,14 @@ from functools import lru_cache
 import numpy as np
 
 __all__ = [
-    "SpectralField",
     "leray_project",
     "curl",
     "biot_savart",
     "advection_term",
     "sobolev_norm",
     "l2_norm",
-    "l2_inner",
     "enstrophy",
-    "helmholtz_inverse",
     "helmholtz_apply",
-    "evaluate_at",
     "evaluate_stack_at",
     "divergence_residual",
     "taylor_green",
@@ -39,11 +37,18 @@ __all__ = [
     "random_divergence_free",
 ]
 
+_FIELD_AXES = (-3, -2, -1)  # the component and mode axes of a vector field
+
 
 def _freeze(a: np.ndarray) -> np.ndarray:
     a = np.ascontiguousarray(a)
     a.flags.writeable = False
     return a
+
+
+def _resolution(a: np.ndarray) -> int:
+    """N of a field array, read from its last axis M = 2N + 1."""
+    return (a.shape[-1] - 1) // 2
 
 
 @lru_cache(maxsize=None)
@@ -54,84 +59,6 @@ def _wavenumbers(N: int) -> np.ndarray:
     """
     M = 2 * N + 1
     return _freeze(np.fft.fftfreq(M, d=1.0 / M).astype(int))
-
-
-class SpectralField:
-    """Real vector field on the torus, held as truncated Fourier coefficients."""
-
-    def __init__(self, N: int, coeffs: np.ndarray):
-        if N <= 0:
-            raise ValueError("resolution N must be positive")
-        M = 2 * N + 1
-        if coeffs.shape != (2, M, M):
-            raise ValueError(f"vector field shape {coeffs.shape} does not match N={N}")
-        self.N = N
-        self.M = M
-        self.coeffs = _freeze(coeffs.astype(complex, copy=True))
-
-    @property
-    def k(self) -> np.ndarray:
-        return _wavenumbers(self.N)
-
-    def _check_same(self, other: "SpectralField") -> None:
-        if self.N != other.N:
-            raise ValueError(f"resolution mismatch: {self.N} vs {other.N}")
-
-    @classmethod
-    def zero(cls, N: int) -> "SpectralField":
-        M = 2 * N + 1
-        return cls(N, np.zeros((2, M, M), dtype=complex))
-
-    @classmethod
-    def from_grid(cls, values: np.ndarray) -> "SpectralField":
-        """Build from collocation values, shape (2, M, M) with M odd."""
-        M = values.shape[-1]
-        if M % 2 == 0:
-            raise ValueError("collocation grid must have odd size 2N+1")
-        N = (M - 1) // 2
-        coeffs = np.fft.fft2(values) / M**2
-        return cls(N, coeffs)
-
-    @classmethod
-    def from_modes(cls, N: int, modes: dict, hermitize: bool = False) -> "SpectralField":
-        """Place given coefficients, keyed by integer wavevector (kx, ky).
-
-        With hermitize=True the conjugate coefficient is added at -k so
-        the resulting field is real-valued.
-        """
-        M = 2 * N + 1
-        c = np.zeros((2, M, M), dtype=complex)
-        for (kx, ky), vec in modes.items():
-            if max(abs(kx), abs(ky)) > N:
-                raise ValueError(f"mode {(kx, ky)} outside truncation N={N}")
-            c[:, kx % M, ky % M] += np.asarray(vec, dtype=complex)
-            if hermitize and (kx, ky) != (0, 0):
-                c[:, (-kx) % M, (-ky) % M] += np.conj(np.asarray(vec, dtype=complex))
-        return cls(N, c)
-
-    def grid_values(self) -> np.ndarray:
-        """Collocation values on the M x M grid x_n = 2 pi n / M."""
-        return np.real(np.fft.ifft2(self.coeffs) * self.M**2)
-
-    def grid_points(self) -> tuple[np.ndarray, np.ndarray]:
-        x = 2.0 * np.pi * np.arange(self.M) / self.M
-        return np.meshgrid(x, x, indexing="ij")
-
-    def __add__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same(other)
-        return SpectralField(self.N, self.coeffs + other.coeffs)
-
-    def __sub__(self, other: "SpectralField") -> "SpectralField":
-        self._check_same(other)
-        return SpectralField(self.N, self.coeffs - other.coeffs)
-
-    def __mul__(self, scalar: float) -> "SpectralField":
-        return SpectralField(self.N, self.coeffs * scalar)
-
-    __rmul__ = __mul__
-
-    def __neg__(self) -> "SpectralField":
-        return SpectralField(self.N, -self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -150,25 +77,26 @@ def _k_grids(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # linear operators
 
-def leray_project(v: SpectralField) -> SpectralField:
-    """Project each coefficient onto the plane perpendicular to its wavevector.
+def leray_project(v: np.ndarray) -> np.ndarray:
+    """Project each coefficient of v (..., 2, M, M) onto the plane
+    perpendicular to its wavevector.
 
     The k = 0 (mean flow) mode passes through unchanged.
     """
-    kx, ky, ksq = _k_grids(v.N)
+    kx, ky, ksq = _k_grids(_resolution(v))
     ksq_safe = np.where(ksq == 0.0, 1.0, ksq)
-    kdotc = kx * v.coeffs[0] + ky * v.coeffs[1]
-    out = np.empty_like(v.coeffs)
-    out[0] = v.coeffs[0] - kx * kdotc / ksq_safe
-    out[1] = v.coeffs[1] - ky * kdotc / ksq_safe
-    out[:, 0, 0] = v.coeffs[:, 0, 0]
-    return SpectralField(v.N, out)
+    vx, vy = v[..., 0, :, :], v[..., 1, :, :]
+    kdotc = kx * vx + ky * vy
+    out = np.stack([vx - kx * kdotc / ksq_safe, vy - ky * kdotc / ksq_safe], axis=-3)
+    out[..., :, 0, 0] = v[..., :, 0, 0]
+    return out
 
 
-def curl(v: SpectralField) -> np.ndarray:
-    """Coefficients (M, M) of the scalar curl d_x v_y - d_y v_x."""
-    kx, ky, _ = _k_grids(v.N)
-    return 1j * (kx * v.coeffs[1] - ky * v.coeffs[0])
+def curl(v: np.ndarray) -> np.ndarray:
+    """Coefficients (..., M, M) of the scalar curl d_x v_y - d_y v_x of v
+    (..., 2, M, M)."""
+    kx, ky, _ = _k_grids(_resolution(v))
+    return 1j * (kx * v[..., 1, :, :] - ky * v[..., 0, :, :])
 
 
 @lru_cache(maxsize=None)
@@ -188,61 +116,47 @@ def biot_savart(q: np.ndarray, alpha: float = 0.0) -> np.ndarray:
     fields, and the Biot-Savart law at alpha = 0.  q's k = 0 mode is ignored."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    N = (q.shape[-1] - 1) // 2
-    return _biot_savart_multiplier(N, float(alpha)) * q[..., None, :, :]
+    return _biot_savart_multiplier(_resolution(q), float(alpha)) * q[..., None, :, :]
 
 
-def divergence_residual(v: SpectralField) -> float:
-    """max_k |k . vhat(k)| relative to the coefficient norm of v."""
-    kx, ky, _ = _k_grids(v.N)
-    num = np.max(np.abs(kx * v.coeffs[0] + ky * v.coeffs[1]))
-    den = np.sqrt(np.sum(np.abs(v.coeffs) ** 2))
-    if den == 0.0:
-        return 0.0
-    return float(num / den)
+def divergence_residual(v: np.ndarray) -> np.ndarray:
+    """max_k |k . vhat(k)| relative to the coefficient norm of each field of
+    v (..., 2, M, M); 0 for a zero field."""
+    kx, ky, _ = _k_grids(_resolution(v))
+    num = np.max(np.abs(kx * v[..., 0, :, :] + ky * v[..., 1, :, :]), axis=(-2, -1))
+    den = l2_norm(v)
+    return num / np.where(den == 0.0, np.inf, den)
 
 
-def helmholtz_inverse(v: SpectralField, alpha: float) -> SpectralField:
-    """Apply (id - alpha^2 Laplacian)^(-1): multiply by 1/(1 + alpha^2 |k|^2)."""
+def helmholtz_apply(v: np.ndarray, alpha: float) -> np.ndarray:
+    """Apply (id - alpha^2 Laplacian) to a vector or scalar field (..., M, M):
+    multiply by 1 + alpha^2 |k|^2."""
     if alpha < 0:
         raise ValueError("alpha must be >= 0")
-    _, _, ksq = _k_grids(v.N)
-    return SpectralField(v.N, v.coeffs / (1.0 + alpha**2 * ksq))
-
-
-def helmholtz_apply(v: SpectralField, alpha: float) -> SpectralField:
-    """Apply (id - alpha^2 Laplacian): multiply by 1 + alpha^2 |k|^2."""
-    if alpha < 0:
-        raise ValueError("alpha must be >= 0")
-    _, _, ksq = _k_grids(v.N)
-    return SpectralField(v.N, v.coeffs * (1.0 + alpha**2 * ksq))
+    _, _, ksq = _k_grids(_resolution(v))
+    return v * (1.0 + alpha**2 * ksq)
 
 
 # ---------------------------------------------------------------------------
-# norms
+# norms, one per vector field of a stack (..., 2, M, M)
 
-def sobolev_norm(v: SpectralField, s: float) -> float:
+def sobolev_norm(v: np.ndarray, s: float) -> np.ndarray:
     """Discrete H^s norm: ( sum_k (1+|k|^2)^s |vhat(k)|^2 )^(1/2)."""
     if s < 0:
         raise ValueError("Sobolev index s must be >= 0")
-    _, _, ksq = _k_grids(v.N)
+    _, _, ksq = _k_grids(_resolution(v))
     w = (1.0 + ksq) ** s
-    return float(np.sqrt(np.sum(w * np.abs(v.coeffs) ** 2)))
+    return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=_FIELD_AXES))
 
 
-def l2_norm(v: SpectralField) -> float:
+def l2_norm(v: np.ndarray) -> np.ndarray:
     return sobolev_norm(v, 0.0)
 
 
-def l2_inner(u: SpectralField, v: SpectralField) -> float:
-    u._check_same(v)
-    return float(np.real(np.sum(u.coeffs * np.conj(v.coeffs))))
-
-
-def enstrophy(v: SpectralField) -> float:
+def enstrophy(v: np.ndarray) -> np.ndarray:
     """sum_k |k|^2 |vhat(k)|^2."""
-    _, _, ksq = _k_grids(v.N)
-    return float(np.sum(ksq * np.abs(v.coeffs) ** 2))
+    _, _, ksq = _k_grids(_resolution(v))
+    return np.sum(ksq * np.abs(v) ** 2, axis=_FIELD_AXES)
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +220,7 @@ def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     The one dealiased quadratic kernel: the stack (u_x, u_y, d_x q, d_y q)
     takes one inverse transform and the product one forward transform.
     """
-    N = (q.shape[-1] - 1) // 2
+    N = _resolution(q)
     kx, ky, _ = _k_grids(N)
     g = _to_grid(np.stack([u[0], u[1], 1j * kx * q, 1j * ky * q]), N)
     return _from_grid(g[0] * g[2] + g[1] * g[3], N)
@@ -339,13 +253,13 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     and 2 P (N - 1) complex products (see _phase_tables).  Since the fields
     are real, the contraction runs over the N + 1 columns ky >= 0 only,
     with weight 1 on ky = 0 and 2 on the rest, and keeps the real part: a
-    P M (N+1) contraction per field.  Exact: matches grid_values at
+    P M (N+1) contraction per field.  Exact: matches the inverse FFT at the
     collocation points.  The points are reduced mod 2 pi before the tables
     are built, so points a period apart give bitwise-equal values.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
     M = coeffs.shape[-1]
-    N = (M - 1) // 2
+    N = _resolution(coeffs)
     P = len(pts)
     e = _phase_tables(pts, N)
     ex = np.concatenate([e[:, 0], np.conj(e[:, 0, N:0:-1])], axis=1)
@@ -360,22 +274,10 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return vals.real.reshape((P,) + lead)
 
 
-def evaluate_at(v: SpectralField, points: np.ndarray) -> np.ndarray:
-    """Evaluate the real field by direct trigonometric summation.
-
-    points: array (P, 2); returns array (P, 2) of real velocity vectors.
-    Costs 2 P cos/sin, 2 P (N - 1) complex products and a P M (N+1)
-    contraction per component (see evaluate_stack_at); exact (matches
-    grid_values at collocation points).  v must be real (Hermitian
-    coefficients): only the half spectrum ky >= 0 is read.
-    """
-    return evaluate_stack_at(v.coeffs, points)
-
-
-def _gradient_stack(u: SpectralField) -> np.ndarray:
+def _gradient_stack(u: np.ndarray) -> np.ndarray:
     """Coefficients of u, d_x u and d_y u stacked, shape (3, 2, M, M)."""
-    kx, ky, _ = _k_grids(u.N)
-    return np.stack([u.coeffs, 1j * kx * u.coeffs, 1j * ky * u.coeffs])
+    kx, ky, _ = _k_grids(_resolution(u))
+    return np.stack([u, 1j * kx * u, 1j * ky * u])
 
 
 def _transport(vals: np.ndarray) -> np.ndarray:
@@ -387,7 +289,17 @@ def _transport(vals: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # canonical initial fields
 
-def taylor_green(N: int, amplitude: float = 1.0) -> SpectralField:
+def _mode_pair(N: int, kx: int, ky: int, half: np.ndarray) -> np.ndarray:
+    """The real field half exp(i k.x) + conj(half) exp(-i k.x), k = (kx, ky)
+    != 0, shape (2, M, M)."""
+    M = 2 * N + 1
+    c = np.zeros((2, M, M), dtype=complex)
+    c[:, kx % M, ky % M] += half
+    c[:, (-kx) % M, (-ky) % M] += np.conj(half)
+    return c
+
+
+def taylor_green(N: int, amplitude: float = 1.0) -> np.ndarray:
     """u = a (sin x cos y, -cos x sin y); a steady 2D Euler datum."""
     if N < 1:
         raise ValueError("Taylor-Green needs N >= 1")
@@ -395,10 +307,10 @@ def taylor_green(N: int, amplitude: float = 1.0) -> SpectralField:
     x = 2.0 * np.pi * np.arange(M) / M
     X, Y = np.meshgrid(x, x, indexing="ij")
     vals = np.stack([np.sin(X) * np.cos(Y), -np.cos(X) * np.sin(Y)]) * amplitude
-    return SpectralField.from_grid(vals)
+    return np.fft.fft2(vals) / M**2
 
 
-def single_mode_field(N: int, kvec, amplitude: float = 1.0) -> SpectralField:
+def single_mode_field(N: int, kvec, amplitude: float = 1.0) -> np.ndarray:
     """Divergence-free shear u(x) = a cos(k.x) kperp/|k|."""
     kx, ky = int(kvec[0]), int(kvec[1])
     if (kx, ky) == (0, 0):
@@ -407,13 +319,14 @@ def single_mode_field(N: int, kvec, amplitude: float = 1.0) -> SpectralField:
         raise ValueError(f"mode {(kx, ky)} outside truncation N={N}")
     knorm = np.hypot(kx, ky)
     d = np.array([-ky, kx]) / knorm
-    half = 0.5 * amplitude * d.astype(complex)
-    return SpectralField.from_modes(N, {(kx, ky): half}, hermitize=True)
+    return _mode_pair(N, kx, ky, 0.5 * amplitude * d.astype(complex))
 
 
 def random_divergence_free(N: int, rng: np.random.Generator, slope: float = 2.0,
-                           amplitude: float = 1.0) -> SpectralField:
+                           amplitude: float = 1.0) -> np.ndarray:
     """Random real divergence-free field with |uhat(k)| ~ (1+|k|^2)^(-slope/2)."""
+    if N < 1:
+        raise ValueError("random field needs N >= 1")
     M = 2 * N + 1
     raw = rng.standard_normal((2, M, M)) + 1j * rng.standard_normal((2, M, M))
     _, _, ksq = _k_grids(N)
@@ -423,7 +336,7 @@ def random_divergence_free(N: int, rng: np.random.Generator, slope: float = 2.0,
     neg = (-k) % M
     raw = 0.5 * (raw + np.conj(raw[:, neg[:, None], neg[None, :]]))
     raw[:, 0, 0] = 0.0
-    f = leray_project(SpectralField(N, raw))
+    f = leray_project(raw)
     n = l2_norm(f)
     if n > 0:
         f = f * (amplitude / n)

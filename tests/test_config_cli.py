@@ -240,6 +240,24 @@ def test_cli_energy_growth_single_path_exit_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("kind", ["simulate-euler", "equivalence", "convergence",
+                                  "isometry", "energy-growth"])
+def test_cli_alpha_rejected_where_unused(tmp_path, capsys, kind):
+    # only simulate-averaged reads alpha; elsewhere a nonzero alpha would
+    # silently run plain Euler, so it is a config error naming key and kind
+    text = f"kind = {kind}\nnoise.c = 0.5\nensemble.size = 2\n"
+    with pytest.raises(ConfigError, match=f"alpha.*{kind}"):
+        parse_config_text(text + "alpha = 0.3\n")
+    path = write_cfg(tmp_path, text + "alpha = 0.3\n")
+    assert main([kind, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert "alpha" in err and kind in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    assert parse_config_text(text + "alpha = 0.0\n").alpha == 0.0
+    assert parse_config_text("kind = simulate-averaged\nalpha = 0.3\n").alpha == 0.3
+
+
 def test_cli_kind_mismatch_is_operational_error(tmp_path, capsys):
     path = write_cfg(tmp_path, "kind = isometry\n")
     code = main(["convergence", "--config", path])

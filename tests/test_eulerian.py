@@ -6,8 +6,10 @@ import pytest
 
 from stoflow import eulerian as eu
 from stoflow import spectral as sp
+from stoflow.lagrangian import run_equivalence, uniform_labels
 from stoflow.qwiener import build_spectrum, eigenmode_field, sample_coefficients
 from stoflow.streams import derive_stream
+from test_spectral import helmholtz_inverse, modes, zero_field
 
 
 # ---------------------------------------------------------------------------
@@ -16,18 +18,18 @@ from stoflow.streams import derive_stream
 def test_taylor_green_drift_zero():
     u = sp.taylor_green(8)
     d = eu.euler_drift(u)
-    assert np.max(np.abs(d.coeffs)) < 1e-14
+    assert np.max(np.abs(d)) < 1e-14
 
 
 def test_zero_field_drift_zero():
-    d = eu.euler_drift(sp.SpectralField.zero(4))
-    assert np.max(np.abs(d.coeffs)) == 0.0
+    d = eu.euler_drift(zero_field(4))
+    assert np.max(np.abs(d)) == 0.0
 
 
 def test_single_shear_drift_zero():
     u = sp.single_mode_field(6, (2, 1), amplitude=1.5)
     d = eu.euler_drift(u)
-    assert np.max(np.abs(d.coeffs)) < 1e-14
+    assert np.max(np.abs(d)) < 1e-14
 
 
 def test_drift_divergence_free():
@@ -45,7 +47,7 @@ def test_alpha_zero_reduces_to_euler():
     u = sp.random_divergence_free(6, rng)
     a = eu.averaged_drift(u, 0.0)
     b = eu.euler_drift(u)
-    assert np.array_equal(a.coeffs, b.coeffs)
+    assert np.array_equal(a, b)
 
 
 def test_euler_drift_is_projected_advection_term():
@@ -56,7 +58,7 @@ def test_euler_drift_is_projected_advection_term():
     # per-mode Biot-Savart multipliers, so the match is to 1e-14 relative
     rng = derive_stream(6, "alpha0")
     spec = build_spectrum(6, 2.0, 1.0)
-    mean = sp.SpectralField.from_modes(6, {(0, 0): [0.4, -0.1]})
+    mean = modes(6, {(0, 0): [0.4, -0.1]})
     for u in [sp.taylor_green(6), sp.random_divergence_free(6, rng),
               mean + sp.random_divergence_free(6, rng)]:
         problem = eu.make_eulerian_problem(u, spec)
@@ -70,12 +72,12 @@ def test_single_shear_averaged_drift_zero():
     # gradient killed by the projection
     u = sp.single_mode_field(8, (1, 0), amplitude=1.0)
     d = eu.averaged_drift(u, 1.0)
-    assert np.max(np.abs(d.coeffs)) < 1e-10
+    assert np.max(np.abs(d)) < 1e-10
 
 
 def test_averaged_drift_rejects_negative_alpha():
     with pytest.raises(ValueError):
-        eu.averaged_drift(sp.SpectralField.zero(4), -1.0)
+        eu.averaged_drift(zero_field(4), -1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -88,10 +90,10 @@ def test_averaged_diffusion_matches_eigenmode_sum():
     spec = build_spectrum(3, 2.0, 1.0)
     problem = eu.make_eulerian_problem(sp.taylor_green(3), spec, alpha=alpha)
     w = derive_stream(19, "diffusion").standard_normal(spec.n_modes)
-    got = sp.SpectralField(3, sp.biot_savart(problem.diffusion(problem.x0, w), alpha))
-    ref = sum(w[j] * sp.helmholtz_inverse(eigenmode_field(spec, j), alpha).coeffs
+    got = sp.biot_savart(problem.diffusion(problem.x0, w), alpha)
+    ref = sum(w[j] * helmholtz_inverse(eigenmode_field(spec, j), alpha)
               for j in range(spec.n_modes))
-    assert np.max(np.abs(got.coeffs - ref)) < 1e-13
+    assert np.max(np.abs(got - ref)) < 1e-13
     assert sp.divergence_residual(got) < 1e-13
 
 
@@ -100,18 +102,18 @@ def test_smoothed_noise_divergence_free():
     # noise, is divergence-free
     alpha = 1.0
     spec = build_spectrum(4, 2.0, 1.0)
-    problem = eu.make_eulerian_problem(sp.SpectralField.zero(4), spec, alpha=alpha)
+    problem = eu.make_eulerian_problem(zero_field(4), spec, alpha=alpha)
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
         e[j] = 1.0
-        f = sp.SpectralField(4, sp.biot_savart(problem.diffusion(problem.x0, e), alpha))
+        f = sp.biot_savart(problem.diffusion(problem.x0, e), alpha)
         assert sp.divergence_residual(f) < 1e-13
 
 
 def curl_coeffs(v):
     """Fourier coefficients of the scalar curl d_x v_y - d_y v_x."""
-    k = sp._wavenumbers(v.N)
-    return 1j * (k[:, None] * v.coeffs[1] - k[None, :] * v.coeffs[0])
+    k = sp._wavenumbers((v.shape[-1] - 1) // 2)
+    return 1j * (k[:, None] * v[1] - k[None, :] * v[0])
 
 
 @pytest.mark.parametrize("alpha", [0.3, 0.7])
@@ -129,9 +131,17 @@ def test_averaged_drift_conserves_potential_enstrophy(alpha):
 # problem construction
 
 def test_resolution_mismatch_rejected():
+    # the public entry points check the shape (2, M, M) of the noise
+    # resolution: fields at other resolutions and scalars are rejected
     spec = build_spectrum(3, 2.0, 1.0)
-    with pytest.raises(ValueError):
-        eu.make_eulerian_problem(sp.SpectralField.zero(4), spec)
+    inc = np.zeros((2, spec.n_modes))
+    labels = uniform_labels(3)
+    for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
+        for call in (lambda: eu.make_eulerian_problem(u0, spec),
+                     lambda: eu.run_eulerian(u0, spec, 0.01, 0.02, increments=inc),
+                     lambda: run_equivalence(u0, spec, 0.01, 0.02, labels, inc)):
+            with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
+                call()
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +149,7 @@ def test_resolution_mismatch_rejected():
 
 def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
-    path = eu.run_eulerian(sp.SpectralField.zero(4), spec, 0.01, 0.1)
+    path = eu.run_eulerian(zero_field(4), spec, 0.01, 0.1)
     assert np.max(path.energy) == 0.0
     assert np.max(np.abs(path.states)) == 0.0
 
@@ -148,7 +158,7 @@ def test_taylor_green_steady_short_run():
     u0 = sp.taylor_green(8)
     spec = build_spectrum(8, 2.0, 0.0)
     path = eu.run_eulerian(u0, spec, 1e-3, 0.2)
-    rel = sp.l2_norm(path.terminal - u0) / sp.l2_norm(u0)
+    rel = sp.l2_norm(path.states[-1] - u0) / sp.l2_norm(u0)
     assert rel < 1e-10
     assert not path.exited
 
@@ -156,17 +166,17 @@ def test_taylor_green_steady_short_run():
 def test_path_keeps_mean_flow():
     # the mean flow is held apart from q, so every velocity row carries it
     U = [0.4, -0.1]
-    u0 = sp.SpectralField.from_modes(4, {(0, 0): U}) + sp.taylor_green(4, 0.5)
+    u0 = modes(4, {(0, 0): U}) + sp.taylor_green(4, 0.5)
     spec = build_spectrum(4, 3.0, 0.5)
     path = eu.run_eulerian(u0, spec, 0.01, 0.2, rng=derive_stream(23, "mean"))
     assert np.array_equal(path.states[:, :, 0, 0], np.broadcast_to(U, (21, 2)))
-    assert np.max(np.abs(path.states[0] - u0.coeffs)) < 1e-15
+    assert np.max(np.abs(path.states[0] - u0)) < 1e-15
 
 
 def test_stochastic_path_divergence_free():
     spec = build_spectrum(6, 3.0, 0.5)
     rng = derive_stream(11, "noise")
-    path = eu.run_eulerian(sp.SpectralField.zero(6), spec, 0.01, 0.2, rng=rng)
+    path = eu.run_eulerian(zero_field(6), spec, 0.01, 0.2, rng=rng)
     assert np.max(path.div_residual) < 1e-10
     assert path.states.shape == (len(path.times), 2, 13, 13)
 
@@ -177,7 +187,7 @@ def test_path_reproducible_from_increments():
     u0 = sp.taylor_green(4, 0.5)
     a = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
     b = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
-    assert np.array_equal(a.terminal.coeffs, b.terminal.coeffs)
+    assert np.array_equal(a.states[-1], b.states[-1])
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -185,12 +195,11 @@ def test_exit_norm_read_from_q(alpha):
     # |u|_{H^2} from the weights on q equals the norm of the rebuilt velocity
     N = 6
     rng = np.random.default_rng(61)
-    u0 = sp.SpectralField.from_modes(N, {(0, 0): [0.4, -0.1]}) + \
-        sp.random_divergence_free(N, rng)
+    u0 = modes(N, {(0, 0): [0.4, -0.1]}) + sp.random_divergence_free(N, rng)
     problem = eu.make_eulerian_problem(u0, build_spectrum(N, 3.0, 0.5), alpha=alpha)
-    mean = u0.coeffs[:, 0, 0]
+    mean = u0[:, 0, 0]
     for q in (problem.x0, sp.curl(sp.random_divergence_free(N, rng, amplitude=3.0))):
-        ref = sp.sobolev_norm(sp.SpectralField(N, eu._velocity(q, alpha, mean)), 2)
+        ref = sp.sobolev_norm(eu._velocity(q, alpha, mean), 2)
         assert abs(problem.domain_norm(q) - ref) <= 1e-14 * ref
 
 
@@ -202,7 +211,7 @@ def test_path_diagnostics_match_per_field_functions():
     u0 = sp.random_divergence_free(N, np.random.default_rng(5))
     path = eu.run_eulerian(u0, spec, 0.01, 0.1, alpha=0.3, rng=derive_stream(29, "diag"))
     assert eu._DIAGNOSTIC_BLOCK_BYTES // path.states[0].nbytes < len(path.states)
-    fields = [sp.SpectralField(N, x) for x in path.states]
+    fields = list(path.states)
     assert np.array_equal(path.energy, [sp.l2_norm(f) ** 2 for f in fields])
     assert np.array_equal(path.enstrophy, [sp.enstrophy(f) for f in fields])
     assert np.array_equal(path.hs_norm, [sp.sobolev_norm(f, 2) for f in fields])
@@ -222,13 +231,13 @@ def test_heun_vs_em_coupled_difference_order_dt():
         a = eu.run_eulerian(u0, spec, dt, 0.2, scheme="heun", increments=inc)
         b = eu.run_eulerian(u0, spec, dt, 0.2, scheme="euler-maruyama",
                             increments=inc)
-        diff = sp.l2_norm(a.terminal - b.terminal)
+        diff = sp.l2_norm(a.states[-1] - b.states[-1])
         consts.append(diff / dt)
     assert max(consts) < 4.0 * max(min(consts), 1e-12)
 
 
 def test_mean_mode_invariant_under_drift():
     # a constant mean flow just translates; the drift must not feed it
-    u = sp.SpectralField.from_modes(6, {(0, 0): [0.4, -0.1]}) + sp.taylor_green(6)
+    u = modes(6, {(0, 0): [0.4, -0.1]}) + sp.taylor_green(6)
     d = eu.euler_drift(u)
-    assert np.max(np.abs(d.coeffs[:, 0, 0])) < 1e-14
+    assert np.max(np.abs(d[:, 0, 0])) < 1e-14

@@ -11,11 +11,11 @@ from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
 from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
-from test_spectral import _ref_advection_term
+from test_spectral import _ref_advection_term, grid_values, modes, zero_field
 
 
 def const_field(N, vec):
-    return sp.SpectralField.from_modes(N, {(0, 0): list(vec)})
+    return modes(N, {(0, 0): list(vec)})
 
 
 # ---------------------------------------------------------------------------
@@ -33,7 +33,7 @@ def test_advect_constant_field_exact():
     ens = initial_ensemble(uniform_labels(3))
     t = 0.0
     for _ in range(10):
-        ens = lg.advect(ens, sp.evaluate_at(u, ens.positions), u, 0.7)
+        ens = lg.advect(ens, sp.evaluate_stack_at(u, ens.positions), u, 0.7)
         t += 0.7
     expected = (ens.labels + np.array([t, 0.0])) % TWO_PI
     assert np.max(np.abs(ens.positions - expected)) < 1e-12
@@ -42,12 +42,12 @@ def test_advect_constant_field_exact():
 def test_advect_shear_closed_form():
     # u = (sin y, 0): y constant along paths, x(t) = x0 + t sin y0 exactly
     # for the midpoint scheme
-    u = sp.SpectralField.from_modes(5, {(0, 1): [-0.5j, 0.0]}, hermitize=True)
+    u = modes(5, {(0, 1): [-0.5j, 0.0]}, hermitize=True)
     labels = uniform_labels(5)
     ens = initial_ensemble(labels)
     dt, nsteps = 0.05, 40
     for _ in range(nsteps):
-        ens = lg.advect(ens, sp.evaluate_at(u, ens.positions), u, dt)
+        ens = lg.advect(ens, sp.evaluate_stack_at(u, ens.positions), u, dt)
     t = dt * nsteps
     expected_x = (labels[:, 0] + t * np.sin(labels[:, 1])) % TWO_PI
     assert np.max(np.abs(ens.positions[:, 0] - expected_x)) < 1e-12
@@ -56,8 +56,8 @@ def test_advect_shear_closed_form():
 
 def test_advect_zero_field_static():
     ens = initial_ensemble(uniform_labels(4))
-    zero = sp.SpectralField.zero(3)
-    out = lg.advect(ens, sp.evaluate_at(zero, ens.positions), zero, 0.3)
+    zero = zero_field(3)
+    out = lg.advect(ens, sp.evaluate_stack_at(zero, ens.positions), zero, 0.3)
     assert np.array_equal(out.positions, ens.positions)
 
 
@@ -66,7 +66,7 @@ def test_advect_zero_field_static():
 
 def test_spray_zero_field():
     ens = initial_ensemble(uniform_labels(4))
-    acc = lg.material_acceleration_at(sp.SpectralField.zero(4), ens.positions)
+    acc = lg.material_acceleration_at(zero_field(4), ens.positions)
     assert np.max(np.abs(acc)) == 0.0
 
 
@@ -97,11 +97,12 @@ def test_material_acceleration_is_transport_minus_projected_advection():
     # (u.grad)u from u, d_x u and d_y u evaluated one by one, and
     # Pi[(u.grad)u] from the complex-FFT velocity kernel of test_spectral
     k = sp._wavenumbers(6)
-    val = sp.evaluate_at(u, pts)
-    dudx = sp.evaluate_at(sp.SpectralField(6, 1j * k[:, None] * u.coeffs), pts)
-    dudy = sp.evaluate_at(sp.SpectralField(6, 1j * k[None, :] * u.coeffs), pts)
+    val = sp.evaluate_stack_at(u, pts)
+    dudx = sp.evaluate_stack_at(1j * k[:, None] * u, pts)
+    dudy = sp.evaluate_stack_at(1j * k[None, :] * u, pts)
     transport = val[:, :1] * dudx + val[:, 1:] * dudy
-    ref = transport - sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pts)
+    proj = sp.leray_project(_ref_advection_term(u, 0.0))
+    ref = transport - sp.evaluate_stack_at(proj, pts)
     assert np.max(np.abs(lg.material_acceleration_at(u, pts) - ref)) < 1e-13
 
 
@@ -114,20 +115,21 @@ def test_kicks_at_identity_equal_grid_values():
     spec = build_spectrum(3, 2.0, 1.0)
     w = sample_coefficients(spec, 0.1, 1, derive_stream(3, "k"))[0]
     dW = field_from_coefficients(spec, w)
-    P = dW.M ** 2
-    u = sp.SpectralField.zero(3)
-    labels = uniform_labels(dW.M)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
+    M = dW.shape[-1]
+    P = M ** 2
+    u = zero_field(3)
+    labels = uniform_labels(M)
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
     kicks = problem.diffusion(problem.x0, w)[2 * P:].reshape(P, 2)
-    grid = dW.grid_values().reshape(2, -1).T
+    grid = grid_values(dW).reshape(2, -1).T
     assert np.max(np.abs(kicks - grid)) < 1e-12
 
 
 def test_zero_increment_zero_kicks():
     spec = build_spectrum(3, 2.0, 1.0)
-    u = sp.SpectralField.zero(3)
+    u = zero_field(3)
     labels = uniform_labels(4)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
     assert np.max(np.abs(problem.diffusion(problem.x0, np.zeros(spec.n_modes)))) == 0.0
 
 
@@ -136,14 +138,14 @@ def test_stacked_diffusion_matches_eigenmode_evaluation():
     rng = derive_stream(5, "pos")
     pos = rng.uniform(0, TWO_PI, size=(7, 2))
     u = sp.taylor_green(2, 0.5)
-    problem = lg.make_lagrangian_problem(u, spec, pos, sp.evaluate_at(u, pos))
+    problem = lg.make_lagrangian_problem(u, spec, pos, sp.evaluate_stack_at(u, pos))
     from stoflow.qwiener import eigenmode_field
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
         e[j] = 1.0
         col = problem.diffusion(problem.x0, e)
         assert np.max(np.abs(col[:14])) == 0.0  # position rows silent
-        vals = sp.evaluate_at(eigenmode_field(spec, j), pos)
+        vals = sp.evaluate_stack_at(eigenmode_field(spec, j), pos)
         assert np.max(np.abs(col[14:].reshape(7, 2) - vals)) < 1e-12
 
 
@@ -153,7 +155,7 @@ def test_stratonovich_correction_degenerates():
     spec = build_spectrum(2, 2.0, 1.0)
     u = sp.taylor_green(2, 0.5)
     labels = uniform_labels(4)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_at(u, labels))
+    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
     corr = stratonovich_correction(problem, problem.x0)
     assert np.max(np.abs(corr)) < 1e-8
 
@@ -163,7 +165,7 @@ def test_stratonovich_correction_degenerates():
 
 def test_zero_noise_zero_field_static():
     spec = build_spectrum(3, 2.0, 0.0)
-    res = lg.run_equivalence(sp.SpectralField.zero(3), spec, 0.05, 0.5,
+    res = lg.run_equivalence(zero_field(3), spec, 0.05, 0.5,
                              labels=uniform_labels(4))
     assert res == 0.0
 
@@ -208,34 +210,35 @@ def test_fused_loop_matches_two_pass_reference():
 
     states = run_eulerian(u0, spec, dt, nsteps * dt, scheme="heun",
                           increments=inc).states
-    fields = [sp.SpectralField(N, q) for q in states]
+    fields = list(states)
     x = [labels]
     for j in range(nsteps):
-        k1 = sp.evaluate_at(fields[j], x[j])
-        mid = sp.SpectralField(N, 0.5 * (states[j] + states[j + 1]))
-        x.append(x[j] + dt * sp.evaluate_at(mid, x[j] + 0.5 * dt * k1))
+        k1 = sp.evaluate_stack_at(fields[j], x[j])
+        mid = 0.5 * (states[j] + states[j + 1])
+        x.append(x[j] + dt * sp.evaluate_stack_at(mid, x[j] + 0.5 * dt * k1))
 
     k = sp._wavenumbers(N)
 
     def spray(u, pos):
-        val = sp.evaluate_at(u, pos)
-        dudx = sp.evaluate_at(sp.SpectralField(N, 1j * k[:, None] * u.coeffs), pos)
-        dudy = sp.evaluate_at(sp.SpectralField(N, 1j * k[None, :] * u.coeffs), pos)
-        proj = sp.evaluate_at(sp.leray_project(_ref_advection_term(u, 0.0)), pos)
+        val = sp.evaluate_stack_at(u, pos)
+        dudx = sp.evaluate_stack_at(1j * k[:, None] * u, pos)
+        dudy = sp.evaluate_stack_at(1j * k[None, :] * u, pos)
+        proj = sp.evaluate_stack_at(sp.leray_project(_ref_advection_term(u, 0.0)), pos)
         return val[:, :1] * dudx + val[:, 1:] * dudy - proj
 
     acc = [spray(fields[j], x[j]) for j in range(nsteps + 1)]
-    defect = sp.evaluate_at(fields[-1], x[-1]) - sp.evaluate_at(fields[0], labels)
+    defect = sp.evaluate_stack_at(fields[-1], x[-1]) \
+        - sp.evaluate_stack_at(fields[0], labels)
     for j in range(nsteps):
         defect -= 0.5 * dt * (acc[j] + acc[j + 1])
-        defect -= sp.evaluate_at(field_from_coefficients(spec, inc[j]), x[j])
+        defect -= sp.evaluate_stack_at(field_from_coefficients(spec, inc[j]), x[j])
     ref = np.max(np.linalg.norm(defect, axis=1))
     assert ref > 0.0
     assert abs(res - ref) <= 1e-12 * ref
 
 
 def test_residual_decreases_under_coupled_refinement():
-    u0 = sp.SpectralField.zero(6)
+    u0 = zero_field(6)
     spec = build_spectrum(6, 3.0, 0.5)
     rng = derive_stream(41, "ref")
     levels = 3
