@@ -27,8 +27,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=KINDS, help="experiment kind (must match the config)")
     p.add_argument("--config", required=True, help="path to the key-value config file")
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
-    p.add_argument("--out", default=None, help="output directory (default: config, "
-                                               "then $STOFLOW_OUT)")
+    p.add_argument("--out", default=None, help="output directory (default: $STOFLOW_OUT, "
+                                               "then output.dir of the config)")
     p.add_argument("--threads", type=int, default=1,
                    help="accepted; changes neither results nor speed")
     return p

@@ -17,13 +17,12 @@ divergence-free by construction.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import spectral as sp
-from .qwiener import QWienerSpec, curl_from_coefficients, driving_coefficients
-from .sde import SdeProblem, solve_path
+from .qwiener import QWienerSpec, curl_from_coefficients
+from .sde import SdeProblem, solve_paths
 
 __all__ = [
     "euler_drift",
@@ -90,8 +89,8 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
           * np.sum(np.abs(sp._biot_savart_multiplier(N, float(alpha))) ** 2, axis=0))
     mean_sq = np.sum(np.abs(mean) ** 2)
 
-    def hs_norm(q: np.ndarray) -> float:
-        return float(np.sqrt(mean_sq + np.sum(wq * np.abs(q) ** 2)))
+    def hs_norm(q: np.ndarray) -> np.ndarray:
+        return np.sqrt(mean_sq + np.sum(wq * np.abs(q) ** 2, axis=(-2, -1)))
 
     radius = radius_factor * max(sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX), 1.0)
     return SdeProblem(dim=2 * q0.size, drift=drift, diffusion=diffusion,
@@ -101,59 +100,59 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
 
 @dataclass
 class EulerianPath:
-    """One trajectory of the Eulerian SDE with per-step diagnostics.
+    """A chunk of K trajectories of the Eulerian SDE with per-row diagnostics.
 
-    `states` holds the velocity coefficients rebuilt from q at each grid
-    time, shape (len(times), 2, M, M); a path that left the localization
-    ball stops at its exit time.
+    `q` holds the rows (K, len(times), M, M) and the diagnostics are
+    (K, len(times)); `exit_index` is as in sde.PathResult.
     """
 
     times: np.ndarray
-    states: np.ndarray
-    increments: np.ndarray  # raw noise coordinates per step
+    q: np.ndarray
     energy: np.ndarray      # |u|_{L2}^2
     enstrophy: np.ndarray
     hs_norm: np.ndarray
     div_residual: np.ndarray
-    exited: bool
-    exit_time: Optional[float]
+    exit_index: np.ndarray
+    alpha: float
+    mean: np.ndarray        # the mean flow U of every row
+
+    def velocities(self, index=...) -> np.ndarray:
+        """Velocity coefficients (..., 2, M, M) rebuilt from the rows q[index]."""
+        return _velocity(self.q[index], self.alpha, self.mean)
 
 
-def _path_diagnostics(u: np.ndarray) -> np.ndarray:
-    """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
-    row of a path u (n, 2, M, M), shape (4, n).  Rows go through the norm
-    functions in blocks of about _DIAGNOSTIC_BLOCK_BYTES, which keeps the
+def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
+    """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of the
+    velocity of each row of q (..., M, M), shape (4, ...).  Velocities are
+    rebuilt in blocks of about _DIAGNOSTIC_BLOCK_BYTES, which keeps the
     temporaries small and in cache."""
-    out = np.empty((4, len(u)))
-    step = max(1, _DIAGNOSTIC_BLOCK_BYTES // u[0].nbytes)
-    for i in range(0, len(u), step):
-        b = u[i:i + step]
+    rows = q.reshape((-1,) + q.shape[-2:])
+    out = np.empty((4, len(rows)))
+    step = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * rows[0].nbytes))
+    for i in range(0, len(rows), step):
+        b = _velocity(rows[i:i + step], alpha, mean)
         out[:, i:i + step] = (sp.l2_norm(b) ** 2, sp.enstrophy(b),
                               sp.sobolev_norm(b, LOCALIZATION_SOBOLEV_INDEX),
                               sp.divergence_residual(b))
-    return out
+    return out.reshape((4,) + q.shape[:-2])
 
 
-def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
+def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, increments: np.ndarray,
                  scheme: str = "heun", alpha: float = 0.0,
-                 rng: Optional[np.random.Generator] = None,
-                 increments: Optional[np.ndarray] = None,
                  radius_factor: float = 10.0) -> EulerianPath:
-    """Integrate the potential-vorticity SDE and collect velocity diagnostics.
+    """Integrate K paths of the potential-vorticity SDE from u0 and collect
+    velocity diagnostics.
 
-    `increments` are raw Q-Wiener coordinates, the same for every alpha;
-    when absent they are drawn from `rng`.  The same increments drive both
-    the plain and the averaged model in coupled experiments.
+    `increments` (K, nsteps, n_modes) are raw Q-Wiener coordinates, the
+    same for every alpha, so they drive both the plain and the averaged
+    model in coupled experiments.
     """
-    nsteps = int(round(T / dt))
+    nsteps = increments.shape[1]
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
-    increments = driving_coefficients(spec, dt, nsteps, rng, increments)
-    res = solve_path(problem, scheme, t_grid, increments=increments)
-
-    states = _velocity(res.states, alpha, u0[:, 0, 0])
-    energy, ens, hs, div = _path_diagnostics(states)
-    return EulerianPath(times=res.times, states=states,
-                        increments=increments[: len(res.times) - 1],
-                        energy=energy, enstrophy=ens, hs_norm=hs, div_residual=div,
-                        exited=res.exited, exit_time=res.exit_time)
+    res = solve_paths(problem, scheme, t_grid, increments)
+    mean = np.array(u0[:, 0, 0])
+    energy, ens, hs, div = _path_diagnostics(res.states, alpha, mean)
+    return EulerianPath(times=res.times, q=res.states, energy=energy, enstrophy=ens,
+                        hs_norm=hs, div_residual=div, exit_index=res.exit_index,
+                        alpha=alpha, mean=mean)

@@ -1,8 +1,9 @@
 """Experiment orchestration: dispatch, ensembles, CSV artifacts, manifests.
 
 All floating-point CSV values are written with 17 significant digits so
-reruns are byte-identical; trajectories get their own derived RNG streams
-and run one after another in index order.
+reruns are byte-identical; each trajectory draws its own derived RNG
+stream, and an ensemble runs in index order as chunks of paths stepped
+as one stack, so the bytes do not depend on the chunk size.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from .streams import derive_stream
 __all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean"]
 
 Z_BOUND = 4.0
+_CHUNK_BYTES = 2**21  # q rows (paths x grid times x M^2 x 16 B) stepped as one stack
 
 
 def _fmt(x) -> str:
@@ -81,6 +83,18 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiment kinds
 
+def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
+    """Yields (first path index, EulerianPath) per chunk of about
+    _CHUNK_BYTES of q rows; path i draws derive_stream(cfg.seed, i, "noise")."""
+    nsteps = int(round(cfg.horizon / cfg.dt))
+    size = max(1, _CHUNK_BYTES // ((nsteps + 1) * (2 * cfg.n + 1) ** 2 * 16))
+    for first in range(0, cfg.ensemble, size):
+        inc = [sample_coefficients(spec, cfg.dt, nsteps, derive_stream(cfg.seed, i, "noise"))
+               for i in range(first, min(first + size, cfg.ensemble))]
+        yield first, run_eulerian(u0, spec, cfg.dt, np.stack(inc), scheme=cfg.scheme,
+                                  alpha=cfg.alpha, radius_factor=cfg.radius_factor)
+
+
 def _exit_record(exit_times: list) -> dict:
     """How many paths left the localization ball, and the earliest and mean
     exit times (None when none left)."""
@@ -95,17 +109,16 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
     scale = sp.l2_norm(u0) or 1.0  # a zero field is steady: absolute drift
 
     rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
-    for i in range(cfg.ensemble):
-        rng = derive_stream(cfg.seed, i, "noise")
-        p = run_eulerian(u0, spec, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                         alpha=cfg.alpha, rng=rng, radius_factor=cfg.radius_factor)
-        rows += [(i, j, t, p.energy[j], p.enstrophy[j], p.hs_norm[j], p.div_residual[j])
-                 for j, t in enumerate(p.times)]
+    for first, p in _ensemble(cfg, spec, u0):
+        for k, e in enumerate(p.exit_index):
+            diag = zip(p.times[:e + 1 if e >= 0 else None], p.energy[k], p.enstrophy[k],
+                       p.hs_norm[k], p.div_residual[k])
+            rows += [(first + k, j, *r) for j, r in enumerate(diag)]
         max_div = max(max_div, float(np.max(p.div_residual)))
         if steady:
-            max_drift = max(max_drift, sp.l2_norm(p.states[-1] - u0) / scale)
-        if p.exited:
-            exit_times.append(p.exit_time)
+            drift = sp.l2_norm(p.velocities(np.s_[:, -1]) - u0) / scale
+            max_drift = max(max_drift, float(np.max(drift)))
+        exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
     acceptance = {"divergence_free": max_div < 1e-10}
@@ -227,15 +240,12 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
     u0 = initial_field(cfg)
     e0 = sp.l2_norm(u0) ** 2
 
-    terminal, exit_times, max_div = np.empty(cfg.ensemble), [], 0.0
-    for i in range(cfg.ensemble):
-        rng = derive_stream(cfg.seed, i, "noise")
-        p = run_eulerian(u0, spec, cfg.dt, cfg.horizon, scheme=cfg.scheme,
-                         rng=rng, radius_factor=cfg.radius_factor)
-        terminal[i] = p.energy[-1]
+    terminal, exit_times, max_div = [], [], 0.0
+    for _, p in _ensemble(cfg, spec, u0):
+        terminal += list(p.energy[:, -1])  # a stopped path's last row is its exit row
         max_div = max(max_div, float(np.max(p.div_residual)))
-        if p.exited:
-            exit_times.append(p.exit_time)
+        exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
+    terminal = np.array(terminal)
 
     slopes = (terminal - e0) / cfg.horizon
     slope = float(np.mean(slopes))
@@ -276,8 +286,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
 
     Returns the manifest; `manifest.all_passed` reflects the embedded
     acceptance checks for that experiment kind.  `threads` is accepted
-    and ignored: trajectories run sequentially, because a thread pool
-    was slower than one thread on these small NumPy calls.
+    and ignored: ensembles run as chunks of paths in this thread, because
+    a thread pool was slower than one thread on these small NumPy calls.
     """
     cfg.validate()
     t0 = time.perf_counter()
@@ -318,7 +328,7 @@ def brownian_exit_mean(R: float, dt: float, n_paths: int,
                        rng: np.random.Generator, t_max: float = 50.0) -> float:
     """Mean first grid time |W_t| > R for scalar Brownian paths from 0.
 
-    Batched over paths; exit checked at grid times only, like solve_path.
+    Batched over paths; exit checked at grid times only, like solve_paths.
     The continuum value is R^2.
     """
     x = np.zeros(n_paths)

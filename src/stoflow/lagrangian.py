@@ -24,13 +24,12 @@ Stratonovich-degeneracy check.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
 from . import spectral as sp
 from .eulerian import euler_drift, run_eulerian
-from .qwiener import QWienerSpec, driving_coefficients, field_from_coefficients
+from .qwiener import QWienerSpec, field_from_coefficients
 from .spectral import evaluate_stack_at
 
 __all__ = [
@@ -121,8 +120,8 @@ def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
 
     State layout: [Phi.ravel(), eta.ravel()].  The diffusion is the
     vertical lift: dW kicks the velocity slots by (dW)(Phi(x_i)) and never
-    touches the position slots.  Exposes this structure to the generic SDE
-    machinery, e.g. for the finite-difference Stratonovich-correction check.
+    touches the position slots.  Its drift and diffusion take one state, not
+    a stack: it feeds the Stratonovich-correction check, not solve_paths.
     """
     from .sde import SdeProblem
 
@@ -173,7 +172,7 @@ def equivalence_residual(vals: list, dt: float) -> float:
 
 
 def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
-                    labels: np.ndarray, increments: Optional[np.ndarray] = None,
+                    labels: np.ndarray, increments: np.ndarray,
                     radius_factor: float = 10.0) -> float:
     """Drive the Heun Eulerian path on the increments, advect particles
     along it, return the residual.
@@ -182,19 +181,23 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     as the average of the step's end fields, good to O(dt^2).  The one
     evaluation per step of the spray fields of u_j and of dW_j at Phi_j
     serves both the residual and, through its slot 0, the step's k1.
-    Without increments the noise must be off.  u0 is a (2, M, M) field at
-    the resolution of spec; run_eulerian rejects any other shape.
+    `increments` has one row of noise coordinates per step of dt up to T.
+    u0 is a (2, M, M) field at the resolution of spec; run_eulerian
+    rejects any other shape.
     """
     nsteps = int(round(T / dt))
-    increments = driving_coefficients(spec, dt, nsteps, increments=increments)
-    epath = run_eulerian(u0, spec, dt, T, scheme="heun", increments=increments,
+    if len(increments) != nsteps:
+        raise ValueError(f"{len(increments)} increment rows for the {nsteps} steps "
+                         f"of dt = {dt:.6g} up to T = {T:.6g}")
+    epath = run_eulerian(u0, spec, dt, increments[None], scheme="heun",
                          radius_factor=radius_factor)
-    if epath.exited:
+    if epath.exit_index[0] >= 0:
         raise ValueError(
-            f"the Eulerian path left the localization ball at t = {epath.exit_time:.6g}, "
+            f"the Eulerian path left the localization ball at "
+            f"t = {epath.times[epath.exit_index[0]]:.6g}, "
             f"before the horizon {T:.6g}; the particle flow needs the whole path "
             f"(raise localization.radius_factor)")
-    states = epath.states
+    states = epath.velocities(0)
 
     ens = initial_ensemble(labels)
     vals = []

@@ -23,7 +23,6 @@ __all__ = [
     "QWienerSpec",
     "build_spectrum",
     "sample_coefficients",
-    "driving_coefficients",
     "field_from_coefficients",
     "curl_from_coefficients",
     "eigenmode_field",
@@ -151,23 +150,6 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
     return xi * np.sqrt(spec.mode_variances * dt)
 
 
-def driving_coefficients(spec: QWienerSpec, dt: float, nsteps: int,
-                         rng: np.random.Generator | None = None,
-                         increments: np.ndarray | None = None) -> np.ndarray:
-    """Per-step noise coordinates, shape (nsteps, n_modes).
-
-    The given `increments` when present, else a draw from `rng`, else
-    zeros when the noise is off (trace(Q) = 0).
-    """
-    if increments is not None:
-        return increments
-    if rng is not None:
-        return sample_coefficients(spec, dt, nsteps, rng)
-    if spec.trace == 0.0:
-        return np.zeros((nsteps, spec.n_modes))
-    raise ValueError("need an rng stream or explicit increments")
-
-
 def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
     """The real field sum_j coeffs_j e_j over the unit eigenfields, shape
     (2, M, M).
@@ -193,16 +175,16 @@ def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray
 
 
 def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (M, M) of the scalar curl of field_from_coefficients(spec,
-    coeffs), in closed form: i |k| sqrt(2)/2 (w_cos - i w_sin) at +k and its
-    conjugate at -k, so the output is exactly Hermitian and zero at k = 0.
-    The Eulerian diffusion uses it."""
+    """Coefficients (..., M, M) of the scalar curl of field_from_coefficients
+    of each row (..., n_modes) of coeffs, in closed form: i |k| sqrt(2)/2
+    (w_cos - i w_sin) at +k and its conjugate at -k, so the output is
+    exactly Hermitian and zero at k = 0.  The Eulerian diffusion uses it."""
     M = 2 * spec.N + 1
     _, plus, minus = spec._layout
     w = np.asarray(coeffs, dtype=float)
-    a = spec._curl_factor * (w[0::2] - 1j * w[1::2])
-    c = np.zeros(M * M, dtype=complex)
-    c[plus] = a
-    c[minus] = np.conj(a)
-    return c.reshape(M, M)
+    a = spec._curl_factor * (w[..., 0::2] - 1j * w[..., 1::2])
+    c = np.zeros(w.shape[:-1] + (M * M,), dtype=complex)
+    c[..., plus] = a
+    c[..., minus] = np.conj(a)
+    return c.reshape(w.shape[:-1] + (M, M))
 

@@ -7,7 +7,8 @@ variances (the diagonal of Q in its eigenbasis); an increment over dt has
 coordinate j distributed N(0, lambda_j dt).  The diffusion is given by its
 action: `diffusion(x, dW)` returns the state-space increment sigma(x) dW,
 so sigma never has to exist as a matrix.  States are real or complex
-arrays of any shape; the steppers only add and scale them.
+arrays of any shape; the steppers only add and scale them.  An ensemble is
+one stack of states with a leading path axis (`solve_paths`).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ __all__ = [
     "step_heun_stratonovich",
     "stratonovich_correction",
     "sample_increments",
-    "solve_path",
+    "solve_paths",
     "coarsen_increments",
     "strong_convergence_order",
 ]
@@ -44,12 +45,13 @@ class SdePathError(RuntimeError):
 class SdeProblem:
     """dX = b(t, X) dt + sigma(X) dW on a localization ball U.
 
-    `diffusion(x, dW)` is sigma(x) dW, an array shaped like the state.
-    `dim` counts the real degrees of freedom of the state (a complex entry
-    counts twice); `noise_variances` has one entry per noise coordinate.
-    U is the closed ball of radius `domain_radius` about the origin in the
-    norm `domain_norm` (Euclidean when None); paths are certified only up
-    to the first grid time they leave U.
+    `drift(t, x)`, `diffusion(x, dW)` = sigma(x) dW and `domain_norm(x)`
+    act on a stack x (K, *x0.shape) of paths, dW (K, m); the norm gives one
+    value per path.  `dim` counts the real degrees of freedom of a state (a
+    complex entry counts twice); `noise_variances` has one entry per noise
+    coordinate.  U is the closed ball of radius `domain_radius` about the
+    origin in the norm `domain_norm` (Euclidean when None); paths are
+    certified only up to the first grid time they leave U.
     """
 
     dim: int
@@ -58,28 +60,25 @@ class SdeProblem:
     noise_variances: np.ndarray
     x0: np.ndarray
     domain_radius: float = np.inf
-    domain_norm: Optional[Callable[[np.ndarray], float]] = None
+    domain_norm: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
-    def outside(self, x: np.ndarray) -> bool:
-        """Whether the state x lies outside U."""
-        norm = self.domain_norm if self.domain_norm is not None else np.linalg.norm
-        return float(norm(x)) > self.domain_radius
+    def outside(self, x: np.ndarray) -> np.ndarray:
+        """Whether each state of the stack x (K, *x0.shape) lies outside U,
+        one bool per path."""
+        if self.domain_norm is not None:
+            return self.domain_norm(x) > self.domain_radius
+        return np.linalg.norm(x.reshape(len(x), -1), axis=1) > self.domain_radius
 
 
 @dataclass
 class PathResult:
-    """Time grid and states up to (and including) the exit-time state;
-    `states` has one row per grid time, shape (len(times), *x0.shape)."""
+    """`states` (K, len(times), *x0.shape) and `exit_index` (K,), the row at
+    which each path first left U or -1; the rows after a path's exit row
+    repeat its exit state (the stopped path), so states[:, -1] is X(tau^T)."""
 
     times: np.ndarray
     states: np.ndarray
-    exited: bool
-    exit_time: Optional[float]
-    exit_index: Optional[int]
-
-    @property
-    def terminal(self) -> np.ndarray:
-        return self.states[-1]
+    exit_index: np.ndarray
 
 
 def step_euler_maruyama(problem: SdeProblem, t: float, x: np.ndarray,
@@ -140,52 +139,58 @@ def stratonovich_correction(problem: SdeProblem, x: np.ndarray,
 
 
 def sample_increments(problem: SdeProblem, t_grid: np.ndarray,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Gaussian increments dW for each step of the grid, shape (nsteps, m)."""
+                      rng: np.random.Generator, n_paths: int) -> np.ndarray:
+    """Gaussian increments dW (n_paths, nsteps, m) on the grid, drawn path by path."""
     dts = np.diff(t_grid)
     lam = np.asarray(problem.noise_variances, dtype=float)
-    xi = rng.standard_normal((len(dts), len(lam)))
+    xi = rng.standard_normal((n_paths, len(dts), len(lam)))
     return xi * np.sqrt(lam[None, :] * dts[:, None])
 
 
-def solve_path(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
-               increments: np.ndarray) -> PathResult:
-    """Integrate on the grid until the end or the first exit from U.
+def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
+                increments: np.ndarray) -> PathResult:
+    """Integrate K paths from problem.x0, one per row of `increments`
+    (K, nsteps, m), each until the end of the grid or its first exit from U.
 
-    The output is a pure function of (problem, scheme, grid, increments).
+    Only live paths are stepped, so an exited path never raises
+    SdePathError.  Each path's rows are a pure function of (problem,
+    scheme, grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
     nsteps = len(t_grid) - 1
-    x = np.array(problem.x0, dtype=np.result_type(problem.x0, float))
-
-    if problem.outside(x):
-        raise ValueError("initial state outside the localization domain U")
-    if increments.shape[0] != nsteps:
+    if increments.ndim != 3 or increments.shape[1] != nsteps:
         raise ValueError("increment array does not match the time grid")
+    x0 = np.asarray(problem.x0)
+    states = np.empty((len(increments), nsteps + 1) + x0.shape,
+                      dtype=np.result_type(x0, float))
+    states[:, 0] = x0
+    if problem.outside(states[:1, 0])[0]:
+        raise ValueError("initial state outside the localization domain U")
 
-    states = np.empty((nsteps + 1,) + x.shape, dtype=x.dtype)
-    states[0] = x
+    exit_index = np.full(len(increments), -1)
+    live = np.arange(len(increments))
     for i in range(nsteps):
+        states[:, i + 1] = states[:, i]
+        if len(live) == 0:
+            continue
         dt = t_grid[i + 1] - t_grid[i]
-        x = stepper(problem, t_grid[i], x, increments[i], dt)
+        x = stepper(problem, t_grid[i], states[live, i], increments[live, i], dt)
         if not np.all(np.isfinite(x)):
             raise SdePathError(i, float(t_grid[i + 1]))
-        states[i + 1] = x
-        if problem.outside(x):
-            return PathResult(times=t_grid[: i + 2], states=states[: i + 2],
-                              exited=True, exit_time=float(t_grid[i + 1]),
-                              exit_index=i + 1)
-    return PathResult(times=t_grid, states=states, exited=False,
-                      exit_time=None, exit_index=None)
+        states[live, i + 1] = x
+        out = problem.outside(x)
+        exit_index[live[out]] = i + 1
+        live = live[~out]
+    return PathResult(times=t_grid, states=states, exit_index=exit_index)
 
 
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
-    """Sum blocks of `factor` fine increments into coarse ones."""
-    n = increments.shape[0]
+    """Sum blocks of `factor` fine increments (..., n, m) into coarse ones."""
+    *lead, n, m = increments.shape
     if n % factor != 0:
         raise ValueError("increment count not divisible by coarsening factor")
-    return increments.reshape(n // factor, factor, -1).sum(axis=1)
+    return increments.reshape(*lead, n // factor, factor, m).sum(axis=-2)
 
 
 def strong_convergence_order(problem: SdeProblem, scheme: str, T: float,
@@ -196,8 +201,9 @@ def strong_convergence_order(problem: SdeProblem, scheme: str, T: float,
 
     `steps` must be >= 3 step counts in increasing geometric progression;
     coarse increments are block sums of the finest ones so all levels share
-    one driving path.  The reference at time T is `exact(W_T)` when given,
-    otherwise the finest-grid solution.  Returns (order, dts, rms_errors).
+    one driving path; each level is one stack of the n_paths paths.  The
+    reference at time T is `exact(W_T)` of the W_T rows (n_paths, m) when
+    given, otherwise the finest-grid solution.  Returns (order, dts, rms).
     """
     steps = sorted(int(n) for n in steps)
     if len(steps) < 3:
@@ -208,19 +214,18 @@ def strong_convergence_order(problem: SdeProblem, scheme: str, T: float,
             raise ValueError("step counts must divide the finest count")
 
     compare = steps if exact is not None else steps[:-1]
+    grid_f = np.linspace(0.0, T, finest + 1)
+    inc_f = sample_increments(problem, grid_f, rng, n_paths)
+    if exact is not None:
+        ref = exact(inc_f.sum(axis=1))
+    else:
+        ref = solve_paths(problem, scheme, grid_f, inc_f).states[:, -1]
+    sols = [solve_paths(problem, scheme, np.linspace(0.0, T, n + 1),
+                        coarsen_increments(inc_f, finest // n)).states[:, -1]
+            for n in compare]
     errs = np.zeros(len(compare))
-    for _ in range(n_paths):
-        grid_f = np.linspace(0.0, T, finest + 1)
-        inc_f = sample_increments(problem, grid_f, rng)
-        if exact is not None:
-            ref = exact(inc_f.sum(axis=0))
-        else:
-            ref = solve_path(problem, scheme, grid_f, increments=inc_f).terminal
-        for i, n in enumerate(compare):
-            grid = np.linspace(0.0, T, n + 1)
-            inc = coarsen_increments(inc_f, finest // n)
-            sol = solve_path(problem, scheme, grid, increments=inc).terminal
-            errs[i] += np.sum((sol - ref) ** 2)
+    for k in range(n_paths):  # path by path, the summation order of the rms
+        errs += [np.sum((sol[k] - ref[k]) ** 2) for sol in sols]
     rms = np.sqrt(errs / n_paths)
     if np.any(rms == 0.0):
         raise ValueError("degenerate (zero) strong errors; cannot fit an order")

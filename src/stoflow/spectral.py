@@ -214,16 +214,17 @@ def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
 
 
 def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Coefficients (M, M) of u . grad q, Galerkin-truncated to |k| <= N, for
-    a real scalar q (M, M) carried by a real velocity u (2, M, M).
+    """Coefficients (..., M, M) of u . grad q, Galerkin-truncated to |k| <= N,
+    for real scalars q (..., M, M) carried by real velocities u (..., 2, M, M).
 
     The one dealiased quadratic kernel: the stack (u_x, u_y, d_x q, d_y q)
-    takes one inverse transform and the product one forward transform.
+    on axis -3 takes one inverse transform and the product one forward one.
     """
     N = _resolution(q)
     kx, ky, _ = _k_grids(N)
-    g = _to_grid(np.stack([u[0], u[1], 1j * kx * q, 1j * ky * q]), N)
-    return _from_grid(g[0] * g[2] + g[1] * g[3], N)
+    g = _to_grid(np.stack([u[..., 0, :, :], u[..., 1, :, :], 1j * kx * q, 1j * ky * q],
+                          axis=-3), N)
+    return _from_grid(g[..., 0, :, :] * g[..., 2, :, :] + g[..., 1, :, :] * g[..., 3, :, :], N)
 
 
 # ---------------------------------------------------------------------------

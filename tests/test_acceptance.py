@@ -17,7 +17,7 @@ from stoflow.config import ExperimentConfig
 from stoflow.experiments import brownian_exit_mean, run_experiment
 from stoflow.lagrangian import uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
-from stoflow.sde import SdeProblem, solve_path, stratonovich_correction, \
+from stoflow.sde import SdeProblem, solve_paths, stratonovich_correction, \
     strong_convergence_order
 from stoflow.streams import derive_stream
 
@@ -32,9 +32,9 @@ def test_taylor_green_steadiness():
     u0 = sp.taylor_green(16)
     spec = build_spectrum(16, 2.0, 0.0)
     t0 = time.perf_counter()
-    path = eu.run_eulerian(u0, spec, 1e-3, 1.0, scheme="heun")
+    path = eu.run_eulerian(u0, spec, 1e-3, np.zeros((1, 1000, spec.n_modes)), scheme="heun")
     wall = time.perf_counter() - t0
-    rel = sp.l2_norm(path.states[-1] - u0) / sp.l2_norm(u0)
+    rel = sp.l2_norm(path.velocities(np.s_[0, -1]) - u0) / sp.l2_norm(u0)
     print(f"steadiness: rel drift {rel:.3e}, wall {wall:.2f}s")
     assert rel < 1e-8
     assert wall < 10.0
@@ -47,14 +47,13 @@ def test_divergence_free_fields_everywhere():
     # deterministic and stochastic alike
     worst = 0.0
     spec0 = build_spectrum(8, 2.0, 0.0)
-    path = eu.run_eulerian(sp.taylor_green(8), spec0, 0.01, 0.5)
+    path = eu.run_eulerian(sp.taylor_green(8), spec0, 0.01, np.zeros((1, 50, spec0.n_modes)))
     worst = max(worst, float(np.max(path.div_residual)))
     spec1 = build_spectrum(8, 3.0, 0.5)
-    for i in range(4):
-        rng = derive_stream(2024, i, "noise")
-        p = eu.run_eulerian(np.zeros((2, 17, 17), dtype=complex), spec1, 0.01, 0.5,
-                            rng=rng)
-        worst = max(worst, float(np.max(p.div_residual)))
+    inc = np.stack([sample_coefficients(spec1, 0.01, 50, derive_stream(2024, i, "noise"))
+                    for i in range(4)])
+    p = eu.run_eulerian(np.zeros((2, 17, 17), dtype=complex), spec1, 0.01, inc)
+    worst = max(worst, float(np.max(p.div_residual)))
     print(f"max divergence residual {worst:.3e}")
     assert worst < 1e-10
 
@@ -128,7 +127,8 @@ def test_equivalence_residual_deterministic_taylor_green():
     # zero noise, Taylor-Green at N=16, dt=1e-3, T=0.5: residual < 1e-6
     u0 = sp.taylor_green(16)
     spec = build_spectrum(16, 2.0, 0.0)
-    res = lg.run_equivalence(u0, spec, 1e-3, 0.5, labels=uniform_labels(6))
+    res = lg.run_equivalence(u0, spec, 1e-3, 0.5, labels=uniform_labels(6),
+                             increments=np.zeros((500, spec.n_modes)))
     print(f"deterministic equivalence residual {res:.3e}")
     assert res < 1e-6
 
@@ -159,10 +159,10 @@ def test_heun_em_coupled_difference_linear_in_dt():
     for nsteps in (10, 20, 40, 80):
         dt = T / nsteps
         inc = fine.reshape(nsteps, finest // nsteps, -1).sum(axis=1)
-        a = eu.run_eulerian(u0, spec, dt, T, scheme="heun", increments=inc)
-        b = eu.run_eulerian(u0, spec, dt, T, scheme="euler-maruyama",
-                            increments=inc)
-        consts.append(sp.l2_norm(a.states[-1] - b.states[-1]) / dt)
+        a = eu.run_eulerian(u0, spec, dt, inc[None], scheme="heun")
+        b = eu.run_eulerian(u0, spec, dt, inc[None], scheme="euler-maruyama")
+        consts.append(sp.l2_norm(a.velocities(np.s_[0, -1]) - b.velocities(np.s_[0, -1]))
+                      / dt)
     print(f"difference/dt constants {['%.4f' % c for c in consts]}")
     assert max(consts) < 4.0 * min(consts)
 
@@ -200,10 +200,9 @@ def test_exit_time_deterministic_crossing():
                    noise_variances=np.array([1.0]), x0=np.zeros(1),
                    domain_radius=1.0)
     grid = np.arange(0.0, 2.0 + dt / 2, dt)
-    res = solve_path(p, "euler-maruyama", grid,
-                     increments=np.zeros((len(grid) - 1, 1)))
-    assert res.exited
-    assert abs(res.exit_time - 1.0) <= dt + 1e-12
+    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, len(grid) - 1, 1)))
+    assert res.exit_index[0] >= 0
+    assert abs(res.times[res.exit_index[0]] - 1.0) <= dt + 1e-12
 
 
 def test_exit_time_brownian_mean():
@@ -224,9 +223,9 @@ def test_alpha_zero_bitwise_identical(tmp_path):
     spec = build_spectrum(6, 3.0, 0.5)
     u0 = sp.taylor_green(6, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(66, "bits"))
-    a = eu.run_eulerian(u0, spec, 0.01, 0.2, alpha=0.0, increments=inc)
-    b = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
-    assert np.array_equal(a.states[-1], b.states[-1])
+    a = eu.run_eulerian(u0, spec, 0.01, inc[None], alpha=0.0)
+    b = eu.run_eulerian(u0, spec, 0.01, inc[None])
+    assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.energy, b.energy)
 
     common = dict(n=6, dt=0.01, horizon=0.1, gamma=3.0, c=0.5, seed=42,

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from stoflow import experiments
 from stoflow.cli import main
 from stoflow.config import ConfigError, ExperimentConfig, parse_config_text
 from stoflow.experiments import run_experiment
@@ -164,6 +165,23 @@ def test_manifest_reports_exits(tmp_path):
         "count": 0, "min_time": None, "mean_time": None}
     run_experiment(base_cfg(kind="isometry", n=2, c=1.0), out_dir=tmp_path / "iso")
     assert json.loads((tmp_path / "iso" / "manifest.json").read_text())["exits"] is None
+
+
+def test_chunk_size_does_not_change_output(tmp_path, monkeypatch):
+    # some of the six paths leave the ball and some do not; one path per
+    # chunk gives the same bytes and exits as the default chunks
+    cfg = base_cfg(kind="energy-growth", init_kind="zero", c=0.5, horizon=0.2,
+                   ensemble=6, radius_factor=1.0)
+    run_experiment(cfg, out_dir=tmp_path / "default")
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+    run_experiment(cfg, out_dir=tmp_path / "one")
+    exits = [json.loads((tmp_path / d / "manifest.json").read_text())["exits"]
+             for d in ("default", "one")]
+    assert 0 < exits[0]["count"] < 6
+    assert exits[1] == exits[0]
+    for name in ("energy.csv", "energy_summary.csv"):
+        assert (tmp_path / "one" / name).read_bytes() == \
+            (tmp_path / "default" / name).read_bytes()
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -362,3 +380,17 @@ def test_cli_env_var_default_out(tmp_path, monkeypatch):
     monkeypatch.setenv("STOFLOW_OUT", str(target))
     assert main(["simulate-euler", "--config", path]) == 0
     assert (target / "manifest.json").exists()
+
+
+def test_cli_out_precedence(tmp_path, monkeypatch):
+    # --out beats $STOFLOW_OUT, which beats output.dir of the config
+    dirs = {k: tmp_path / k for k in ("config", "env", "flag")}
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 4\ntime.horizon = 0.05\n"
+                               f"output.dir = {dirs['config']}\n")
+    monkeypatch.delenv("STOFLOW_OUT", raising=False)
+    runs = [("config", []), ("env", []), ("flag", ["--out", str(dirs["flag"])])]
+    for i, (expected, extra) in enumerate(runs):
+        if i == 1:
+            monkeypatch.setenv("STOFLOW_OUT", str(dirs["env"]))
+        assert main(["simulate-euler", "--config", path] + extra) == 0
+        assert [k for k, d in dirs.items() if d.exists()] == [k for k, _ in runs[:i + 1]]

@@ -138,7 +138,7 @@ def test_resolution_mismatch_rejected():
     labels = uniform_labels(3)
     for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
         for call in (lambda: eu.make_eulerian_problem(u0, spec),
-                     lambda: eu.run_eulerian(u0, spec, 0.01, 0.02, increments=inc),
+                     lambda: eu.run_eulerian(u0, spec, 0.01, inc[None]),
                      lambda: run_equivalence(u0, spec, 0.01, 0.02, labels, inc)):
             with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
                 call()
@@ -149,18 +149,18 @@ def test_resolution_mismatch_rejected():
 
 def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
-    path = eu.run_eulerian(zero_field(4), spec, 0.01, 0.1)
+    path = eu.run_eulerian(zero_field(4), spec, 0.01, np.zeros((1, 10, spec.n_modes)))
     assert np.max(path.energy) == 0.0
-    assert np.max(np.abs(path.states)) == 0.0
+    assert np.max(np.abs(path.velocities())) == 0.0
 
 
 def test_taylor_green_steady_short_run():
     u0 = sp.taylor_green(8)
     spec = build_spectrum(8, 2.0, 0.0)
-    path = eu.run_eulerian(u0, spec, 1e-3, 0.2)
-    rel = sp.l2_norm(path.states[-1] - u0) / sp.l2_norm(u0)
+    path = eu.run_eulerian(u0, spec, 1e-3, np.zeros((1, 200, spec.n_modes)))
+    rel = sp.l2_norm(path.velocities(np.s_[0, -1]) - u0) / sp.l2_norm(u0)
     assert rel < 1e-10
-    assert not path.exited
+    assert path.exit_index[0] == -1
 
 
 def test_path_keeps_mean_flow():
@@ -168,26 +168,27 @@ def test_path_keeps_mean_flow():
     U = [0.4, -0.1]
     u0 = modes(4, {(0, 0): U}) + sp.taylor_green(4, 0.5)
     spec = build_spectrum(4, 3.0, 0.5)
-    path = eu.run_eulerian(u0, spec, 0.01, 0.2, rng=derive_stream(23, "mean"))
-    assert np.array_equal(path.states[:, :, 0, 0], np.broadcast_to(U, (21, 2)))
-    assert np.max(np.abs(path.states[0] - u0)) < 1e-15
+    inc = sample_coefficients(spec, 0.01, 20, derive_stream(23, "mean"))
+    u = eu.run_eulerian(u0, spec, 0.01, inc[None]).velocities(0)
+    assert np.array_equal(u[:, :, 0, 0], np.broadcast_to(U, (21, 2)))
+    assert np.max(np.abs(u[0] - u0)) < 1e-15
 
 
 def test_stochastic_path_divergence_free():
     spec = build_spectrum(6, 3.0, 0.5)
-    rng = derive_stream(11, "noise")
-    path = eu.run_eulerian(zero_field(6), spec, 0.01, 0.2, rng=rng)
+    inc = sample_coefficients(spec, 0.01, 20, derive_stream(11, "noise"))
+    path = eu.run_eulerian(zero_field(6), spec, 0.01, inc[None])
     assert np.max(path.div_residual) < 1e-10
-    assert path.states.shape == (len(path.times), 2, 13, 13)
+    assert path.velocities().shape == (1, len(path.times), 2, 13, 13)
 
 
 def test_path_reproducible_from_increments():
     spec = build_spectrum(4, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(13, "rep"))
     u0 = sp.taylor_green(4, 0.5)
-    a = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
-    b = eu.run_eulerian(u0, spec, 0.01, 0.2, increments=inc)
-    assert np.array_equal(a.states[-1], b.states[-1])
+    a = eu.run_eulerian(u0, spec, 0.01, inc[None])
+    b = eu.run_eulerian(u0, spec, 0.01, inc[None])
+    assert np.array_equal(a.q, b.q)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -209,13 +210,14 @@ def test_path_diagnostics_match_per_field_functions():
     N = 16
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.random_divergence_free(N, np.random.default_rng(5))
-    path = eu.run_eulerian(u0, spec, 0.01, 0.1, alpha=0.3, rng=derive_stream(29, "diag"))
-    assert eu._DIAGNOSTIC_BLOCK_BYTES // path.states[0].nbytes < len(path.states)
-    fields = list(path.states)
-    assert np.array_equal(path.energy, [sp.l2_norm(f) ** 2 for f in fields])
-    assert np.array_equal(path.enstrophy, [sp.enstrophy(f) for f in fields])
-    assert np.array_equal(path.hs_norm, [sp.sobolev_norm(f, 2) for f in fields])
-    assert np.array_equal(path.div_residual, [sp.divergence_residual(f) for f in fields])
+    inc = sample_coefficients(spec, 0.01, 10, derive_stream(29, "diag"))
+    path = eu.run_eulerian(u0, spec, 0.01, inc[None], alpha=0.3)
+    fields = list(path.velocities(0))
+    assert eu._DIAGNOSTIC_BLOCK_BYTES // fields[0].nbytes < len(fields)
+    assert np.array_equal(path.energy[0], [sp.l2_norm(f) ** 2 for f in fields])
+    assert np.array_equal(path.enstrophy[0], [sp.enstrophy(f) for f in fields])
+    assert np.array_equal(path.hs_norm[0], [sp.sobolev_norm(f, 2) for f in fields])
+    assert np.array_equal(path.div_residual[0], [sp.divergence_residual(f) for f in fields])
 
 
 def test_heun_vs_em_coupled_difference_order_dt():
@@ -228,10 +230,9 @@ def test_heun_vs_em_coupled_difference_order_dt():
         dt = 0.2 / nsteps
         fine = sample_coefficients(spec, 0.2 / 40, 40, derive_stream(17, "cpl"))
         inc = fine.reshape(nsteps, 40 // nsteps, -1).sum(axis=1)
-        a = eu.run_eulerian(u0, spec, dt, 0.2, scheme="heun", increments=inc)
-        b = eu.run_eulerian(u0, spec, dt, 0.2, scheme="euler-maruyama",
-                            increments=inc)
-        diff = sp.l2_norm(a.states[-1] - b.states[-1])
+        a = eu.run_eulerian(u0, spec, dt, inc[None], scheme="heun")
+        b = eu.run_eulerian(u0, spec, dt, inc[None], scheme="euler-maruyama")
+        diff = sp.l2_norm(a.velocities(np.s_[0, -1]) - b.velocities(np.s_[0, -1]))
         consts.append(diff / dt)
     assert max(consts) < 4.0 * max(min(consts), 1e-12)
 

@@ -2,6 +2,7 @@
 vertically lifted noise, and the equivalence residual."""
 
 import numpy as np
+import pytest
 
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
@@ -165,8 +166,8 @@ def test_stratonovich_correction_degenerates():
 
 def test_zero_noise_zero_field_static():
     spec = build_spectrum(3, 2.0, 0.0)
-    res = lg.run_equivalence(zero_field(3), spec, 0.05, 0.5,
-                             labels=uniform_labels(4))
+    res = lg.run_equivalence(zero_field(3), spec, 0.05, 0.5, labels=uniform_labels(4),
+                             increments=np.zeros((10, spec.n_modes)))
     assert res == 0.0
 
 
@@ -182,7 +183,8 @@ def test_residual_zero_horizon():
 def test_residual_deterministic_taylor_green_small():
     u0 = sp.taylor_green(8)
     spec = build_spectrum(8, 2.0, 0.0)
-    res = lg.run_equivalence(u0, spec, 2e-3, 0.2, labels=uniform_labels(6))
+    res = lg.run_equivalence(u0, spec, 2e-3, 0.2, labels=uniform_labels(6),
+                             increments=np.zeros((100, spec.n_modes)))
     assert res < 1e-6
 
 
@@ -208,8 +210,7 @@ def test_fused_loop_matches_two_pass_reference():
     labels = uniform_labels(5)
     res = lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
 
-    states = run_eulerian(u0, spec, dt, nsteps * dt, scheme="heun",
-                          increments=inc).states
+    states = run_eulerian(u0, spec, dt, inc[None], scheme="heun").velocities(0)
     fields = list(states)
     x = [labels]
     for j in range(nsteps):
@@ -235,6 +236,17 @@ def test_fused_loop_matches_two_pass_reference():
     ref = np.max(np.linalg.norm(defect, axis=1))
     assert ref > 0.0
     assert abs(res - ref) <= 1e-12 * ref
+
+
+def test_increment_rows_must_match_steps():
+    # T = 0.1 at dt = 0.01 is 10 steps: 9 or 11 rows are rejected, naming
+    # both counts
+    spec = build_spectrum(4, 3.0, 0.5)
+    u0 = sp.taylor_green(4, 0.5)
+    for n in (9, 11):
+        inc = np.zeros((n, spec.n_modes))
+        with pytest.raises(ValueError, match=f"{n} increment rows for the 10 steps"):
+            lg.run_equivalence(u0, spec, 0.01, 0.1, labels=uniform_labels(3), increments=inc)
 
 
 def test_residual_decreases_under_coupled_refinement():

@@ -177,6 +177,16 @@ def test_curl_from_coefficients_is_curl_of_field(N):
     assert got[0, 0] == 0.0
 
 
+def test_curl_from_coefficients_takes_rows():
+    spec = build_spectrum(4, 2.0, 1.0)
+    w = derive_stream(4, "rows").standard_normal((2, 3, spec.n_modes))
+    got = qw.curl_from_coefficients(spec, w)
+    assert got.shape == (2, 3, 9, 9)
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], qw.curl_from_coefficients(spec, w[i, j]))
+
+
 def test_sample_rejects_bad_dt():
     spec = build_spectrum(2, 2.0, 1.0)
     with pytest.raises(ValueError):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stoflow import sde
-from stoflow.sde import SdeProblem, solve_path
+from stoflow.sde import SdeProblem, solve_paths
 from stoflow.streams import derive_stream
 
 
@@ -34,10 +34,10 @@ def test_terminal_state_telescopes_noise():
     # b = 0, sigma = 1: terminal state is exactly the sum of increments
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW, x0=0.0)
     grid = np.linspace(0.0, 1.0, 33)
-    inc = sde.sample_increments(p, grid, derive_stream(4, "tel"))
+    inc = sde.sample_increments(p, grid, derive_stream(4, "tel"), 1)
     for scheme in ("euler-maruyama", "heun"):
-        res = solve_path(p, scheme, grid, increments=inc)
-        assert abs(res.terminal[0] - inc.sum()) < 1e-14
+        res = solve_paths(p, scheme, grid, inc)
+        assert abs(res.states[0, -1, 0] - inc.sum()) < 1e-14
 
 
 def test_heun_equals_em_for_constant_sigma():
@@ -92,13 +92,10 @@ def test_ito_stratonovich_consistency():
     diffs = []
     for nsteps in (32, 64, 128, 256):
         grid = np.linspace(0.0, 1.0, nsteps + 1)
-        err = 0.0
-        for _ in range(200):
-            inc = sde.sample_increments(strat, grid, rng)
-            a = solve_path(strat, "heun", grid, increments=inc).terminal
-            b = solve_path(ito, "euler-maruyama", grid, increments=inc).terminal
-            err += (a[0] - b[0]) ** 2
-        diffs.append(np.sqrt(err / 200))
+        inc = sde.sample_increments(strat, grid, rng, 200)
+        a = solve_paths(strat, "heun", grid, inc).states[:, -1]
+        b = solve_paths(ito, "euler-maruyama", grid, inc).states[:, -1]
+        diffs.append(np.sqrt(np.sum((a - b) ** 2) / 200))
     assert diffs[-1] < diffs[0]
     assert diffs[-1] < 0.5 * diffs[0]
 
@@ -112,17 +109,14 @@ def test_ito_formula_residual_refines():
     for nsteps in (16, 64, 256):
         grid = np.linspace(0.0, 1.0, nsteps + 1)
         dt = 1.0 / nsteps
-        acc = 0.0
-        for _ in range(200):
-            inc = sde.sample_increments(p, grid, rng)
-            path = solve_path(p, "euler-maruyama", grid, increments=inc)
-            x = path.states[:-1, 0]
-            xT = path.terminal[0]
-            # Df.b = -2x^2, (1/2)tr(D2f sQs*) = 1, Df.s dW = 2x dW
-            r = xT**2 - 1.0 - np.sum((-2.0 * x**2 + 1.0) * dt) \
-                - np.sum(2.0 * x * inc[:, 0])
-            acc += r**2
-        resids.append(np.sqrt(acc / 200))
+        inc = sde.sample_increments(p, grid, rng, 200)
+        path = solve_paths(p, "euler-maruyama", grid, inc)
+        x = path.states[:, :-1, 0]
+        xT = path.states[:, -1, 0]
+        # Df.b = -2x^2, (1/2)tr(D2f sQs*) = 1, Df.s dW = 2x dW
+        r = xT**2 - 1.0 - np.sum((-2.0 * x**2 + 1.0) * dt, axis=1) \
+            - np.sum(2.0 * x * inc[:, :, 0], axis=1)
+        resids.append(np.sqrt(np.sum(r**2) / 200))
     assert resids[2] < resids[1] < resids[0]
 
 
@@ -134,48 +128,48 @@ def test_deterministic_exit_within_one_step():
                        x0=0.0, domain_radius=1.0)
     dt = 0.01
     grid = np.linspace(0.0, 2.0, 201)
-    res = solve_path(p, "euler-maruyama", grid,
-                     increments=np.zeros((200, 1)))
-    assert res.exited
-    assert abs(res.exit_time - 1.0) <= dt + 1e-12
-    assert len(res.states) == res.exit_index + 1
+    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, 200, 1)))
+    e = res.exit_index[0]
+    assert e >= 0
+    assert abs(res.times[e] - 1.0) <= dt + 1e-12
+    # the stopped path: every row after the exit row repeats the exit state
+    assert np.all(res.states[0, e:] == res.states[0, e])
+    assert np.all(res.states[0, :e, 0] <= 1.0)
 
 
 def test_static_path_never_exits():
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
     grid = np.linspace(0.0, 5.0, 51)
-    res = solve_path(p, "heun", grid, increments=np.zeros((50, 1)))
-    assert not res.exited
-    assert res.exit_time is None
-    assert len(res.states) == 51
+    res = solve_paths(p, "heun", grid, np.zeros((1, 50, 1)))
+    assert res.exit_index[0] == -1
+    assert res.states.shape == (1, 51, 1)
 
 
 def test_exit_monotone_under_domain_inclusion():
     rng = derive_stream(23, "mono")
     grid = np.linspace(0.0, 20.0, 2001)
-    for _ in range(10):
-        small = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
-                               x0=0.0, domain_radius=1.0)
-        big = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
-                             x0=0.0, domain_radius=2.0)
-        inc = sde.sample_increments(small, grid, rng)
-        rs = solve_path(small, "euler-maruyama", grid, increments=inc)
-        rb = solve_path(big, "euler-maruyama", grid, increments=inc)
-        ts = rs.exit_time if rs.exited else np.inf
-        tb = rb.exit_time if rb.exited else np.inf
+    small = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
+                           x0=0.0, domain_radius=1.0)
+    big = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
+                         x0=0.0, domain_radius=2.0)
+    inc = sde.sample_increments(small, grid, rng, 10)
+    rs = solve_paths(small, "euler-maruyama", grid, inc)
+    rb = solve_paths(big, "euler-maruyama", grid, inc)
+    for es, eb, xs, xb in zip(rs.exit_index, rb.exit_index, rs.states, rb.states):
+        ts = grid[es] if es >= 0 else np.inf
+        tb = grid[eb] if eb >= 0 else np.inf
         assert tb >= ts
         # paths agree up to the smaller domain's exit
-        n = len(rs.states)
-        assert np.array_equal(rb.states[:n], rs.states[:n]) or rb.exited
+        n = es + 1 if es >= 0 else len(grid)
+        assert np.array_equal(xb[:n], xs[:n])
 
 
 def test_initial_state_outside_domain_rejected():
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                        x0=3.0, domain_radius=1.0)
     with pytest.raises(ValueError):
-        solve_path(p, "heun", np.linspace(0, 1, 11),
-                   increments=np.zeros((10, 1)))
+        solve_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((1, 10, 1)))
 
 
 def test_custom_domain_norm():
@@ -183,19 +177,42 @@ def test_custom_domain_norm():
                    diffusion=lambda x, dW: np.zeros(2),
                    noise_variances=np.array([1.0]),
                    x0=np.zeros(2), domain_radius=1.0,
-                   domain_norm=lambda v: 2.0 * np.abs(v[0]))
+                   domain_norm=lambda v: 2.0 * np.abs(v[:, 0]))
     grid = np.linspace(0.0, 1.0, 101)
-    res = solve_path(p, "euler-maruyama", grid, increments=np.zeros((100, 1)))
-    assert res.exited
-    assert abs(res.exit_time - 0.51) < 1e-12
+    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, 100, 1)))
+    assert abs(res.times[res.exit_index[0]] - 0.51) < 1e-12
 
 
 def test_nonfinite_state_aborts():
     p = scalar_problem(lambda t, x: np.full(1, np.nan), lambda x, dW: np.zeros(1))
     with pytest.raises(sde.SdePathError) as exc:
-        solve_path(p, "euler-maruyama", np.linspace(0, 10, 101),
-                   increments=np.zeros((100, 1)))
+        solve_paths(p, "euler-maruyama", np.linspace(0, 10, 101), np.zeros((1, 100, 1)))
     assert exc.value.step == 0
+
+
+def test_paths_exit_on_their_own():
+    # three paths in one stack: path 0 is kicked out of U at row 7, where
+    # the drift turns NaN; exited paths are never stepped again, so no
+    # SdePathError, and each live path's rows equal its solo solve
+    p = scalar_problem(lambda t, x: np.where(np.abs(x) > 1.0, np.nan, -x),
+                       lambda x, dW: dW, x0=0.2, domain_radius=1.0)
+    grid = np.linspace(0.0, 0.2, 21)
+    inc = 0.01 * derive_stream(41, "own").standard_normal((3, 20, 1))
+    inc[0, 6] = 2.0
+    res = solve_paths(p, "euler-maruyama", grid, inc)
+    assert res.exit_index.tolist() == [7, -1, -1]
+    assert np.all(res.states[0, 7:] == res.states[0, 7])
+    for k in (1, 2):
+        solo = solve_paths(p, "euler-maruyama", grid, inc[k:k + 1])
+        assert solo.exit_index[0] == -1
+        assert np.array_equal(res.states[k], solo.states[0])
+
+
+def test_increments_must_match_grid():
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
+    for bad in (np.zeros((1, 9, 1)), np.zeros((10, 1))):
+        with pytest.raises(ValueError, match="does not match the time grid"):
+            solve_paths(p, "heun", np.linspace(0, 1, 11), bad)
 
 
 # ---------------------------------------------------------------------------
@@ -204,8 +221,8 @@ def test_nonfinite_state_aborts():
 def test_solve_path_deterministic():
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     grid = np.linspace(0.0, 1.0, 65)
-    a = solve_path(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det")))
-    b = solve_path(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det")))
+    a = solve_paths(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det"), 2))
+    b = solve_paths(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det"), 2))
     assert np.array_equal(a.states, b.states)
 
 
@@ -216,6 +233,19 @@ def test_coarsen_increments_sums_blocks():
     assert np.array_equal(out[0], inc[:3].sum(axis=0))
     with pytest.raises(ValueError):
         sde.coarsen_increments(inc, 4)
+    # leading path axes are kept
+    stack = np.stack([inc, -inc])
+    assert np.array_equal(sde.coarsen_increments(stack, 3), np.stack([out, -out]))
+
+
+def test_sample_increments_path_major():
+    # n_paths rows drawn at once are the rows of n_paths draws in turn
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, variances=(1.0, 4.0))
+    grid = np.linspace(0.0, 1.0, 9)
+    rng = derive_stream(5, "major")
+    one = [sde.sample_increments(p, grid, rng, 1)[0] for _ in range(3)]
+    assert np.array_equal(sde.sample_increments(p, grid, derive_stream(5, "major"), 3),
+                          np.stack(one))
 
 
 def test_strong_order_em_additive():

@@ -292,6 +292,20 @@ def test_advection_term_alias_free_against_fixed_padding(N):
     assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
 
+def test_advection_term_stacks_paths():
+    # a stack (2, 3, ...) of fields gives each field's product bit for bit
+    N = 6
+    rng = np.random.default_rng(17)
+    u = np.stack([[sp.random_divergence_free(N, rng) for _ in range(3)] for _ in range(2)])
+    q = sp.curl(np.stack([[sp.random_divergence_free(N, rng) for _ in range(3)]
+                          for _ in range(2)]))
+    got = sp.advection_term(q, u)
+    assert got.shape == q.shape
+    for i in range(2):
+        for j in range(3):
+            assert np.array_equal(got[i, j], sp.advection_term(q[i, j], u[i, j]))
+
+
 def test_dealias_grid_size_is_minimal_5_smooth():
     def smooth(m):
         for p in (2, 3, 5):
