@@ -100,18 +100,14 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
 
 @dataclass
 class EulerianPath:
-    """A chunk of K trajectories of the Eulerian SDE with per-row diagnostics.
+    """A chunk of K trajectories of the Eulerian SDE.
 
-    `q` holds the rows (K, len(times), M, M) and the diagnostics are
-    (K, len(times)); `exit_index` is as in sde.PathResult.
+    `q` holds the rows (K, len(times), M, M); velocities and diagnostics
+    are rebuilt from them when read.  `exit_index` is as in sde.PathResult.
     """
 
     times: np.ndarray
     q: np.ndarray
-    energy: np.ndarray      # |u|_{L2}^2
-    enstrophy: np.ndarray
-    hs_norm: np.ndarray
-    div_residual: np.ndarray
     exit_index: np.ndarray
     alpha: float
     mean: np.ndarray        # the mean flow U of every row
@@ -119,6 +115,11 @@ class EulerianPath:
     def velocities(self, index=...) -> np.ndarray:
         """Velocity coefficients (..., 2, M, M) rebuilt from the rows q[index]."""
         return _velocity(self.q[index], self.alpha, self.mean)
+
+    def diagnostics(self) -> np.ndarray:
+        """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of
+        the velocity of every row, shape (4, K, len(times))."""
+        return _path_diagnostics(self.q, self.alpha, self.mean)
 
 
 def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
@@ -140,8 +141,8 @@ def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarr
 def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, increments: np.ndarray,
                  scheme: str = "heun", alpha: float = 0.0,
                  radius_factor: float = 10.0) -> EulerianPath:
-    """Integrate K paths of the potential-vorticity SDE from u0 and collect
-    velocity diagnostics.
+    """Integrate K paths of the potential-vorticity SDE from u0; the path
+    keeps the q rows.
 
     `increments` (K, nsteps, n_modes) are raw Q-Wiener coordinates, the
     same for every alpha, so they drive both the plain and the averaged
@@ -151,8 +152,5 @@ def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, increments: np.nd
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
     res = solve_paths(problem, scheme, t_grid, increments)
-    mean = np.array(u0[:, 0, 0])
-    energy, ens, hs, div = _path_diagnostics(res.states, alpha, mean)
-    return EulerianPath(times=res.times, q=res.states, energy=energy, enstrophy=ens,
-                        hs_norm=hs, div_residual=div, exit_index=res.exit_index,
-                        alpha=alpha, mean=mean)
+    return EulerianPath(times=res.times, q=res.states, exit_index=res.exit_index,
+                        alpha=alpha, mean=np.array(u0[:, 0, 0]))

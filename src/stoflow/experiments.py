@@ -110,11 +110,11 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
 
     rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
     for first, p in _ensemble(cfg, spec, u0):
+        diag = p.diagnostics()
         for k, e in enumerate(p.exit_index):
-            diag = zip(p.times[:e + 1 if e >= 0 else None], p.energy[k], p.enstrophy[k],
-                       p.hs_norm[k], p.div_residual[k])
-            rows += [(first + k, j, *r) for j, r in enumerate(diag)]
-        max_div = max(max_div, float(np.max(p.div_residual)))
+            rows += [(first + k, j, *r) for j, r in
+                     enumerate(zip(p.times[:e + 1 if e >= 0 else None], *diag[:, k]))]
+        max_div = max(max_div, float(np.max(diag[3])))
         if steady:
             drift = sp.l2_norm(p.velocities(np.s_[:, -1]) - u0) / scale
             max_drift = max(max_drift, float(np.max(drift)))
@@ -242,8 +242,9 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
 
     terminal, exit_times, max_div = [], [], 0.0
     for _, p in _ensemble(cfg, spec, u0):
-        terminal += list(p.energy[:, -1])  # a stopped path's last row is its exit row
-        max_div = max(max_div, float(np.max(p.div_residual)))
+        energy, _, _, div = p.diagnostics()
+        terminal += list(energy[:, -1])  # a stopped path's last row is its exit row
+        max_div = max(max_div, float(np.max(div)))
         exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
     terminal = np.array(terminal)
 

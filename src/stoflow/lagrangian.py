@@ -12,12 +12,13 @@ defect of the identity eta = u o Phi for the carried material velocity
 
 The drift is the flat-coordinate localization of the geodesic spray: the
 full transport term (u.grad)u minus its divergence-free part, i.e. the
-pressure-gradient acceleration -(grad p) o Phi.  Each particle step makes
-one stacked evaluation at Phi_j, of u_j, its gradient, Pi[(u_j.grad)u_j]
-and dW_j (`_spray_values`): its u_j slot is RK2's first stage, so `advect`
-evaluates only the midpoint field, and the residual reduces the collected
-values without evaluating again.  The stacked (Phi, eta) system, with noise
-kicks on velocities only, is `make_lagrangian_problem`, used for the
+pressure-gradient acceleration -(grad p) o Phi.  The fields u_j, its
+gradient, Pi[(u_j.grad)u_j] (`_spray_fields`) and dW_j are built for a
+block of grid times at once, and each particle step evaluates them at Phi_j
+in one stack: its u_j slot is RK2's first stage, so `advect` evaluates only
+the midpoint field, and the residual reduces the collected values without
+evaluating again.  The stacked (Phi, eta) system, with noise kicks on
+velocities only, is `make_lagrangian_problem`, used for the
 Stratonovich-degeneracy check.
 """
 
@@ -30,6 +31,7 @@ import numpy as np
 from . import spectral as sp
 from .eulerian import euler_drift, run_eulerian
 from .qwiener import QWienerSpec, field_from_coefficients
+from .sde import SdeProblem
 from .spectral import evaluate_stack_at
 
 __all__ = [
@@ -42,6 +44,7 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
+_SPRAY_BLOCK_BYTES = 2**21  # grid times of spray and kick fields built at once
 
 
 @dataclass(frozen=True)
@@ -87,17 +90,15 @@ def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: np.ndarray,
     return ParticleEnsemble(labels=particles.labels, positions_unwrapped=x + dt * k2)
 
 
-def _spray_values(u: np.ndarray, points: np.ndarray, *extra: np.ndarray) -> np.ndarray:
-    """Values at the points of u, d_x u, d_y u, Pi[(u.grad)u] and then of
-    each extra vector field, shape (P, 4 + len(extra), 2), all on one set
-    of phase tables."""
+def _spray_fields(u: np.ndarray) -> np.ndarray:
+    """u, d_x u, d_y u and Pi[(u.grad)u] of each field of u (..., 2, M, M),
+    stacked on axis -4: shape (..., 4, 2, M, M), from one drift call."""
     proj = -euler_drift(u)
-    stack = [sp._gradient_stack(u), proj[None]] + [e[None] for e in extra]
-    return evaluate_stack_at(np.concatenate(stack), points)
+    return np.concatenate([sp._gradient_stack(u), proj[..., None, :, :, :]], axis=-4)
 
 
 def _spray_from(vals: np.ndarray) -> np.ndarray:
-    """Material acceleration from _spray_values."""
+    """Material acceleration from the values at the points of _spray_fields."""
     return sp._transport(vals[:, :3]) - vals[:, 3]
 
 
@@ -110,7 +111,7 @@ def material_acceleration_at(u: np.ndarray, points: np.ndarray) -> np.ndarray:
     truncation tail, matching the discrete dynamics exactly.  All four
     fields are evaluated on one set of phase tables.
     """
-    return _spray_from(_spray_values(u, points))
+    return _spray_from(evaluate_stack_at(_spray_fields(u), points))
 
 
 def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
@@ -123,8 +124,6 @@ def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
     touches the position slots.  Its drift and diffusion take one state, not
     a stack: it feeds the Stratonovich-correction check, not solve_paths.
     """
-    from .sde import SdeProblem
-
     P = len(positions)
     x0 = np.concatenate([np.ravel(positions), np.ravel(velocities)])
 
@@ -152,10 +151,10 @@ def equivalence_residual(vals: list, dt: float) -> float:
         u(T, Phi_T(x)) = u0(x) + int ((I-Pi)[(u.grad)u])(r, Phi_r(x)) dr
                                + int (dW)(Phi_r(x)).
 
-    `vals[j]` is `_spray_values(u_j, Phi_j, dW_j)` at grid time j, without
-    the dW slot at the last time.  Returns max_i of the defect norm; the
-    dt-integral uses the trapezoid rule, the noise sum left-point (Ito)
-    evaluation.
+    `vals[j]` (P, 5, 2) holds the values at Phi_j of `_spray_fields(u_j)`
+    and of dW_j, without the dW slot at the last time.  Returns max_i of
+    the defect norm; the dt-integral uses the trapezoid rule, the noise sum
+    left-point (Ito) evaluation.
     """
     nsteps = len(vals) - 1
     if any(v.shape[1] != 5 for v in vals[:-1]) or vals[-1].shape[1] != 4:
@@ -178,9 +177,10 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     along it, return the residual.
 
     Each particle step is the midpoint rule with the midpoint field taken
-    as the average of the step's end fields, good to O(dt^2).  The one
-    evaluation per step of the spray fields of u_j and of dW_j at Phi_j
-    serves both the residual and, through its slot 0, the step's k1.
+    as the average of the step's end fields, good to O(dt^2).  The spray
+    fields of u_j and the kick fields dW_j are built for blocks of about
+    _SPRAY_BLOCK_BYTES of grid times; the one evaluation per step of both
+    at Phi_j serves the residual and, through its slot 0, the step's k1.
     `increments` has one row of noise coordinates per step of dt up to T.
     u0 is a (2, M, M) field at the resolution of spec; run_eulerian
     rejects any other shape.
@@ -197,13 +197,17 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
             f"t = {epath.times[epath.exit_index[0]]:.6g}, "
             f"before the horizon {T:.6g}; the particle flow needs the whole path "
             f"(raise localization.radius_factor)")
-    states = epath.velocities(0)
+    block = max(1, _SPRAY_BLOCK_BYTES // (5 * 2 * epath.q[0, 0].nbytes))  # 5-slot rows
 
     ens = initial_ensemble(labels)
     vals = []
-    for j in range(nsteps + 1):
-        dw = [field_from_coefficients(spec, increments[j])] if j < nsteps else []
-        vals.append(_spray_values(states[j], ens.positions, *dw))
-        if j < nsteps:
-            ens = advect(ens, vals[j][:, 0], 0.5 * (states[j] + states[j + 1]), dt)
+    for first in range(0, nsteps + 1, block):
+        u = epath.velocities(np.s_[0, first:first + block + 1])  # and the next row
+        kicks = field_from_coefficients(spec, increments[first:first + block])
+        for i, fields in enumerate(_spray_fields(u[:block])):
+            if i < len(kicks):  # the last grid time has no kick and no step
+                fields = np.concatenate([fields, kicks[i, None]])
+            vals.append(evaluate_stack_at(fields, ens.positions))
+            if i < len(kicks):
+                ens = advect(ens, vals[-1][:, 0], 0.5 * (u[i] + u[i + 1]), dt)
     return equivalence_residual(vals, dt)

@@ -150,28 +150,30 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
     return xi * np.sqrt(spec.mode_variances * dt)
 
 
+def _place(spec: QWienerSpec, a: np.ndarray) -> np.ndarray:
+    """Coefficients (..., M, M) holding the rows a (..., nk) at the +k flat
+    indices and conj(a) at -k.  The +k and -k index sets are disjoint and
+    miss k = 0, so plain assignment places every coefficient once."""
+    M = 2 * spec.N + 1
+    _, plus, minus = spec._layout
+    c = np.zeros(a.shape[:-1] + (M * M,), dtype=complex)
+    c[..., plus] = a
+    c[..., minus] = np.conj(a)
+    return c.reshape(a.shape[:-1] + (M, M))
+
+
 def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The real field sum_j coeffs_j e_j over the unit eigenfields, shape
-    (2, M, M).
+    """The real field sum_j coeffs_j e_j over the unit eigenfields of each
+    row (..., n_modes) of coeffs, shape (..., 2, M, M).
 
     The map from noise coordinates to velocity fields, used by the
     Lagrangian kicks.  An increment is its row of coordinates: the field of
     a row of sample_coefficients is W(t + dt) - W(t).
     """
-    M = 2 * spec.N + 1
-    d, plus, minus = spec._layout
     w = np.asarray(coeffs, dtype=float)
-    wc = w[0::2]
-    ws = w[1::2]
-    amp = np.sqrt(2.0) / 2.0
-    # coefficient at +k: amp*(w_cos - i w_sin) d; Hermitian partner at -k.
-    # The +k and -k index sets are disjoint and miss k = 0, so plain
-    # assignment places every coefficient once.
-    vec = amp * (wc - 1j * ws)[:, None] * d
-    c = np.zeros((2, M * M), dtype=complex)
-    c[:, plus] = vec.T
-    c[:, minus] = np.conj(vec.T)
-    return c.reshape(2, M, M)
+    # coefficient at +k: sqrt(2)/2 (w_cos - i w_sin) d with d = kperp/|k|
+    vec = np.sqrt(2.0) / 2.0 * (w[..., 0::2] - 1j * w[..., 1::2])
+    return _place(spec, vec[..., None, :] * spec._layout[0].T)
 
 
 def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
@@ -179,12 +181,5 @@ def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
     of each row (..., n_modes) of coeffs, in closed form: i |k| sqrt(2)/2
     (w_cos - i w_sin) at +k and its conjugate at -k, so the output is
     exactly Hermitian and zero at k = 0.  The Eulerian diffusion uses it."""
-    M = 2 * spec.N + 1
-    _, plus, minus = spec._layout
     w = np.asarray(coeffs, dtype=float)
-    a = spec._curl_factor * (w[..., 0::2] - 1j * w[..., 1::2])
-    c = np.zeros(w.shape[:-1] + (M * M,), dtype=complex)
-    c[..., plus] = a
-    c[..., minus] = np.conj(a)
-    return c.reshape(w.shape[:-1] + (M, M))
-
+    return _place(spec, spec._curl_factor * (w[..., 0::2] - 1j * w[..., 1::2]))

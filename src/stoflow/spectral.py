@@ -272,13 +272,14 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     # table per point
     partial = (ex @ half.reshape(M, -1)).reshape(P, -1, N + 1)
     vals = (partial @ e[:, 1, :, None])[..., 0]
-    return vals.real.reshape((P,) + lead)
+    # a copy: a view of .real would keep the complex products alive
+    return np.ascontiguousarray(vals.real).reshape((P,) + lead)
 
 
 def _gradient_stack(u: np.ndarray) -> np.ndarray:
-    """Coefficients of u, d_x u and d_y u stacked, shape (3, 2, M, M)."""
+    """u, d_x u and d_y u of each field of u, stacked on axis -4: (..., 3, 2, M, M)."""
     kx, ky, _ = _k_grids(_resolution(u))
-    return np.stack([u, 1j * kx * u, 1j * ky * u])
+    return np.stack([u, 1j * kx * u, 1j * ky * u], axis=-4)
 
 
 def _transport(vals: np.ndarray) -> np.ndarray:

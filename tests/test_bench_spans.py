@@ -33,3 +33,5 @@ def test_tracer_sees_particle_path(tmp_path):
     nsteps = sum(round(cfg.horizon * 2**lvl / cfg.dt) for lvl in range(cfg.eq_levels + 1))
     assert agg["counters"]["particle_steps"] == cfg.eq_particles**2 * nsteps
     assert agg["groups"]["lagrangian.advect"]["calls"] == nsteps
+    # one spray block per level: its drift call covers the level's grid times
+    assert agg["groups"]["eulerian.drift"]["calls"] == cfg.eq_levels + 1

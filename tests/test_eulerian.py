@@ -150,7 +150,7 @@ def test_resolution_mismatch_rejected():
 def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
     path = eu.run_eulerian(zero_field(4), spec, 0.01, np.zeros((1, 10, spec.n_modes)))
-    assert np.max(path.energy) == 0.0
+    assert np.max(path.diagnostics()[0]) == 0.0
     assert np.max(np.abs(path.velocities())) == 0.0
 
 
@@ -178,7 +178,7 @@ def test_stochastic_path_divergence_free():
     spec = build_spectrum(6, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(11, "noise"))
     path = eu.run_eulerian(zero_field(6), spec, 0.01, inc[None])
-    assert np.max(path.div_residual) < 1e-10
+    assert np.max(path.diagnostics()[3]) < 1e-10
     assert path.velocities().shape == (1, len(path.times), 2, 13, 13)
 
 
@@ -214,10 +214,11 @@ def test_path_diagnostics_match_per_field_functions():
     path = eu.run_eulerian(u0, spec, 0.01, inc[None], alpha=0.3)
     fields = list(path.velocities(0))
     assert eu._DIAGNOSTIC_BLOCK_BYTES // fields[0].nbytes < len(fields)
-    assert np.array_equal(path.energy[0], [sp.l2_norm(f) ** 2 for f in fields])
-    assert np.array_equal(path.enstrophy[0], [sp.enstrophy(f) for f in fields])
-    assert np.array_equal(path.hs_norm[0], [sp.sobolev_norm(f, 2) for f in fields])
-    assert np.array_equal(path.div_residual[0], [sp.divergence_residual(f) for f in fields])
+    energy, ens, hs, div = path.diagnostics()
+    assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
+    assert np.array_equal(ens[0], [sp.enstrophy(f) for f in fields])
+    assert np.array_equal(hs[0], [sp.sobolev_norm(f, 2) for f in fields])
+    assert np.array_equal(div[0], [sp.divergence_residual(f) for f in fields])
 
 
 def test_heun_vs_em_coupled_difference_order_dt():

@@ -176,7 +176,8 @@ def test_zero_noise_zero_field_static():
 
 def test_residual_zero_horizon():
     u0 = sp.taylor_green(4)
-    vals = lg._spray_values(u0, initial_ensemble(uniform_labels(4)).positions)
+    vals = sp.evaluate_stack_at(lg._spray_fields(u0),
+                                initial_ensemble(uniform_labels(4)).positions)
     assert lg.equivalence_residual([vals], 0.01) == 0.0
 
 
@@ -236,6 +237,39 @@ def test_fused_loop_matches_two_pass_reference():
     ref = np.max(np.linalg.norm(defect, axis=1))
     assert ref > 0.0
     assert abs(res - ref) <= 1e-12 * ref
+
+
+def test_equivalence_reads_no_diagnostics(monkeypatch):
+    # the particle path reads the Eulerian q rows only, never the per-row
+    # energy, enstrophy, H^s norm or divergence residual
+    def fail(*args):
+        raise AssertionError("run_equivalence computed path diagnostics")
+
+    monkeypatch.setattr("stoflow.eulerian._path_diagnostics", fail)
+    spec = build_spectrum(4, 3.0, 0.5)
+    inc = sample_coefficients(spec, 0.01, 10, derive_stream(37, "nodiag"))
+    res = lg.run_equivalence(sp.taylor_green(4, 0.5), spec, 0.01, 0.1,
+                             labels=uniform_labels(3), increments=inc)
+    assert res > 0.0
+
+
+def test_block_size_does_not_change_residual(monkeypatch):
+    # the 101 grid times span two blocks at the default size; one grid time
+    # per block and the whole path in one block give the same bits
+    N, dt, nsteps = 6, 0.002, 100
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    inc = sample_coefficients(spec, dt, nsteps, derive_stream(43, "block"))
+
+    def residual():
+        return lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=uniform_labels(3),
+                                  increments=inc)
+
+    ref = residual()
+    assert 1 < lg._SPRAY_BLOCK_BYTES // (5 * u0.nbytes) < nsteps + 1
+    for size in (1, (nsteps + 1) * 5 * u0.nbytes):
+        monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", size)
+        assert residual() == ref
 
 
 def test_increment_rows_must_match_steps():

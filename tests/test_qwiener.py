@@ -177,14 +177,15 @@ def test_curl_from_coefficients_is_curl_of_field(N):
     assert got[0, 0] == 0.0
 
 
-def test_curl_from_coefficients_takes_rows():
+@pytest.mark.parametrize("fn", [qw.curl_from_coefficients, qw.field_from_coefficients])
+def test_curl_from_coefficients_takes_rows(fn):
     spec = build_spectrum(4, 2.0, 1.0)
     w = derive_stream(4, "rows").standard_normal((2, 3, spec.n_modes))
-    got = qw.curl_from_coefficients(spec, w)
-    assert got.shape == (2, 3, 9, 9)
+    got = fn(spec, w)
+    assert got.shape == (2, 3) + fn(spec, w[0, 0]).shape
     for i in range(2):
         for j in range(3):
-            assert np.array_equal(got[i, j], qw.curl_from_coefficients(spec, w[i, j]))
+            assert np.array_equal(got[i, j], fn(spec, w[i, j]))
 
 
 def test_sample_rejects_bad_dt():
