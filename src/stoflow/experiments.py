@@ -27,7 +27,9 @@ from .streams import derive_stream
 __all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean"]
 
 Z_BOUND = 4.0
-_CHUNK_BYTES = 2**21  # q rows (paths x grid times x M^2 x 16 B) stepped as one stack
+# q rows (paths x grid times x M^2 x 16 B) stepped as one stack; one chunk is
+# alive at a time, so this bounds an ensemble's peak
+_CHUNK_BYTES = 2**21
 
 
 def _fmt(x) -> str:
@@ -85,13 +87,17 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 
 def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
     """Yields (first path index, EulerianPath) per chunk of about
-    _CHUNK_BYTES of q rows; path i draws derive_stream(cfg.seed, i, "noise")."""
+    _CHUNK_BYTES of q rows; path i draws derive_stream(cfg.seed, i, "noise").
+    The generator keeps no reference to a chunk it has yielded, so a caller
+    that drops each chunk before asking for the next holds one at a time."""
     nsteps = int(round(cfg.horizon / cfg.dt))
     size = max(1, _CHUNK_BYTES // ((nsteps + 1) * (2 * cfg.n + 1) ** 2 * 16))
     for first in range(0, cfg.ensemble, size):
-        inc = [sample_coefficients(spec, cfg.dt, nsteps, derive_stream(cfg.seed, i, "noise"))
-               for i in range(first, min(first + size, cfg.ensemble))]
-        yield first, run_eulerian(u0, spec, cfg.dt, np.stack(inc), scheme=cfg.scheme,
+        inc = np.empty((min(size, cfg.ensemble - first), nsteps, spec.n_modes))
+        for k in range(len(inc)):
+            inc[k] = sample_coefficients(spec, cfg.dt, nsteps,
+                                         derive_stream(cfg.seed, first + k, "noise"))
+        yield first, run_eulerian(u0, spec, cfg.dt, inc, scheme=cfg.scheme,
                                   alpha=cfg.alpha, radius_factor=cfg.radius_factor)
 
 
@@ -119,6 +125,7 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
             drift = sp.l2_norm(p.velocities(np.s_[:, -1]) - u0) / scale
             max_drift = max(max_drift, float(np.max(drift)))
         exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
+        del p, diag  # release this chunk before the next one is solved
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
     acceptance = {"divergence_free": max_div < 1e-10}
@@ -242,10 +249,11 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
 
     terminal, exit_times, max_div = [], [], 0.0
     for _, p in _ensemble(cfg, spec, u0):
-        energy, _, _, div = p.diagnostics()
-        terminal += list(energy[:, -1])  # a stopped path's last row is its exit row
-        max_div = max(max_div, float(np.max(div)))
+        diag = p.diagnostics()
+        terminal += list(diag[0, :, -1])  # a stopped path's last row is its exit row
+        max_div = max(max_div, float(np.max(diag[3])))
         exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
+        del p, diag  # release this chunk before the next one is solved
     terminal = np.array(terminal)
 
     slopes = (terminal - e0) / cfg.horizon

@@ -16,10 +16,11 @@ pressure-gradient acceleration -(grad p) o Phi.  The fields u_j, its
 gradient, Pi[(u_j.grad)u_j] (`_spray_fields`) and dW_j are built for a
 block of grid times at once, and each particle step evaluates them at Phi_j
 in one stack: its u_j slot is RK2's first stage, so `advect` evaluates only
-the midpoint field, and the residual reduces the collected values without
-evaluating again.  The stacked (Phi, eta) system, with noise kicks on
-velocities only, is `make_lagrangian_problem`, used for the
-Stratonovich-degeneracy check.
+the midpoint field.  The residual is streamed: it reduces each grid time's
+values as the particles reach it, without evaluating again, and the values
+are never collected, so the particle path holds one grid time of them.  The
+stacked (Phi, eta) system, with noise kicks on velocities only, is
+`make_lagrangian_problem`, used for the Stratonovich-degeneracy check.
 """
 
 from __future__ import annotations
@@ -142,7 +143,7 @@ def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
                       noise_variances=spec.mode_variances, x0=x0)
 
 
-def equivalence_residual(vals: list, dt: float) -> float:
+def equivalence_residual(vals, dt: float) -> float:
     """Discrete Lagrangian-identity defect along Eulerian characteristics.
 
     For eta(t) = u(t) o Phi_t the chain rule (Phi has finite variation, so
@@ -151,23 +152,56 @@ def equivalence_residual(vals: list, dt: float) -> float:
         u(T, Phi_T(x)) = u0(x) + int ((I-Pi)[(u.grad)u])(r, Phi_r(x)) dr
                                + int (dW)(Phi_r(x)).
 
-    `vals[j]` (P, 5, 2) holds the values at Phi_j of `_spray_fields(u_j)`
-    and of dW_j, without the dW slot at the last time.  Returns max_i of
-    the defect norm; the dt-integral uses the trapezoid rule, the noise sum
-    left-point (Ito) evaluation.
+    `vals` is any iterable over the grid times j = 0..n: its item j (P, 5, 2)
+    holds the values at Phi_j of `_spray_fields(u_j)` and of dW_j, without
+    the dW slot at the last time.  It is read once, in order, and only the
+    first u_j values, the previous item and the running sums are kept.
+    Returns max_i of the defect norm; the dt-integral uses the trapezoid
+    rule, the noise sum left-point (Ito) evaluation.
     """
-    nsteps = len(vals) - 1
-    if any(v.shape[1] != 5 for v in vals[:-1]) or vals[-1].shape[1] != 4:
-        raise ValueError("spray values and increments do not align")
+    it = iter(vals)
+    prev = next(it, None)
+    if prev is None:
+        raise ValueError("no spray values")
     # slot 0 (u_j) gives final at j = n and, since Phi_0 is the identity on
     # the labels, init at j = 0
-    grads = [_spray_from(v) for v in vals]
-    acc_sum = np.zeros_like(grads[0])
-    for j in range(nsteps):
-        acc_sum += 0.5 * dt * (grads[j] + grads[j + 1])
-        acc_sum += vals[j][:, 4]
-    res = vals[-1][:, 0] - vals[0][:, 0] - acc_sum
+    init = prev[:, 0].copy()
+    g_prev = _spray_from(prev)
+    acc_sum = np.zeros_like(g_prev)
+    for v in it:
+        if prev.shape[1] != 5:
+            raise ValueError("spray values and increments do not align")
+        g = _spray_from(v)
+        acc_sum += 0.5 * dt * (g_prev + g)
+        acc_sum += prev[:, 4]
+        prev, g_prev = v, g
+    if prev.shape[1] != 4:
+        raise ValueError("spray values and increments do not align")
+    res = prev[:, 0] - init - acc_sum
     return float(np.max(np.linalg.norm(res, axis=1)))
+
+
+def _particle_values(epath, spec: QWienerSpec, increments: np.ndarray,
+                     labels: np.ndarray, dt: float):
+    """Yields, for each grid time j of the one-path Eulerian path epath, the
+    values (P, 5, 2) at Phi_j of _spray_fields(u_j) and dW_j, and (P, 4, 2)
+    at the last time, which has no kick; between two items it advects the
+    particles by RK2 from j to j + 1, taking k1 from slot 0.  The spray and
+    kick fields are built for blocks of about _SPRAY_BLOCK_BYTES of grid
+    times."""
+    nsteps = len(increments)
+    block = max(1, _SPRAY_BLOCK_BYTES // (5 * 2 * epath.q[0, 0].nbytes))  # 5-slot rows
+    ens = initial_ensemble(labels)
+    for first in range(0, nsteps + 1, block):
+        u = epath.velocities(np.s_[0, first:first + block + 1])  # and the next row
+        kicks = field_from_coefficients(spec, increments[first:first + block])
+        for i, fields in enumerate(_spray_fields(u[:block])):
+            if i < len(kicks):  # the last grid time has no kick and no step
+                fields = np.concatenate([fields, kicks[i, None]])
+            vals = evaluate_stack_at(fields, ens.positions)
+            yield vals
+            if i < len(kicks):
+                ens = advect(ens, vals[:, 0], 0.5 * (u[i] + u[i + 1]), dt)
 
 
 def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
@@ -177,12 +211,12 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     along it, return the residual.
 
     Each particle step is the midpoint rule with the midpoint field taken
-    as the average of the step's end fields, good to O(dt^2).  The spray
-    fields of u_j and the kick fields dW_j are built for blocks of about
-    _SPRAY_BLOCK_BYTES of grid times; the one evaluation per step of both
-    at Phi_j serves the residual and, through its slot 0, the step's k1.
-    `increments` has one row of noise coordinates per step of dt up to T.
-    u0 is a (2, M, M) field at the resolution of spec; run_eulerian
+    as the average of the step's end fields, good to O(dt^2).  The one
+    evaluation per step of the spray and kick fields at Phi_j serves the
+    residual and, through its slot 0, the step's k1; the residual consumes
+    the values as they are made (`_particle_values`), one grid time at a
+    time.  `increments` has one row of noise coordinates per step of dt up
+    to T.  u0 is a (2, M, M) field at the resolution of spec; run_eulerian
     rejects any other shape.
     """
     nsteps = int(round(T / dt))
@@ -197,17 +231,4 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
             f"t = {epath.times[epath.exit_index[0]]:.6g}, "
             f"before the horizon {T:.6g}; the particle flow needs the whole path "
             f"(raise localization.radius_factor)")
-    block = max(1, _SPRAY_BLOCK_BYTES // (5 * 2 * epath.q[0, 0].nbytes))  # 5-slot rows
-
-    ens = initial_ensemble(labels)
-    vals = []
-    for first in range(0, nsteps + 1, block):
-        u = epath.velocities(np.s_[0, first:first + block + 1])  # and the next row
-        kicks = field_from_coefficients(spec, increments[first:first + block])
-        for i, fields in enumerate(_spray_fields(u[:block])):
-            if i < len(kicks):  # the last grid time has no kick and no step
-                fields = np.concatenate([fields, kicks[i, None]])
-            vals.append(evaluate_stack_at(fields, ens.positions))
-            if i < len(kicks):
-                ens = advect(ens, vals[-1][:, 0], 0.5 * (u[i] + u[i + 1]), dt)
-    return equivalence_residual(vals, dt)
+    return equivalence_residual(_particle_values(epath, spec, increments, labels, dt), dt)

@@ -74,6 +74,14 @@ def _k_grids(N: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return _freeze(kx), _freeze(ky), _freeze(ksq)
 
 
+@lru_cache(maxsize=None)
+def _ik_grids(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """i kx (M, 1) and i ky (1, M), the d_x and d_y multipliers; read-only,
+    built once per N."""
+    kx, ky, _ = _k_grids(N)
+    return _freeze(1j * kx), _freeze(1j * ky)
+
+
 # ---------------------------------------------------------------------------
 # linear operators
 
@@ -186,16 +194,14 @@ def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
     return Mg, _freeze(k % Mg), _freeze(-k % Mg)
 
 
-def _to_grid(coeffs: np.ndarray, N: int) -> np.ndarray:
-    """Values on the Mg x Mg product grid of a stack (..., M, M) of real
-    fields.  Only the N + 1 columns ky >= 0 are zero-padded along kx and
-    transformed there; irfft(n=Mg) zero-pads the rest of the half spectrum.
+def _to_grid(half: np.ndarray) -> np.ndarray:
+    """Values on the Mg x Mg product grid of a stack of real fields, given
+    the N + 1 columns ky >= 0 of their half spectra zero-padded along kx,
+    shape (..., Mg, N + 1), which are transformed along x in place (half is
+    overwritten); irfft(n=Mg) then zero-pads the rest of the half spectrum.
     Equals irfft2 of the zero-padded half spectrum."""
-    Mg, rows, _ = _grid_layout(N)
-    half = np.zeros(coeffs.shape[:-2] + (Mg, N + 1), dtype=complex)
-    half[..., rows, :] = coeffs[..., :N + 1]
-    return np.fft.irfft(np.fft.ifft(half, axis=-2, norm="forward"), n=Mg,
-                        axis=-1, norm="forward")
+    np.fft.ifft(half, axis=-2, norm="forward", out=half)
+    return np.fft.irfft(half, n=half.shape[-2], axis=-1, norm="forward")
 
 
 def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
@@ -217,14 +223,29 @@ def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Coefficients (..., M, M) of u . grad q, Galerkin-truncated to |k| <= N,
     for real scalars q (..., M, M) carried by real velocities u (..., 2, M, M).
 
-    The one dealiased quadratic kernel: the stack (u_x, u_y, d_x q, d_y q)
-    on axis -3 takes one inverse transform and the product one forward one.
+    The one dealiased quadratic kernel.  The N + 1 columns ky >= 0 of
+    (u_x, u_y, d_x q, d_y q) are written in place into one zero-padded half
+    spectrum (..., 4, Mg, N + 1), the rows kx >= 0 and kx < 0 by two slices
+    per field.  It takes one inverse transform, its kx pass in place, and
+    the product, formed in place in the grid values, one forward one.  No
+    full (..., 4, M, M) stack or full-width i k q is formed: fewer fresh
+    buffers per call keep large stacks clear of page faults.
     """
     N = _resolution(q)
-    kx, ky, _ = _k_grids(N)
-    g = _to_grid(np.stack([u[..., 0, :, :], u[..., 1, :, :], 1j * kx * q, 1j * ky * q],
-                          axis=-3), N)
-    return _from_grid(g[..., 0, :, :] * g[..., 2, :, :] + g[..., 1, :, :] * g[..., 3, :, :], N)
+    Mg = _grid_layout(N)[0]
+    ikx, iky = _ik_grids(N)
+    half = np.zeros(q.shape[:-2] + (4, Mg, N + 1), dtype=complex)
+    for lo, hi in ((np.s_[:N + 1], np.s_[:N + 1]), (np.s_[N + 1:], np.s_[Mg - N:])):
+        # lo: the rows of the M x M spectrum, hi: the same kx on the padded grid
+        half[..., :2, hi, :] = u[..., lo, :N + 1]
+        np.multiply(ikx[lo], q[..., lo, :N + 1], out=half[..., 2, hi, :])
+        np.multiply(iky[:, :N + 1], q[..., lo, :N + 1], out=half[..., 3, hi, :])
+    g = _to_grid(half)
+    del half  # free for the forward transform's buffers
+    ux, uy, qx, qy = (g[..., i, :, :] for i in range(4))
+    prod = np.multiply(ux, qx, out=ux)
+    prod += np.multiply(uy, qy, out=uy)
+    return _from_grid(prod, N)
 
 
 # ---------------------------------------------------------------------------
@@ -278,8 +299,8 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 
 def _gradient_stack(u: np.ndarray) -> np.ndarray:
     """u, d_x u and d_y u of each field of u, stacked on axis -4: (..., 3, 2, M, M)."""
-    kx, ky, _ = _k_grids(_resolution(u))
-    return np.stack([u, 1j * kx * u, 1j * ky * u], axis=-4)
+    ikx, iky = _ik_grids(_resolution(u))
+    return np.stack([u, ikx * u, iky * u], axis=-4)
 
 
 def _transport(vals: np.ndarray) -> np.ndarray:

@@ -1,0 +1,89 @@
+"""Working-set bounds: an ensemble holds one chunk of paths at a time, and
+the particle path holds one grid time of particle values, so the traced
+allocation peak does not grow with the number of chunks or grid times."""
+
+import tracemalloc
+
+import pytest
+
+from stoflow import experiments
+from stoflow import lagrangian as lg
+from stoflow import spectral as sp
+from stoflow.config import ExperimentConfig
+from stoflow.eulerian import run_eulerian
+from stoflow.experiments import run_experiment
+from stoflow.lagrangian import uniform_labels
+from stoflow.qwiener import build_spectrum, sample_coefficients
+from stoflow.streams import derive_stream
+
+
+def traced_peak(fn) -> int:
+    """Peak bytes allocated above the start while fn() runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_ensemble_holds_one_chunk(tmp_path, monkeypatch):
+    # one path per chunk: four chunks peak no higher than one, give or take
+    # the CSV rows of the other three paths, well under half a chunk
+    monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
+    N, dt, horizon = 16, 0.01, 0.2
+    chunk = (int(round(horizon / dt)) + 1) * (2 * N + 1) ** 2 * 16  # q rows of one path
+
+    def run(paths):
+        cfg = ExperimentConfig(kind="simulate-euler", n=N, dt=dt, horizon=horizon,
+                               c=0.5, seed=5, ensemble=paths)
+        return lambda: run_experiment(cfg, out_dir=tmp_path / str(paths))
+
+    run(1)()  # fill the per-N constant caches outside the traced runs
+    one, four = traced_peak(run(1)), traced_peak(run(4))
+    assert four - one < chunk / 2, (one, four, chunk)
+
+
+def test_particle_path_holds_one_grid_time(monkeypatch):
+    # one grid time per block: 60 more grid times add far less than the
+    # 60 rows of (P, 5, 2) particle values a collected residual would keep
+    monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", 1)
+    N, dt = 4, 0.005
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    labels = uniform_labels(24)
+    inc = sample_coefficients(spec, dt, 80, derive_stream(47, "memory"))
+
+    def run(nsteps):
+        return lambda: lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
+                                          increments=inc[:nsteps])
+
+    run(20)()  # fill the per-N constant caches outside the traced runs
+    short, long = traced_peak(run(20)), traced_peak(run(80))
+    rows = 60 * len(labels) * 5 * 2 * 8
+    assert long - short < rows / 4, (short, long, rows)
+
+
+def test_streamed_residual_matches_collected_values():
+    # the residual reads an iterable once; over a generator it gives the
+    # float it gives over the equal list, and slot counts that do not end
+    # in one 4-slot row after 5-slot rows raise
+    N, dt, nsteps = 6, 0.01, 8
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    inc = sample_coefficients(spec, dt, nsteps, derive_stream(53, "stream"))
+    labels = uniform_labels(5)
+    epath = run_eulerian(u0, spec, dt, inc[None], scheme="heun")
+    vals = list(lg._particle_values(epath, spec, inc, labels, dt))
+    assert [v.shape[1] for v in vals] == [5] * nsteps + [4]
+    ref = lg.equivalence_residual(vals, dt)
+    assert ref > 0.0
+    assert lg.equivalence_residual(iter(vals), dt) == ref
+    assert lg.equivalence_residual(lg._particle_values(epath, spec, inc, labels, dt),
+                                   dt) == ref
+    assert lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
+                              increments=inc) == ref
+    for bad in (vals[:-1], vals[:-2] + vals[-1:] + vals[-1:],
+                vals[:1] + [v[:, :4] for v in vals[1:]], []):
+        with pytest.raises(ValueError):
+            lg.equivalence_residual(iter(bad), dt)

@@ -321,15 +321,16 @@ def test_dealias_grid_size_is_minimal_5_smooth():
 
 @pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
 def test_pruned_transforms_match_full_real_ffts(N):
-    # _to_grid transforms only the retained ky columns, _from_grid keeps them
-    # before the kx transform; both agree with the full 2-D real transforms
+    # _to_grid transforms only the retained ky columns of the padded half
+    # spectrum, _from_grid keeps them before the kx transform; both agree
+    # with the full 2-D real transforms
     rng = np.random.default_rng(400 + N)
     Mg, rows, _ = sp._grid_layout(N)
     c = np.stack([random_real_field(rng, N)[0], sp.curl(random_real_field(rng, N))])
     half = np.zeros((2, Mg, Mg // 2 + 1), dtype=complex)
     half[..., rows, :N + 1] = c[..., :N + 1]
     ref = np.fft.irfft2(half, s=(Mg, Mg), norm="forward")
-    got = sp._to_grid(c, N)
+    got = sp._to_grid(half[..., :N + 1].copy())
     assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
     v = rng.standard_normal((3, Mg, Mg))
     full = np.fft.rfft2(v, norm="forward")
@@ -551,7 +552,8 @@ def test_operators_leave_inputs_unchanged():
         fn(*args)
         for a, b in zip(args, before):
             assert np.array_equal(a, b), fn.__name__
-    cached = [sp._wavenumbers(N), *sp._k_grids(N), sp._biot_savart_multiplier(N, 0.7),
+    cached = [sp._wavenumbers(N), *sp._k_grids(N), *sp._ik_grids(N),
+              sp._biot_savart_multiplier(N, 0.7),
               *sp._grid_layout(N)[1:]]
     for c in cached:
         assert not c.flags.writeable
