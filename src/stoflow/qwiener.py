@@ -80,19 +80,6 @@ class QWienerSpec:
         return d, plus, minus
 
     @cached_property
-    def _gather(self) -> np.ndarray:
-        """For each flat index of an (M, M) coefficient array, its source in
-        [a, conj(a), 0] for rows a (nk,): j at +k_j, nk + j at -k_j, 2 nk
-        elsewhere (k = 0 and the modes outside the spectrum); read-only."""
-        _, plus, minus = self._layout
-        nk = len(plus)
-        src = np.full((2 * self.N + 1) ** 2, 2 * nk)
-        src[plus] = np.arange(nk)
-        src[minus] = nk + np.arange(nk)
-        src.flags.writeable = False
-        return src
-
-    @cached_property
     def _curl_factor(self) -> np.ndarray:
         """i |k| sqrt(2)/2 per wavevector (nk,): the curl of the unit
         eigenfield (kperp/|k|) exp(i k.x) is i |k| exp(i k.x); read-only."""
@@ -165,12 +152,14 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
 
 def _place(spec: QWienerSpec, a: np.ndarray) -> np.ndarray:
     """Coefficients (..., M, M) holding the rows a (..., nk) at the +k flat
-    indices and conj(a) at -k, zero elsewhere: one gather from
-    [a, conj(a), 0] along the last axis."""
+    indices and conj(a) at -k.  The +k and -k index sets are disjoint and
+    miss k = 0, so plain assignment places every coefficient once."""
     M = 2 * spec.N + 1
-    src = np.concatenate([a, np.conj(a), np.zeros(a.shape[:-1] + (1,), dtype=a.dtype)],
-                         axis=-1)
-    return np.take(src, spec._gather, axis=-1).reshape(a.shape[:-1] + (M, M))
+    _, plus, minus = spec._layout
+    c = np.zeros(a.shape[:-1] + (M * M,), dtype=complex)
+    c[..., plus] = a
+    c[..., minus] = np.conj(a)
+    return c.reshape(a.shape[:-1] + (M, M))
 
 
 def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:

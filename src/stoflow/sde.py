@@ -154,9 +154,7 @@ def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
 
     Only live paths are stepped, so an exited path never raises
     SdePathError.  Each path's rows are a pure function of (problem,
-    scheme, grid, its increments).  While every path is live, the stack is
-    stepped through basic slices of the rows; once one has exited, the live
-    rows are gathered and the previous row is carried forward.
+    scheme, grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -170,21 +168,17 @@ def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     if problem.outside(states[:1, 0])[0]:
         raise ValueError("initial state outside the localization domain U")
 
-    K = len(increments)
-    exit_index = np.full(K, -1)
-    live = np.arange(K)
+    exit_index = np.full(len(increments), -1)
+    live = np.arange(len(increments))
     for i in range(nsteps):
-        every = len(live) == K
-        if not every:
-            states[:, i + 1] = states[:, i]
-            if len(live) == 0:
-                continue
-        rows = np.s_[:] if every else live
+        states[:, i + 1] = states[:, i]
+        if len(live) == 0:
+            continue
         dt = t_grid[i + 1] - t_grid[i]
-        x = stepper(problem, t_grid[i], states[rows, i], increments[rows, i], dt)
+        x = stepper(problem, t_grid[i], states[live, i], increments[live, i], dt)
         if not np.all(np.isfinite(x)):
             raise SdePathError(i, float(t_grid[i + 1]))
-        states[rows, i + 1] = x
+        states[live, i + 1] = x
         out = problem.outside(x)
         exit_index[live[out]] = i + 1
         live = live[~out]
