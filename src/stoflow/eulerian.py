@@ -22,7 +22,7 @@ import numpy as np
 
 from . import spectral as sp
 from .qwiener import QWienerSpec, curl_from_coefficients
-from .sde import SdeProblem, solve_paths
+from .sde import SdeProblem, solve_paths, step_paths
 
 __all__ = [
     "euler_drift",
@@ -122,20 +122,49 @@ class EulerianPath:
         return _path_diagnostics(self.q, self.alpha, self.mean)
 
 
+def _diagnostics(u: np.ndarray) -> np.ndarray:
+    """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
+    velocity row of u (..., 2, M, M), shape (4, ...)."""
+    return np.array((sp.l2_norm(u) ** 2, sp.enstrophy(u),
+                     sp.sobolev_norm(u, LOCALIZATION_SOBOLEV_INDEX),
+                     sp.divergence_residual(u)))
+
+
 def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
-    """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of the
-    velocity of each row of q (..., M, M), shape (4, ...).  Velocities are
-    rebuilt in blocks of about _DIAGNOSTIC_BLOCK_BYTES, which keeps the
-    temporaries small and in cache."""
+    """`_diagnostics` of the velocity of each row of q (..., M, M), shape
+    (4, ...).  Velocities are rebuilt in blocks of about
+    _DIAGNOSTIC_BLOCK_BYTES, which keeps the temporaries small and in cache."""
     rows = q.reshape((-1,) + q.shape[-2:])
     out = np.empty((4, len(rows)))
     step = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * rows[0].nbytes))
     for i in range(0, len(rows), step):
-        b = _velocity(rows[i:i + step], alpha, mean)
-        out[:, i:i + step] = (sp.l2_norm(b) ** 2, sp.enstrophy(b),
-                              sp.sobolev_norm(b, LOCALIZATION_SOBOLEV_INDEX),
-                              sp.divergence_residual(b))
+        out[:, i:i + step] = _diagnostics(_velocity(rows[i:i + step], alpha, mean))
     return out.reshape((4,) + q.shape[:-2])
+
+
+def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
+                     increments: np.ndarray, scheme: str = "heun", alpha: float = 0.0,
+                     radius_factor: float = 10.0):
+    """Step K paths as run_eulerian does, without keeping them: yields
+    (u, exit_index) per block of consecutive grid times, u the velocity
+    rows (K, b, 2, M, M) of the block, a fresh array, as the paths reach
+    its last time.
+
+    Each q row is copied into a buffer of b grid times, b chosen so that
+    the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
+    velocities are rebuilt once per block.  `exit_index` is the stepper's,
+    final after the last block, whose last rows are the paths' last
+    velocities (a stopped path's exit velocity).
+    """
+    problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
+    mean = np.array(u0[:, 0, 0])
+    b = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * len(increments) * problem.x0.nbytes))
+    buf = np.empty((len(increments), b) + problem.x0.shape, dtype=problem.x0.dtype)
+    last = len(t_grid) - 1
+    for i, (q, exit_index) in enumerate(step_paths(problem, scheme, t_grid, increments)):
+        buf[:, i % b] = q
+        if i % b == b - 1 or i == last:
+            yield _velocity(buf[:, :i % b + 1], alpha, mean), exit_index
 
 
 def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, increments: np.ndarray,

@@ -3,7 +3,9 @@
 All floating-point CSV values are written with 17 significant digits so
 reruns are byte-identical; each trajectory draws its own derived RNG
 stream, and an ensemble runs in index order as chunks of paths stepped
-as one stack, so the bytes do not depend on the chunk size.
+as one stack, so the bytes do not depend on the chunk size.  Ensembles
+keep no path: the runners reduce each chunk's rows a block of grid times
+at a time as they are stepped, to what they write or check.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from . import __version__
 from . import spectral as sp
 from .config import ExperimentConfig
-from .eulerian import run_eulerian
+from .eulerian import _diagnostics, _velocity_blocks
 from .lagrangian import run_equivalence, uniform_labels
 from .qwiener import QWienerSpec, build_spectrum, sample_coefficients
 from .sde import SdeProblem, coarsen_increments, strong_convergence_order
@@ -27,9 +29,11 @@ from .streams import derive_stream
 __all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean"]
 
 Z_BOUND = 4.0
-# q rows (paths x grid times x M^2 x 16 B) stepped as one stack; one chunk is
-# alive at a time, so this bounds an ensemble's peak
-_CHUNK_BYTES = 2**21
+# paths stepped as one stack: a chunk's transport-kernel grid values
+# (paths x 4 x Mg^2 x 8 B, Mg the product grid) stay within this, which
+# gives 2 paths at N = 16 and 8 at N = 8.  No path is kept, so it bounds
+# the stepping work of a chunk, not a history
+_CHUNK_BYTES = 5 * 2**15
 
 
 def _fmt(x) -> str:
@@ -86,19 +90,30 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 # experiment kinds
 
 def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
-    """Yields (first path index, EulerianPath) per chunk of about
-    _CHUNK_BYTES of q rows; path i draws derive_stream(cfg.seed, i, "noise").
-    The generator keeps no reference to a chunk it has yielded, so a caller
-    that drops each chunk before asking for the next holds one at a time."""
+    """Yields (first path index, times, velocity blocks) per chunk of paths,
+    the blocks those of eulerian._velocity_blocks on the grid `times`.  A
+    chunk keeps its increments and its latest rows, never its path, and the
+    generator keeps no reference to a chunk it has yielded, so a chunk's
+    increments are freed before the next chunk's are drawn."""
     nsteps = int(round(cfg.horizon / cfg.dt))
-    size = max(1, _CHUNK_BYTES // ((nsteps + 1) * (2 * cfg.n + 1) ** 2 * 16))
+    times = np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
+    size = max(1, _CHUNK_BYTES // (4 * sp._grid_layout(cfg.n)[0] ** 2 * 8))
     for first in range(0, cfg.ensemble, size):
-        inc = np.empty((min(size, cfg.ensemble - first), nsteps, spec.n_modes))
-        for k in range(len(inc)):
-            inc[k] = sample_coefficients(spec, cfg.dt, nsteps,
-                                         derive_stream(cfg.seed, first + k, "noise"))
-        yield first, run_eulerian(u0, spec, cfg.dt, inc, scheme=cfg.scheme,
-                                  alpha=cfg.alpha, radius_factor=cfg.radius_factor)
+        paths = range(first, min(first + size, cfg.ensemble))
+        yield first, times, _velocity_blocks(u0, spec, times,
+                                             _increments(cfg, spec, nsteps, paths),
+                                             scheme=cfg.scheme, alpha=cfg.alpha,
+                                             radius_factor=cfg.radius_factor)
+
+
+def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int,
+                paths: range) -> np.ndarray:
+    """Increments (len(paths), nsteps, n_modes); path i draws
+    derive_stream(cfg.seed, i, "noise")."""
+    inc = np.empty((len(paths), nsteps, spec.n_modes))
+    for k, i in enumerate(paths):
+        inc[k] = sample_coefficients(spec, cfg.dt, nsteps, derive_stream(cfg.seed, i, "noise"))
+    return inc
 
 
 def _exit_record(exit_times: list) -> dict:
@@ -115,17 +130,19 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
     scale = sp.l2_norm(u0) or 1.0  # a zero field is steady: absolute drift
 
     rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
-    for first, p in _ensemble(cfg, spec, u0):
-        diag = p.diagnostics()
-        for k, e in enumerate(p.exit_index):
+    for first, times, blocks in _ensemble(cfg, spec, u0):
+        parts = []
+        for u, exit_index in blocks:
+            parts.append(_diagnostics(u))
+        diag = np.concatenate(parts, axis=-1)
+        for k, e in enumerate(exit_index):
             rows += [(first + k, j, *r) for j, r in
-                     enumerate(zip(p.times[:e + 1 if e >= 0 else None], *diag[:, k]))]
+                     enumerate(zip(times[:e + 1 if e >= 0 else None], *diag[:, k]))]
         max_div = max(max_div, float(np.max(diag[3])))
         if steady:
-            drift = sp.l2_norm(p.velocities(np.s_[:, -1]) - u0) / scale
+            drift = sp.l2_norm(u[:, -1] - u0) / scale
             max_drift = max(max_drift, float(np.max(drift)))
-        exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
-        del p, diag  # release this chunk before the next one is solved
+        exit_times += [float(times[e]) for e in exit_index if e >= 0]
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
     acceptance = {"divergence_free": max_div < 1e-10}
@@ -248,12 +265,11 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
     e0 = sp.l2_norm(u0) ** 2
 
     terminal, exit_times, max_div = [], [], 0.0
-    for _, p in _ensemble(cfg, spec, u0):
-        diag = p.diagnostics()
-        terminal += list(diag[0, :, -1])  # a stopped path's last row is its exit row
-        max_div = max(max_div, float(np.max(diag[3])))
-        exit_times += [float(p.times[e]) for e in p.exit_index if e >= 0]
-        del p, diag  # release this chunk before the next one is solved
+    for _, times, blocks in _ensemble(cfg, spec, u0):
+        for u, exit_index in blocks:
+            max_div = max(max_div, float(np.max(sp.divergence_residual(u))))
+        terminal += list(sp.l2_norm(u[:, -1]) ** 2)  # a stopped path's last row is its exit row
+        exit_times += [float(times[e]) for e in exit_index if e >= 0]
     terminal = np.array(terminal)
 
     slopes = (terminal - e0) / cfg.horizon

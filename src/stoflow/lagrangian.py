@@ -45,7 +45,10 @@ __all__ = [
 ]
 
 TWO_PI = 2.0 * np.pi
-_SPRAY_BLOCK_BYTES = 2**21  # grid times of spray and kick fields built at once
+# grid times of spray and kick fields built at once: 11 at N = 8, a few
+# advection_term calls more per path than whole-path blocks, but a block's
+# fields and their temporaries stay under a megabyte
+_SPRAY_BLOCK_BYTES = 2**19
 
 
 @dataclass(frozen=True)

@@ -147,7 +147,8 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
     if dt <= 0:
         raise ValueError("dt must be positive")
     xi = rng.standard_normal((n, spec.n_modes))
-    return xi * np.sqrt(spec.mode_variances * dt)
+    xi *= np.sqrt(spec.mode_variances * dt)  # in place: no second (n, n_modes) array
+    return xi
 
 
 def _place(spec: QWienerSpec, a: np.ndarray) -> np.ndarray:

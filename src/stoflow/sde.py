@@ -8,7 +8,8 @@ coordinate j distributed N(0, lambda_j dt).  The diffusion is given by its
 action: `diffusion(x, dW)` returns the state-space increment sigma(x) dW,
 so sigma never has to exist as a matrix.  States are real or complex
 arrays of any shape; the steppers only add and scale them.  An ensemble is
-one stack of states with a leading path axis (`solve_paths`).
+one stack of states with a leading path axis: `step_paths` yields its rows
+one grid time at a time, and `solve_paths` collects them.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ __all__ = [
     "step_heun_stratonovich",
     "stratonovich_correction",
     "sample_increments",
+    "step_paths",
     "solve_paths",
     "coarsen_increments",
     "strong_convergence_order",
@@ -147,14 +149,18 @@ def sample_increments(problem: SdeProblem, t_grid: np.ndarray,
     return xi * np.sqrt(lam[None, :] * dts[:, None])
 
 
-def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
-                increments: np.ndarray) -> PathResult:
-    """Integrate K paths from problem.x0, one per row of `increments`
-    (K, nsteps, m), each until the end of the grid or its first exit from U.
+def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
+               increments: np.ndarray):
+    """Step K paths from problem.x0, one per row of `increments` (K, nsteps, m),
+    each until the end of the grid or its first exit from U; yields
+    (states (K, *x0.shape), exit_index (K,)) at every grid time, the first
+    at t_grid[0].
 
-    Only live paths are stepped, so an exited path never raises
-    SdePathError.  Each path's rows are a pure function of (problem,
-    scheme, grid, its increments).
+    Both arrays are updated in place by the next step, so copy what must
+    outlive it.  Only live paths are stepped, so an exited path keeps its
+    exit state and never raises SdePathError; exit_index is as in
+    PathResult.  Each path's rows are a pure function of (problem, scheme,
+    grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -162,26 +168,35 @@ def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     if increments.ndim != 3 or increments.shape[1] != nsteps:
         raise ValueError("increment array does not match the time grid")
     x0 = np.asarray(problem.x0)
-    states = np.empty((len(increments), nsteps + 1) + x0.shape,
-                      dtype=np.result_type(x0, float))
-    states[:, 0] = x0
-    if problem.outside(states[:1, 0])[0]:
+    states = np.empty((len(increments),) + x0.shape, dtype=np.result_type(x0, float))
+    states[:] = x0
+    if problem.outside(states[:1])[0]:
         raise ValueError("initial state outside the localization domain U")
 
     exit_index = np.full(len(increments), -1)
     live = np.arange(len(increments))
+    yield states, exit_index
     for i in range(nsteps):
-        states[:, i + 1] = states[:, i]
-        if len(live) == 0:
-            continue
-        dt = t_grid[i + 1] - t_grid[i]
-        x = stepper(problem, t_grid[i], states[live, i], increments[live, i], dt)
-        if not np.all(np.isfinite(x)):
-            raise SdePathError(i, float(t_grid[i + 1]))
-        states[live, i + 1] = x
-        out = problem.outside(x)
-        exit_index[live[out]] = i + 1
-        live = live[~out]
+        if len(live):
+            dt = t_grid[i + 1] - t_grid[i]
+            x = stepper(problem, t_grid[i], states[live], increments[live, i], dt)
+            if not np.all(np.isfinite(x)):
+                raise SdePathError(i, float(t_grid[i + 1]))
+            states[live] = x
+            out = problem.outside(x)
+            exit_index[live[out]] = i + 1
+            live = live[~out]
+        yield states, exit_index
+
+
+def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
+                increments: np.ndarray) -> PathResult:
+    """The rows of `step_paths` collected: every grid time of the K paths."""
+    t_grid = np.asarray(t_grid, dtype=float)
+    for i, (x, exit_index) in enumerate(step_paths(problem, scheme, t_grid, increments)):
+        if i == 0:
+            states = np.empty((len(x), len(t_grid)) + x.shape[1:], dtype=x.dtype)
+        states[:, i] = x
     return PathResult(times=t_grid, states=states, exit_index=exit_index)
 
 

@@ -221,6 +221,29 @@ def test_path_diagnostics_match_per_field_functions():
     assert np.array_equal(div[0], [sp.divergence_residual(f) for f in fields])
 
 
+def test_streamed_diagnostics_match_collected_path():
+    # the velocity blocks, reduced as they come, give the collected path's
+    # diagnostics bit for bit, and its exit indices and last velocities; the
+    # 31 grid times of 3 paths span four blocks, the last one short, and
+    # path 1 is kicked out of the ball at row 13
+    N, dt, nsteps = 8, 0.01, 30
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.random_divergence_free(N, np.random.default_rng(7))
+    inc = np.stack([sample_coefficients(spec, dt, nsteps, derive_stream(31, k, "stream"))
+                    for k in range(3)])
+    inc[1, 12] *= 1000.0
+    path = eu.run_eulerian(u0, spec, dt, inc, alpha=0.3, radius_factor=2.0)
+    assert path.exit_index.tolist() == [-1, 13, -1]
+    parts = []
+    for u, exit_index in eu._velocity_blocks(u0, spec, path.times, inc, alpha=0.3,
+                                             radius_factor=2.0):
+        parts.append(eu._diagnostics(u))
+    assert [d.shape[-1] for d in parts] == [9, 9, 9, 4]
+    assert np.array_equal(np.concatenate(parts, axis=-1), path.diagnostics())
+    assert np.array_equal(exit_index, path.exit_index)
+    assert np.array_equal(u[:, -1], path.velocities(np.s_[:, -1]))
+
+
 def test_heun_vs_em_coupled_difference_order_dt():
     # additive noise: the schemes differ only through drift averaging,
     # so coupled paths differ by O(dt) with a stable constant

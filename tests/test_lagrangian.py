@@ -254,7 +254,7 @@ def test_equivalence_reads_no_diagnostics(monkeypatch):
 
 
 def test_block_size_does_not_change_residual(monkeypatch):
-    # the 101 grid times span two blocks at the default size; one grid time
+    # the 101 grid times span several blocks at the default size; one grid time
     # per block and the whole path in one block give the same bits
     N, dt, nsteps = 6, 0.002, 100
     spec = build_spectrum(N, 3.0, 0.5)

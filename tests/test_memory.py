@@ -1,12 +1,14 @@
-"""Working-set bounds: an ensemble holds one chunk of paths at a time, and
-the particle path holds one grid time of particle values, so the traced
-allocation peak does not grow with the number of chunks or grid times."""
+"""Working-set bounds: an ensemble holds one chunk of paths at a time and
+none of their paths, only a block of their latest rows, and the particle
+path holds one grid time of particle values, so the traced allocation peak
+does not grow with the number of chunks, nor with the number of grid times
+beyond the noise drawn for them."""
 
 import tracemalloc
 
 import pytest
 
-from stoflow import experiments
+from stoflow import eulerian, experiments, sde
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
 from stoflow.config import ExperimentConfig
@@ -44,6 +46,40 @@ def test_ensemble_holds_one_chunk(tmp_path, monkeypatch):
     assert four - one < chunk / 2, (one, four, chunk)
 
 
+def test_ensembles_never_collect_a_path(tmp_path, monkeypatch):
+    # simulate and energy-growth reduce the stepper's rows as they come:
+    # neither the path collector nor the collected Eulerian path is called
+    def collect(*args, **kwargs):
+        raise AssertionError("an ensemble collected a path")
+
+    for mod, name in ((sde, "solve_paths"), (eulerian, "solve_paths"),
+                      (eulerian, "run_eulerian"), (experiments, "run_eulerian")):
+        monkeypatch.setattr(mod, name, collect, raising=False)
+    for i, kw in enumerate((dict(kind="simulate-euler", c=0.0, ensemble=2),
+                            dict(kind="simulate-euler", c=0.5, ensemble=3),
+                            dict(kind="energy-growth", c=0.5, ensemble=3))):
+        cfg = ExperimentConfig(n=6, dt=0.01, horizon=0.1, seed=9, **kw)
+        assert run_experiment(cfg, out_dir=tmp_path / str(i)).all_passed
+
+
+def test_ensemble_peak_does_not_grow_with_the_path(tmp_path):
+    # one path at N = 16 from 20 to 80 steps: the peak grows by the noise
+    # drawn for the 60 steps (its array and the draw's temporaries), far
+    # less than the 60 q rows a collected path would keep
+    N, dt = 16, 0.01
+    M, n_modes = 2 * N + 1, build_spectrum(N, 3.0, 0.5).n_modes
+
+    def run(nsteps):
+        cfg = ExperimentConfig(kind="simulate-euler", n=N, dt=dt, horizon=nsteps * dt,
+                               c=0.5, seed=5)
+        return lambda: run_experiment(cfg, out_dir=tmp_path / str(nsteps))
+
+    run(20)()  # fill the per-N constant caches outside the traced runs
+    short, long = traced_peak(run(20)), traced_peak(run(80))
+    increments, q_rows = 60 * n_modes * 8, 60 * M * M * 16
+    assert long - short < 2 * increments + q_rows / 4, (short, long, increments, q_rows)
+
+
 def test_particle_path_holds_one_grid_time(monkeypatch):
     # one grid time per block: 60 more grid times add far less than the
     # 60 rows of (P, 5, 2) particle values a collected residual would keep
@@ -62,6 +98,25 @@ def test_particle_path_holds_one_grid_time(monkeypatch):
     short, long = traced_peak(run(20)), traced_peak(run(80))
     rows = 60 * len(labels) * 5 * 2 * 8
     assert long - short < rows / 4, (short, long, rows)
+
+
+def test_spray_blocks_stay_small(monkeypatch):
+    # particles-p24's finest level (N = 8, 24^2 labels, 41 grid times): the
+    # default spray blocks peak within a megabyte of one grid time per block
+    N, dt, nsteps = 8, 0.00625, 40
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N)
+    labels = uniform_labels(24)
+    inc = sample_coefficients(spec, dt, nsteps, derive_stream(59, "spray"))
+
+    def run():
+        lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
+
+    run()  # fill the per-N constant caches outside the traced runs
+    default = traced_peak(run)
+    monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", 1)
+    one = traced_peak(run)
+    assert default - one < 2**20, (default, one)
 
 
 def test_streamed_residual_matches_collected_values():

@@ -208,6 +208,27 @@ def test_paths_exit_on_their_own():
         assert np.array_equal(res.states[k], solo.states[0])
 
 
+def test_step_paths_rows_are_the_collected_path():
+    # the stepper's rows, copied as they come, are solve_paths' states bit
+    # for bit on a stack where two of three paths exit at different rows;
+    # the exit indices agree; the next step overwrites the yielded array
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
+    grid = np.linspace(0.0, 0.2, 21)
+    inc = 0.01 * derive_stream(42, "rows").standard_normal((3, 20, 1))
+    inc[0, 6], inc[2, 11] = 2.0, -2.0
+    ref = solve_paths(p, "heun", grid, inc)
+    assert ref.exit_index.tolist() == [7, -1, 12]
+    rows = []
+    for x, exit_index in sde.step_paths(p, "heun", grid, inc):
+        rows.append(x.copy())
+    assert len(rows) == len(grid)
+    assert np.array_equal(np.stack(rows, axis=1), ref.states)
+    assert np.array_equal(exit_index, ref.exit_index)
+    assert np.array_equal(x, ref.states[:, -1])
+    steps = sde.step_paths(p, "heun", grid, inc)
+    assert next(steps)[0] is next(steps)[0]
+
+
 def test_increments_must_match_grid():
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     for bad in (np.zeros((1, 9, 1)), np.zeros((10, 1))):
