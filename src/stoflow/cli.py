@@ -3,7 +3,8 @@
     lab <kind> --config <path> [--seed S] [--out DIR] [--threads T]
 
 Exit status: 0 all embedded acceptance checks pass, 2 an acceptance check
-failed, 1 operational error (bad config, I/O, numeric abort).
+failed, 1 operational error (bad config, I/O, numeric abort, out of
+memory), reported in one line on standard error.
 The environment variable STOFLOW_OUT overrides the default output dir.
 """
 
@@ -12,6 +13,8 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+
+import numpy as np
 
 from .config import KINDS, ConfigError, parse_config
 from .experiments import run_experiment
@@ -49,9 +52,15 @@ def main(argv=None) -> int:
         cfg.seed = args.seed
     out = args.out or os.environ.get("STOFLOW_OUT") or cfg.out_dir
     try:
-        manifest = run_experiment(cfg, out_dir=out, threads=args.threads)
+        # a diverging path overflows before the stepper's finiteness check
+        # aborts it, which is then the one line the run prints
+        with np.errstate(over="ignore", invalid="ignore"):
+            manifest = run_experiment(cfg, out_dir=out, threads=args.threads)
     except SdePathError as exc:
         print(f"lab: numeric abort: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:
+        print(f"lab: out of memory: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"lab: error: {exc}", file=sys.stderr)

@@ -85,6 +85,9 @@ class ExperimentConfig:
                 raise ConfigError(f"{key} must be >= 0, got {val}")
         if self.c < 0:
             raise ConfigError("noise.c must be >= 0")
+        if self.c == 0 and self.kind == "isometry":
+            raise ConfigError("noise.c must be positive for kind 'isometry': "
+                              "its z-scores divide by the noise variances")
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if self.alpha != 0 and self.kind != "simulate-averaged":

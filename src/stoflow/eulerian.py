@@ -69,6 +69,12 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     read from q as |u|_{H^s}^2 = |U|^2 + sum_k (1+|k|^2)^s |K(k)|^2 |q(k)|^2,
     with K the biot_savart multiplier.  u0 must have the shape (2, M, M) of
     the noise resolution, M = 2 spec.N + 1.
+
+    The noise is additive.  The drift rebuilds only the velocity columns
+    the transport kernel reads, and owns the transport kernel's work
+    buffers: they are allocated for the first stack (K, M, M) it is given,
+    or a longer one, and every later stack of at most K paths, such as the
+    live paths of a chunk, uses their first rows.
     """
     N = spec.N
     expected = (2, 2 * N + 1, 2 * N + 1)
@@ -77,8 +83,20 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
                          f"for the noise resolution N = {N}")
     mean = np.array(u0[:, 0, 0], dtype=complex)
 
+    multiplier = sp._biot_savart_multiplier(N, float(alpha))
+    work = []  # the transport kernel's buffers, for the longest stack seen
+
     def drift(t: float, q: np.ndarray) -> np.ndarray:
-        return -sp.advection_term(q, _velocity(q, alpha, mean))
+        # _velocity on the columns ky >= 0, the only ones the kernel reads
+        u = multiplier[..., :N + 1] * q[..., None, :, :N + 1]
+        u[..., :, 0, 0] = mean
+        if q.ndim != 3:
+            adv = sp.advection_term(q, u)
+        else:
+            if not work or len(work[0]) < len(q):
+                work[:] = sp._advection_work(q.shape[:1], N)
+            adv = sp.advection_term(q, u, tuple(w[:len(q)] for w in work))
+        return np.negative(adv, out=adv)
 
     def diffusion(q: np.ndarray, dW: np.ndarray) -> np.ndarray:
         return curl_from_coefficients(spec, dW)
@@ -86,7 +104,7 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     q0 = sp.curl(sp.helmholtz_apply(u0, alpha))
     _, _, ksq = sp._k_grids(N)
     wq = ((1.0 + ksq) ** LOCALIZATION_SOBOLEV_INDEX
-          * np.sum(np.abs(sp._biot_savart_multiplier(N, float(alpha))) ** 2, axis=0))
+          * np.sum(np.abs(multiplier) ** 2, axis=0))
     mean_sq = np.sum(np.abs(mean) ** 2)
 
     def hs_norm(q: np.ndarray) -> np.ndarray:
@@ -95,7 +113,7 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     radius = radius_factor * max(sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX), 1.0)
     return SdeProblem(dim=2 * q0.size, drift=drift, diffusion=diffusion,
                       noise_variances=spec.mode_variances, x0=q0,
-                      domain_radius=radius, domain_norm=hs_norm)
+                      domain_radius=radius, domain_norm=hs_norm, additive=True)
 
 
 @dataclass
@@ -124,10 +142,14 @@ class EulerianPath:
 
 def _diagnostics(u: np.ndarray) -> np.ndarray:
     """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
-    velocity row of u (..., 2, M, M), shape (4, ...)."""
-    return np.array((sp.l2_norm(u) ** 2, sp.enstrophy(u),
-                     sp.sobolev_norm(u, LOCALIZATION_SOBOLEV_INDEX),
-                     sp.divergence_residual(u)))
+    velocity row of u (..., 2, M, M), shape (4, ...), the squared moduli
+    |u(k)|^2 formed once for all four: bit for bit the per-field functions."""
+    sq = np.abs(u)
+    sq *= sq
+    l2 = sp._sobolev_norm_of_squares(sq, 0.0)
+    return np.array((l2 ** 2, sp._enstrophy_of_squares(sq),
+                     sp._sobolev_norm_of_squares(sq, LOCALIZATION_SOBOLEV_INDEX),
+                     sp._divergence_residual(u, l2)))
 
 
 def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
@@ -143,12 +165,13 @@ def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarr
 
 
 def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
-                     increments: np.ndarray, scheme: str = "heun", alpha: float = 0.0,
+                     increments, scheme: str = "heun", alpha: float = 0.0,
                      radius_factor: float = 10.0):
     """Step K paths as run_eulerian does, without keeping them: yields
     (u, exit_index) per block of consecutive grid times, u the velocity
     rows (K, b, 2, M, M) of the block, a fresh array, as the paths reach
-    its last time.
+    its last time.  `increments` is the K paths' noise as step_paths takes
+    it: one array or an iterable of blocks of grid steps.
 
     Each q row is copied into a buffer of b grid times, b chosen so that
     the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
@@ -158,10 +181,11 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
     """
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
     mean = np.array(u0[:, 0, 0])
-    b = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * len(increments) * problem.x0.nbytes))
-    buf = np.empty((len(increments), b) + problem.x0.shape, dtype=problem.x0.dtype)
     last = len(t_grid) - 1
     for i, (q, exit_index) in enumerate(step_paths(problem, scheme, t_grid, increments)):
+        if i == 0:
+            b = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * q.nbytes))
+            buf = np.empty((len(q), b) + q.shape[1:], dtype=q.dtype)
         buf[:, i % b] = q
         if i % b == b - 1 or i == last:
             yield _velocity(buf[:, :i % b + 1], alpha, mean), exit_index

@@ -4,8 +4,9 @@ All floating-point CSV values are written with 17 significant digits so
 reruns are byte-identical; each trajectory draws its own derived RNG
 stream, and an ensemble runs in index order as chunks of paths stepped
 as one stack, so the bytes do not depend on the chunk size.  Ensembles
-keep no path: the runners reduce each chunk's rows a block of grid times
-at a time as they are stepped, to what they write or check.
+keep no path: each path's noise is drawn a block of grid steps at a time
+as the stack reaches it, and the runners reduce each chunk's rows a block
+of grid times at a time as they are stepped, to what they write or check.
 """
 
 from __future__ import annotations
@@ -31,9 +32,20 @@ __all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean
 Z_BOUND = 4.0
 # paths stepped as one stack: a chunk's transport-kernel grid values
 # (paths x 4 x Mg^2 x 8 B, Mg the product grid) stay within this, which
-# gives 2 paths at N = 16 and 8 at N = 8.  No path is kept, so it bounds
-# the stepping work of a chunk, not a history
-_CHUNK_BYTES = 5 * 2**15
+# gives 8 paths at N = 16 (Mg = 50) and 32 at N = 8 (Mg = 25).  Per-path
+# advection_term cost with lent buffers (timeit, best of 9-15 repeats,
+# three runs, 2-vCPU host, NumPy 2.4):
+#   N = 16: 142-184 us at 1 path, 129-179 at 2, 157-180 at 6, 107-121 at 8,
+#           128-163 at 32
+#   N = 8:   78-95 us at 1 path, 44-50 at 8, 32-39 at 32
+# so both resolutions sit near their best stack with one constant; every
+# other per-step call (velocity, noise, Heun sums, exit check) is also paid
+# once per stack.  No path is kept, so it bounds the stepping work of a
+# chunk, not a history
+_CHUNK_BYTES = 5 * 2**17
+# noise drawn at once for a chunk: one grid step of 6 paths at N = 16, 7
+# steps of one path; a larger block only adds to the peak
+_NOISE_BLOCK_BYTES = 2**16
 
 
 def _fmt(x) -> str:
@@ -92,9 +104,9 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
     """Yields (first path index, times, velocity blocks) per chunk of paths,
     the blocks those of eulerian._velocity_blocks on the grid `times`.  A
-    chunk keeps its increments and its latest rows, never its path, and the
-    generator keeps no reference to a chunk it has yielded, so a chunk's
-    increments are freed before the next chunk's are drawn."""
+    chunk keeps one block of its increments and its latest rows, never its
+    path, and the generator keeps no reference to a chunk it has yielded,
+    so a chunk's buffers are freed before the next chunk's are made."""
     nsteps = int(round(cfg.horizon / cfg.dt))
     times = np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
     size = max(1, _CHUNK_BYTES // (4 * sp._grid_layout(cfg.n)[0] ** 2 * 8))
@@ -106,14 +118,24 @@ def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
                                              radius_factor=cfg.radius_factor)
 
 
-def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int,
-                paths: range) -> np.ndarray:
-    """Increments (len(paths), nsteps, n_modes); path i draws
-    derive_stream(cfg.seed, i, "noise")."""
-    inc = np.empty((len(paths), nsteps, spec.n_modes))
-    for k, i in enumerate(paths):
-        inc[k] = sample_coefficients(spec, cfg.dt, nsteps, derive_stream(cfg.seed, i, "noise"))
-    return inc
+def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: range):
+    """Yields the increments of the paths, (len(paths), b, n_modes) per
+    block of b grid steps, b the most steps within _NOISE_BLOCK_BYTES (at
+    least one); the last block may be shorter.  Path i draws
+    derive_stream(cfg.seed, i, "noise") a block at a time, in place and
+    scaled in place, so its rows are those of sample_coefficients(spec,
+    cfg.dt, nsteps, that stream) bit for bit.  Every block is the same
+    buffer, overwritten by the next one."""
+    rngs = [derive_stream(cfg.seed, i, "noise") for i in paths]
+    scale = np.sqrt(spec.mode_variances * cfg.dt)
+    b = min(nsteps, max(1, _NOISE_BLOCK_BYTES // (len(paths) * spec.n_modes * 8)))
+    buf = np.empty((len(paths), b, spec.n_modes))
+    for first in range(0, nsteps, b):
+        block = buf[:, :min(b, nsteps - first)]
+        for rng, rows in zip(rngs, block):
+            rng.standard_normal(out=rows)
+        block *= scale
+        yield block
 
 
 def _exit_record(exit_times: list) -> dict:

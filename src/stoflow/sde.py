@@ -9,12 +9,14 @@ action: `diffusion(x, dW)` returns the state-space increment sigma(x) dW,
 so sigma never has to exist as a matrix.  States are real or complex
 arrays of any shape; the steppers only add and scale them.  An ensemble is
 one stack of states with a leading path axis: `step_paths` yields its rows
-one grid time at a time, and `solve_paths` collects them.
+one grid time at a time, reading its increments a block of grid steps at a
+time, and `solve_paths` collects them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -53,7 +55,9 @@ class SdeProblem:
     complex entry counts twice); `noise_variances` has one entry per noise
     coordinate.  U is the closed ball of radius `domain_radius` about the
     origin in the norm `domain_norm` (Euclidean when None); paths are
-    certified only up to the first grid time they leave U.
+    certified only up to the first grid time they leave U.  `additive`
+    says that `diffusion(x, dW)` does not read x, so a step may place the
+    noise of one dW once and reuse it.
     """
 
     dim: int
@@ -63,6 +67,7 @@ class SdeProblem:
     x0: np.ndarray
     domain_radius: float = np.inf
     domain_norm: Optional[Callable[[np.ndarray], np.ndarray]] = None
+    additive: bool = False
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Whether each state of the stack x (K, *x0.shape) lies outside U,
@@ -97,15 +102,26 @@ def step_heun_stratonovich(problem: SdeProblem, t: float, x: np.ndarray,
     Corrector: x + (b(t,x) + b(t+dt,xp))/2 dt + (sigma(x) + sigma(xp))/2 dW
 
     Reduces to second-order Heun for the ODE when the noise is off.  For
-    additive noise the two diffusion terms are equal and their average is
-    exact.
+    additive noise (`problem.additive`) sigma(xp) dW is sigma(x) dW, so the
+    noise is placed once and the corrector averages it with itself, which
+    gives the bits of two placements.  The sums are formed in place in the
+    step's own temporaries (never in what drift or diffusion returned), in
+    the order of the formulas above, so the bits are those of the formulas.
     """
     b0 = problem.drift(t, x)
     n0 = problem.diffusion(x, dW)
-    xp = x + b0 * dt + n0
+    xp = x + b0 * dt
+    xp += n0
     b1 = problem.drift(t + dt, xp)
-    n1 = problem.diffusion(xp, dW)
-    return x + 0.5 * (b0 + b1) * dt + 0.5 * (n0 + n1)
+    n1 = n0 if problem.additive else problem.diffusion(xp, dW)
+    b = b0 + b1
+    b *= 0.5
+    b *= dt
+    out = x + b
+    n = n0 + n1
+    n *= 0.5
+    out += n
+    return out
 
 
 _STEPPERS = {
@@ -149,15 +165,18 @@ def sample_increments(problem: SdeProblem, t_grid: np.ndarray,
     return xi * np.sqrt(lam[None, :] * dts[:, None])
 
 
-def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
-               increments: np.ndarray):
-    """Step K paths from problem.x0, one per row of `increments` (K, nsteps, m),
-    each until the end of the grid or its first exit from U; yields
-    (states (K, *x0.shape), exit_index (K,)) at every grid time, the first
-    at t_grid[0].
+def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments):
+    """Step K paths from problem.x0, each until the end of the grid or its
+    first exit from U; yields (states (K, *x0.shape), exit_index (K,)) at
+    every grid time, the first at t_grid[0].
 
-    Both arrays are updated in place by the next step, so copy what must
-    outlive it.  Only live paths are stepped, so an exited path keeps its
+    `increments` drives path k by its row k: one array (K, nsteps, m), or
+    an iterable of consecutive blocks (K, b, m) of it, read a block at a
+    time, so the noise of the whole grid need never exist at once (a block
+    may be overwritten once the stepper asks for the next one).  Both
+    yielded arrays are updated in place by the next step, so copy what must
+    outlive it.  Only live paths are stepped (the whole stack in place of a
+    gather and a scatter while none has exited), so an exited path keeps its
     exit state and never raises SdePathError; exit_index is as in
     PathResult.  Each path's rows are a pure function of (problem, scheme,
     grid, its increments).
@@ -165,28 +184,42 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
     nsteps = len(t_grid) - 1
-    if increments.ndim != 3 or increments.shape[1] != nsteps:
+    if isinstance(increments, np.ndarray):
+        if increments.ndim != 3 or increments.shape[1] != nsteps:
+            raise ValueError("increment array does not match the time grid")
+        increments = (increments,)
+    blocks = iter(increments)
+    first = next(blocks, None)
+    if first is None:
         raise ValueError("increment array does not match the time grid")
     x0 = np.asarray(problem.x0)
-    states = np.empty((len(increments),) + x0.shape, dtype=np.result_type(x0, float))
+    states = np.empty((len(first),) + x0.shape, dtype=np.result_type(x0, float))
     states[:] = x0
     if problem.outside(states[:1])[0]:
         raise ValueError("initial state outside the localization domain U")
 
-    exit_index = np.full(len(increments), -1)
-    live = np.arange(len(increments))
+    exit_index = np.full(len(states), -1)
+    live = np.arange(len(states))
     yield states, exit_index
-    for i in range(nsteps):
-        if len(live):
-            dt = t_grid[i + 1] - t_grid[i]
-            x = stepper(problem, t_grid[i], states[live], increments[live, i], dt)
-            if not np.all(np.isfinite(x)):
-                raise SdePathError(i, float(t_grid[i + 1]))
-            states[live] = x
-            out = problem.outside(x)
-            exit_index[live[out]] = i + 1
-            live = live[~out]
-        yield states, exit_index
+    i = 0
+    for block in chain((first,), blocks):
+        if block.ndim != 3 or len(block) != len(states) or i + block.shape[1] > nsteps:
+            raise ValueError("increment array does not match the time grid")
+        for dW in block.swapaxes(0, 1):
+            if len(live):
+                dt = t_grid[i + 1] - t_grid[i]
+                rows = np.s_[:] if len(live) == len(states) else live
+                x = stepper(problem, t_grid[i], states[rows], dW[rows], dt)
+                if not np.all(np.isfinite(x)):
+                    raise SdePathError(i, float(t_grid[i + 1]))
+                states[rows] = x
+                out = problem.outside(x)
+                exit_index[live[out]] = i + 1
+                live = live[~out]
+            i += 1
+            yield states, exit_index
+    if i != nsteps:
+        raise ValueError("increment array does not match the time grid")
 
 
 def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,

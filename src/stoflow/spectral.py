@@ -12,7 +12,11 @@ act on the trailing axes and broadcast over the leading ones.  Real-valued
 fields obey the Hermitian symmetry uhat(-k) = conj(uhat(k)).
 
 All operations are pure: they return new arrays and never write to their
-inputs.  The per-N constants are built once and are read-only.
+inputs, except the work buffers a caller may lend the transport kernel.
+The per-N constants are built once and are read-only, and the module keeps
+no other state: those buffers belong to the caller, who may pass the same
+ones to many calls (`_advection_work`), and the kernel's output is still a
+fresh array.
 """
 
 from __future__ import annotations
@@ -130,9 +134,13 @@ def biot_savart(q: np.ndarray, alpha: float = 0.0) -> np.ndarray:
 def divergence_residual(v: np.ndarray) -> np.ndarray:
     """max_k |k . vhat(k)| relative to the coefficient norm of each field of
     v (..., 2, M, M); 0 for a zero field."""
+    return _divergence_residual(v, l2_norm(v))
+
+
+def _divergence_residual(v: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """divergence_residual of v given its L2 norms den."""
     kx, ky, _ = _k_grids(_resolution(v))
     num = np.max(np.abs(kx * v[..., 0, :, :] + ky * v[..., 1, :, :]), axis=(-2, -1))
-    den = l2_norm(v)
     return num / np.where(den == 0.0, np.inf, den)
 
 
@@ -146,15 +154,20 @@ def helmholtz_apply(v: np.ndarray, alpha: float) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# norms, one per vector field of a stack (..., 2, M, M)
+# norms, one per vector field of a stack (..., 2, M, M); the _of_squares
+# forms take the squared moduli |vhat|^2, which a caller reducing one stack
+# to several norms forms once
 
 def sobolev_norm(v: np.ndarray, s: float) -> np.ndarray:
     """Discrete H^s norm: ( sum_k (1+|k|^2)^s |vhat(k)|^2 )^(1/2)."""
     if s < 0:
         raise ValueError("Sobolev index s must be >= 0")
-    _, _, ksq = _k_grids(_resolution(v))
-    w = (1.0 + ksq) ** s
-    return np.sqrt(np.sum(w * np.abs(v) ** 2, axis=_FIELD_AXES))
+    return _sobolev_norm_of_squares(np.abs(v) ** 2, s)
+
+
+def _sobolev_norm_of_squares(sq: np.ndarray, s: float) -> np.ndarray:
+    _, _, ksq = _k_grids(_resolution(sq))
+    return np.sqrt(np.sum((1.0 + ksq) ** s * sq, axis=_FIELD_AXES))
 
 
 def l2_norm(v: np.ndarray) -> np.ndarray:
@@ -163,8 +176,12 @@ def l2_norm(v: np.ndarray) -> np.ndarray:
 
 def enstrophy(v: np.ndarray) -> np.ndarray:
     """sum_k |k|^2 |vhat(k)|^2."""
-    _, _, ksq = _k_grids(_resolution(v))
-    return np.sum(ksq * np.abs(v) ** 2, axis=_FIELD_AXES)
+    return _enstrophy_of_squares(np.abs(v) ** 2)
+
+
+def _enstrophy_of_squares(sq: np.ndarray) -> np.ndarray:
+    _, _, ksq = _k_grids(_resolution(sq))
+    return np.sum(ksq * sq, axis=_FIELD_AXES)
 
 
 # ---------------------------------------------------------------------------
@@ -194,24 +211,33 @@ def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
     return Mg, _freeze(k % Mg), _freeze(-k % Mg)
 
 
-def _to_grid(half: np.ndarray) -> np.ndarray:
+def _to_grid(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Values on the Mg x Mg product grid of a stack of real fields, given
     the N + 1 columns ky >= 0 of their half spectra zero-padded along kx,
     shape (..., Mg, N + 1), which are transformed along x in place (half is
-    overwritten); irfft(n=Mg) then zero-pads the rest of the half spectrum.
-    Equals irfft2 of the zero-padded half spectrum."""
+    overwritten); irfft(n=Mg) then zero-pads the rest of the half spectrum,
+    into `out` (..., Mg, Mg) when given.  Equals irfft2 of the zero-padded
+    half spectrum."""
     np.fft.ifft(half, axis=-2, norm="forward", out=half)
-    return np.fft.irfft(half, n=half.shape[-2], axis=-1, norm="forward")
+    return np.fft.irfft(half, n=half.shape[-2], axis=-1, norm="forward", out=out)
 
 
-def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
+def _from_grid(values: np.ndarray, N: int, spectrum: np.ndarray | None = None,
+               cols: np.ndarray | None = None) -> np.ndarray:
     """Coefficients with |k| <= N, shape (..., M, M), of real product-grid
     values (..., Mg, Mg): rfft along y, then fft along x of the N + 1
     retained columns ky >= 0 only (equal to those columns of rfft2).  The
-    rest is rebuilt as c(-k) = conj c(k), so the output is exactly Hermitian."""
+    rest is rebuilt as c(-k) = conj c(k), so the output is exactly Hermitian.
+    `spectrum` (..., Mg, Mg // 2 + 1) and `cols` (..., Mg, N + 1), when
+    given, receive the rfft and the retained columns, which are then
+    transformed in place; the output is a fresh array either way."""
     Mg, rows, neg = _grid_layout(N)
-    cols = np.fft.rfft(values, axis=-1, norm="forward")[..., :N + 1]
-    half = np.fft.fft(cols, axis=-2, norm="forward")
+    spectrum = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
+    if cols is None:
+        half = np.fft.fft(spectrum[..., :N + 1], axis=-2, norm="forward")
+    else:
+        cols[...] = spectrum[..., :N + 1]
+        half = np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     out = np.empty(values.shape[:-2] + (2 * N + 1, 2 * N + 1), dtype=complex)
     out[..., :N + 1] = half[..., rows, :]
     out[..., N + 1:] = np.conj(half[..., neg, N:0:-1])
@@ -219,33 +245,56 @@ def _from_grid(values: np.ndarray, N: int) -> np.ndarray:
     return out
 
 
-def advection_term(q: np.ndarray, u: np.ndarray) -> np.ndarray:
+def _advection_work(lead: tuple, N: int) -> tuple:
+    """Work buffers of advection_term for a stack of shape `lead`: the
+    padded half spectrum (*lead, 4, Mg, N + 1), the grid values
+    (*lead, 4, Mg, Mg) and the forward rfft (*lead, Mg, Mg // 2 + 1).  A
+    caller that applies the kernel to one stack many times allocates them
+    once and passes them, or leading slices [:k] of them for the first k
+    fields, to every call; their contents between calls are scratch."""
+    Mg = _grid_layout(N)[0]
+    return (np.empty(lead + (4, Mg, N + 1), dtype=complex),
+            np.empty(lead + (4, Mg, Mg)),
+            np.empty(lead + (Mg, Mg // 2 + 1), dtype=complex))
+
+
+def advection_term(q: np.ndarray, u: np.ndarray, work: tuple | None = None) -> np.ndarray:
     """Coefficients (..., M, M) of u . grad q, Galerkin-truncated to |k| <= N,
     for real scalars q (..., M, M) carried by real velocities u (..., 2, M, M).
+    Only the N + 1 columns ky >= 0 of u are read, so u may be just those,
+    (..., 2, M, N + 1).
 
     The one dealiased quadratic kernel.  The N + 1 columns ky >= 0 of
     (u_x, u_y, d_x q, d_y q) are written in place into one zero-padded half
     spectrum (..., 4, Mg, N + 1), the rows kx >= 0 and kx < 0 by two slices
     per field.  It takes one inverse transform, its kx pass in place, and
     the product, formed in place in the grid values, one forward one.  No
-    full (..., 4, M, M) stack or full-width i k q is formed: fewer fresh
-    buffers per call keep large stacks clear of page faults.
+    full (..., 4, M, M) stack or full-width i k q is formed.  With `work`,
+    the buffers of `_advection_work` for this stack shape, every transform
+    writes into them (the half spectrum's first field takes the retained
+    columns of the forward one) and a call allocates only its output;
+    without it the buffers are fresh and the half spectrum is freed before
+    the forward transform.  The output is the same bit for bit.
     """
     N = _resolution(q)
     Mg = _grid_layout(N)[0]
     ikx, iky = _ik_grids(N)
-    half = np.zeros(q.shape[:-2] + (4, Mg, N + 1), dtype=complex)
+    if work is None:
+        work = (np.empty(q.shape[:-2] + (4, Mg, N + 1), dtype=complex), None, None)
+    half, grid, spectrum = work
+    half[..., N + 1:Mg - N, :] = 0.0  # the padding rows; a lent buffer holds stale ones
     for lo, hi in ((np.s_[:N + 1], np.s_[:N + 1]), (np.s_[N + 1:], np.s_[Mg - N:])):
         # lo: the rows of the M x M spectrum, hi: the same kx on the padded grid
         half[..., :2, hi, :] = u[..., lo, :N + 1]
         np.multiply(ikx[lo], q[..., lo, :N + 1], out=half[..., 2, hi, :])
         np.multiply(iky[:, :N + 1], q[..., lo, :N + 1], out=half[..., 3, hi, :])
-    g = _to_grid(half)
-    del half  # free for the forward transform's buffers
+    g = _to_grid(half, grid)
+    cols = None if grid is None else half[..., 0, :, :]
+    del half, work  # a fresh half spectrum is freed for the forward transform
     ux, uy, qx, qy = (g[..., i, :, :] for i in range(4))
     prod = np.multiply(ux, qx, out=ux)
     prod += np.multiply(uy, qy, out=uy)
-    return _from_grid(prod, N)
+    return _from_grid(prod, N, spectrum, cols)
 
 
 # ---------------------------------------------------------------------------

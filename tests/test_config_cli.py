@@ -2,6 +2,7 @@
 driver, and the command-line entry point."""
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from stoflow import experiments
 from stoflow.cli import main
 from stoflow.config import ConfigError, ExperimentConfig, parse_config_text
 from stoflow.experiments import run_experiment
-from stoflow.qwiener import build_spectrum
+from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
 
 
@@ -18,8 +19,8 @@ from stoflow.streams import derive_stream
 # config parsing
 
 def test_minimal_config_fills_defaults():
-    cfg = parse_config_text("kind = isometry\n")
-    assert cfg.kind == "isometry"
+    cfg = parse_config_text("kind = convergence\n")
+    assert cfg.kind == "convergence"
     assert cfg.n == 8
     assert cfg.dt == 0.01
     assert cfg.scheme == "heun"
@@ -77,8 +78,8 @@ def test_unknown_kind_rejected():
 
 
 def test_comments_and_blank_lines_ignored():
-    cfg = parse_config_text("# a comment\n\nkind = isometry  # trailing\n")
-    assert cfg.kind == "isometry"
+    cfg = parse_config_text("# a comment\n\nkind = convergence  # trailing\n")
+    assert cfg.kind == "convergence"
 
 
 # ---------------------------------------------------------------------------
@@ -169,19 +170,45 @@ def test_manifest_reports_exits(tmp_path):
 
 def test_chunk_size_does_not_change_output(tmp_path, monkeypatch):
     # some of the six paths leave the ball and some do not; one path per
-    # chunk gives the same bytes and exits as the default chunks
-    cfg = base_cfg(kind="energy-growth", init_kind="zero", c=0.5, horizon=0.2,
-                   ensemble=6, radius_factor=1.0)
-    run_experiment(cfg, out_dir=tmp_path / "default")
+    # chunk gives the same bytes and exits as the default chunks.  The
+    # simulate-averaged case steps all six paths as one stack at N = 16,
+    # whose live stack shrinks to 5, 3, 2 and 1 paths (exits at 0.06, 0.07,
+    # 0.08 and 0.09), so the drift's reused kernel buffers see five sizes
+    cases = {"energy-growth": (("energy.csv", "energy_summary.csv"),
+                               base_cfg(kind="energy-growth", init_kind="zero", c=0.5,
+                                        horizon=0.2, ensemble=6, radius_factor=1.0)),
+             "simulate-averaged": (("diagnostics.csv",),
+                                   base_cfg(kind="simulate-averaged", n=16, alpha=0.3,
+                                            init_kind="zero", c=2.7, ensemble=6,
+                                            radius_factor=1.0))}
+    for kind, (_, cfg) in cases.items():
+        run_experiment(cfg, out_dir=tmp_path / kind / "default")
     monkeypatch.setattr(experiments, "_CHUNK_BYTES", 1)
-    run_experiment(cfg, out_dir=tmp_path / "one")
-    exits = [json.loads((tmp_path / d / "manifest.json").read_text())["exits"]
-             for d in ("default", "one")]
-    assert 0 < exits[0]["count"] < 6
-    assert exits[1] == exits[0]
-    for name in ("energy.csv", "energy_summary.csv"):
-        assert (tmp_path / "one" / name).read_bytes() == \
-            (tmp_path / "default" / name).read_bytes()
+    for kind, (names, cfg) in cases.items():
+        run_experiment(cfg, out_dir=tmp_path / kind / "one")
+        exits = [json.loads((tmp_path / kind / d / "manifest.json").read_text())["exits"]
+                 for d in ("default", "one")]
+        assert 0 < exits[0]["count"] < 6
+        assert exits[1] == exits[0]
+        for name in names:
+            assert (tmp_path / kind / "one" / name).read_bytes() == \
+                (tmp_path / kind / "default" / name).read_bytes()
+
+
+@pytest.mark.parametrize("steps, n_blocks", [(1, 13), (4, 4), (13, 1)])
+def test_noise_blocks_are_sample_coefficients_rows(monkeypatch, steps, n_blocks):
+    # a chunk's noise, drawn a block of grid steps at a time (one step,
+    # blocks of 4 with a short last one, one block), is each path's
+    # sample_coefficients draw from its own stream bit for bit
+    cfg = base_cfg(c=0.5, horizon=0.13, seed=19)
+    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c)
+    paths = range(2, 5)
+    monkeypatch.setattr(experiments, "_NOISE_BLOCK_BYTES", steps * 3 * spec.n_modes * 8)
+    blocks = [b.copy() for b in experiments._increments(cfg, spec, 13, paths)]
+    assert len(blocks) == n_blocks
+    ref = np.stack([sample_coefficients(spec, cfg.dt, 13, derive_stream(19, i, "noise"))
+                    for i in paths])
+    assert np.array_equal(np.concatenate(blocks, axis=1), ref)
 
 
 def test_rerun_is_byte_identical(tmp_path):
@@ -277,7 +304,7 @@ def test_cli_alpha_rejected_where_unused(tmp_path, capsys, kind):
 
 
 def test_cli_kind_mismatch_is_operational_error(tmp_path, capsys):
-    path = write_cfg(tmp_path, "kind = isometry\n")
+    path = write_cfg(tmp_path, "kind = isometry\nnoise.c = 1.0\n")
     code = main(["convergence", "--config", path])
     assert code == 1
     assert "does not match" in capsys.readouterr().err
@@ -299,7 +326,7 @@ def test_cli_non_finite_value_exit_one(tmp_path, capsys):
 
 
 def test_cli_negative_seed_names_the_key(tmp_path, capsys):
-    path = write_cfg(tmp_path, "kind = isometry\n")
+    path = write_cfg(tmp_path, "kind = isometry\nnoise.c = 1.0\n")
     assert main(["isometry", "--config", path, "--seed", "-3",
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
@@ -342,7 +369,7 @@ def test_cli_acceptance_failure_exit_two(tmp_path, capsys, monkeypatch):
                            acceptance={"some_check": False}, files=[])
 
     monkeypatch.setattr(cli, "run_experiment", fake_run)
-    path = write_cfg(tmp_path, "kind = isometry\n")
+    path = write_cfg(tmp_path, "kind = isometry\nnoise.c = 1.0\n")
     assert cli.main(["isometry", "--config", path]) == 2
     assert "[FAIL] some_check" in capsys.readouterr().out
 
@@ -370,6 +397,49 @@ def test_cli_equivalence_exit_is_operational_error(tmp_path, capsys, extra):
     assert main(["equivalence", "--config", path, "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
     assert "localization.radius_factor" in err and "t = " in err
+    assert err.count("\n") == 1
+
+
+def test_cli_out_of_memory_is_one_line(tmp_path, capsys):
+    # 40 refinement levels ask for far more noise than any machine holds:
+    # the allocation fails at once and the run ends with one line
+    path = write_cfg(tmp_path, "kind = equivalence\nnoise.c = 0.5\n"
+                               "equivalence.levels = 40\n")
+    assert main(["equivalence", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: out of memory: ")
+    assert err.count("\n") == 1
+
+
+def test_cli_isometry_needs_noise(tmp_path, capsys):
+    # the isometry z-scores divide by the noise variances: without noise
+    # the run is a config error naming the key and the kind, not four FAILs
+    for text in ("kind = isometry\n", "kind = isometry\nnoise.c = 0\n"):
+        with pytest.raises(ConfigError, match="noise.c.*isometry"):
+            parse_config_text(text)
+        path = write_cfg(tmp_path, text)
+        assert main(["isometry", "--config", path, "--out", str(tmp_path / "o")]) == 1
+        err = capsys.readouterr().err
+        assert "noise.c" in err and "isometry" in err
+        assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+    # energy-growth reads z = 0 at c = 0 and stays valid
+    assert parse_config_text("kind = energy-growth\nensemble.size = 2\n").c == 0.0
+
+
+@pytest.mark.parametrize("extra", ["noise.c = 1e300\n", "init.amplitude = 1e200\n"],
+                         ids=["huge-noise", "huge-field"])
+def test_cli_numeric_abort_is_one_line(tmp_path, capsys, extra):
+    # the overflow on the way to a non-finite state warns nothing: the
+    # abort's line is all the run prints
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 4\nensemble.size = 2\n"
+                               + extra)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["simulate-euler", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert [str(w.message) for w in caught] == []
+    err = capsys.readouterr().err
+    assert err.startswith("lab: numeric abort: non-finite state at step ")
     assert err.count("\n") == 1
 
 

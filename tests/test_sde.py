@@ -1,10 +1,15 @@
 """Tests for the generic SDE engine: steppers, Stratonovich correction,
 exit-time localization, and strong-order estimation."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from stoflow import eulerian as eu
 from stoflow import sde
+from stoflow import spectral as sp
+from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.sde import SdeProblem, solve_paths
 from stoflow.streams import derive_stream
 
@@ -227,6 +232,64 @@ def test_step_paths_rows_are_the_collected_path():
     assert np.array_equal(x, ref.states[:, -1])
     steps = sde.step_paths(p, "heun", grid, inc)
     assert next(steps)[0] is next(steps)[0]
+
+
+def test_step_paths_reads_increment_blocks():
+    # an iterable of consecutive blocks (K, b, m) drives the stepper as the
+    # one array it splits into does, block lengths as they come, even when
+    # the blocks are one buffer overwritten in turn; a stream that ends
+    # early or runs past the grid, or a block of the wrong stack, raises
+    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
+    grid = np.linspace(0.0, 0.2, 21)
+    inc = 0.01 * derive_stream(43, "blocks").standard_normal((3, 20, 1))
+    inc[1, 9] = 2.0
+    ref = solve_paths(p, "heun", grid, inc)
+    assert ref.exit_index.tolist() == [-1, 10, -1]
+
+    def reused(lengths):
+        buf = np.empty((3, max(lengths), 1))
+        i = 0
+        for b in lengths:
+            buf[:, :b] = inc[:, i:i + b]
+            i += b
+            yield buf[:, :b]
+
+    for lengths in ([20], [1] * 20, [7, 7, 6], [3, 10, 1, 6]):
+        rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused(lengths))]
+        assert np.array_equal(np.stack(rows, axis=1), ref.states)
+    for bad in ([inc[:, :7], inc[:, 7:19]], [inc[:, :7], inc[:, 7:], inc[:, :1]],
+                [inc[:, :7], inc[:2, 7:]], [inc[:, :7], inc[:, 7:, 0]], []):
+        with pytest.raises(ValueError, match="does not match the time grid"):
+            for _ in sde.step_paths(p, "heun", grid, iter(bad)):
+                pass
+
+
+@pytest.mark.parametrize("scheme", ["heun", "euler-maruyama"])
+def test_additive_noise_is_placed_once_per_step(scheme):
+    # a problem that declares its noise additive gets the same step bit for
+    # bit with one diffusion call, where Heun makes two otherwise; the
+    # Eulerian problem declares it, and the x * dW problem must not
+    spec = build_spectrum(6, 3.0, 0.5)
+    problem = eu.make_eulerian_problem(sp.taylor_green(6, 0.5), spec, alpha=0.3)
+    assert problem.additive
+    calls = []
+
+    def counted(q, dW):
+        calls.append(1)
+        return problem.diffusion(q, dW)
+
+    dW = np.stack([sample_coefficients(spec, 0.01, 1, derive_stream(37, k, "once"))[0]
+                   for k in range(3)])
+    x = np.stack([problem.x0] * 3)
+    steps = {}
+    for additive in (True, False):
+        calls.clear()
+        p = replace(problem, diffusion=counted, additive=additive)
+        steps[additive] = sde._STEPPERS[scheme](p, 0.0, x, dW, 0.01)
+        assert len(calls) == (1 if additive or scheme == "euler-maruyama" else 2)
+    assert np.array_equal(steps[True], steps[False])
+    assert not SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: x * dW,
+                          noise_variances=np.ones(1), x0=np.ones(1)).additive
 
 
 def test_increments_must_match_grid():

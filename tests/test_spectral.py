@@ -306,6 +306,27 @@ def test_advection_term_stacks_paths():
             assert np.array_equal(got[i, j], sp.advection_term(q[i, j], u[i, j]))
 
 
+def test_advection_term_reuses_caller_buffers():
+    # buffers owned by the caller, first full of NaN, then stale from a call
+    # on a longer stack, give the fresh kernel's output bit for bit: the
+    # padding rows are zeroed on every call.  Leading slices [:k] serve a
+    # stack of k fields, and a half-width u (the columns ky >= 0) will do
+    N = 8
+    rng = np.random.default_rng(23)
+    u = np.stack([sp.random_divergence_free(N, rng) for _ in range(5)])
+    u[:, :, 0, 0] = [0.4, -0.3]
+    q = sp.curl(sp.helmholtz_apply(u, 0.3))
+    work = sp._advection_work((5,), N)
+    for w in work:
+        w[...] = np.nan
+    for k in (5, 2, 5, 1):
+        got = sp.advection_term(q[:k], u[:k], tuple(w[:k] for w in work))
+        assert np.array_equal(got, sp.advection_term(q[:k], u[:k]))
+        assert not any(np.shares_memory(got, w) for w in work)
+    assert np.array_equal(sp.advection_term(q, u[..., :N + 1], work),
+                          sp.advection_term(q, u))
+
+
 def test_dealias_grid_size_is_minimal_5_smooth():
     def smooth(m):
         for p in (2, 3, 5):
