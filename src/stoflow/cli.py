@@ -3,8 +3,8 @@
     lab <kind> --config <path> [--seed S] [--out DIR] [--threads T]
 
 Exit status: 0 all embedded acceptance checks pass, 2 an acceptance check
-failed, 1 operational error (bad config, I/O, numeric abort, out of
-memory), reported in one line on standard error.
+failed, 1 operational error (bad arguments, bad config, I/O, numeric abort,
+out of memory), reported in one line on standard error.
 The environment variable STOFLOW_OUT overrides the default output dir.
 """
 
@@ -23,8 +23,29 @@ from .sde import SdePathError
 __all__ = ["main"]
 
 
+class _UsageError(Exception):
+    pass
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # argparse would print the usage block and exit 2, the status of a
+        # failed acceptance check
+        raise _UsageError(message)
+
+
+def _threads(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a whole number >= 1, got {text!r}")
+    return n
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="lab",
         description="Run a stochastic Euler desk experiment from a config file.")
     p.add_argument("kind", choices=KINDS, help="experiment kind (must match the config)")
@@ -32,13 +53,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None, help="override the master seed")
     p.add_argument("--out", default=None, help="output directory (default: $STOFLOW_OUT, "
                                                "then output.dir of the config)")
-    p.add_argument("--threads", type=int, default=1,
-                   help="accepted; changes neither results nor speed")
+    p.add_argument("--threads", type=_threads, default=1,
+                   help="worker processes for the paths of simulate-* and energy-growth "
+                        "(at most one per path and per CPU); the results do not change")
     return p
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"lab: usage error: {exc}", file=sys.stderr)
+        return 1
     try:
         cfg = parse_config(args.config)
     except (ConfigError, OSError) as exc:

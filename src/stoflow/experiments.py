@@ -2,18 +2,24 @@
 
 All floating-point CSV values are written with 17 significant digits so
 reruns are byte-identical; each trajectory draws its own derived RNG
-stream, and an ensemble runs in index order as chunks of paths stepped
-as one stack, so the bytes do not depend on the chunk size.  Ensembles
-keep no path: each path's noise is drawn a block of grid steps at a time
-as the stack reaches it, and the runners reduce each chunk's rows a block
-of grid times at a time as they are stepped, to what they write or check.
+stream, and an ensemble's paths are split into contiguous ranges of path
+indices, one per worker process, each stepped as chunks of paths in one
+stack; the rows are put back in index order, so the bytes depend neither
+on the chunk size nor on the number of workers.  Ensembles keep no path:
+each path's noise is drawn a block of grid steps at a time as the stack
+reaches it, and each range's chunks are reduced a block of grid times at
+a time as they are stepped, to what the runner writes or checks.
 """
 
 from __future__ import annotations
 
 import json
+import os
+import pickle
+import signal
 import time
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -72,6 +78,7 @@ class RunManifest:
     files: list
     noise: dict | None = None
     exits: dict | None = None
+    workers: int = 1
 
     @property
     def all_passed(self) -> bool:
@@ -81,7 +88,8 @@ class RunManifest:
         d = dict(config_hash=self.config_hash, code_version=self.code_version,
                  kind=self.kind, seeds=self.seeds, wall_clock_s=self.wall_clock_s,
                  acceptance=self.acceptance, files=self.files,
-                 all_passed=self.all_passed, noise=self.noise, exits=self.exits)
+                 all_passed=self.all_passed, noise=self.noise, exits=self.exits,
+                 workers=self.workers)
         return json.dumps(d, indent=2, sort_keys=True)
 
 
@@ -101,21 +109,104 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiment kinds
 
-def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray):
-    """Yields (first path index, times, velocity blocks) per chunk of paths,
-    the blocks those of eulerian._velocity_blocks on the grid `times`.  A
-    chunk keeps one block of its increments and its latest rows, never its
-    path, and the generator keeps no reference to a chunk it has yielded,
-    so a chunk's buffers are freed before the next chunk's are made."""
+def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     nsteps = int(round(cfg.horizon / cfg.dt))
-    times = np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
+    return np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
+
+
+def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray, paths: range):
+    """Yields the velocity blocks of eulerian._velocity_blocks per chunk of
+    the paths `paths`, each chunk at most _CHUNK_BYTES of transport-kernel
+    grid values and at most the whole range.  A chunk keeps one block of its
+    increments and its latest rows, never its path, and the generator keeps
+    no reference to a chunk it has yielded, so a chunk's buffers are freed
+    before the next chunk's are made."""
+    times = _time_grid(cfg)
     size = max(1, _CHUNK_BYTES // (4 * sp._grid_layout(cfg.n)[0] ** 2 * 8))
-    for first in range(0, cfg.ensemble, size):
-        paths = range(first, min(first + size, cfg.ensemble))
-        yield first, times, _velocity_blocks(u0, spec, times,
-                                             _increments(cfg, spec, nsteps, paths),
-                                             scheme=cfg.scheme, alpha=cfg.alpha,
-                                             radius_factor=cfg.radius_factor)
+    for first in range(paths.start, paths.stop, size):
+        chunk = range(first, min(first + size, paths.stop))
+        yield _velocity_blocks(u0, spec, times,
+                               _increments(cfg, spec, len(times) - 1, chunk),
+                               scheme=cfg.scheme, alpha=cfg.alpha,
+                               radius_factor=cfg.radius_factor)
+
+
+def _workers(cfg: ExperimentConfig, threads: int) -> int:
+    """Processes an ensemble kind steps its paths in: at most `threads`,
+    one per path and one per CPU this process may run on; 1 for the other
+    kinds and where os.fork does not exist."""
+    if cfg.kind not in ("simulate-euler", "simulate-averaged", "energy-growth") \
+            or not hasattr(os, "fork"):
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(threads, cfg.ensemble, cpus)
+
+
+def _over_ranges(size: int, workers: int, reduce) -> list:
+    """[reduce(paths) for each of `workers` contiguous ranges of range(size)],
+    in index order, the range sizes differing by at most one.
+
+    The first range is reduced in this process and each other one in a
+    child forked for it, which pickles its result (or its exception) onto a
+    pipe and leaves by os._exit; with one worker nothing is forked.  Every
+    pipe is read before its child is reaped.  If a range raises, every
+    child is killed and reaped, and the exception of the lowest failing
+    range is raised; no child outlives the call either way.
+    """
+    ranges = [range(size * i // workers, size * (i + 1) // workers) for i in range(workers)]
+    children = []  # (pid, read end of its pipe) per range after the first
+    done = False
+    try:
+        for paths in ranges[1:]:
+            children.append(_fork(reduce, paths))
+        results = [reduce(ranges[0])]
+        for _, pipe in children:
+            with pipe:
+                data = pipe.read()
+            if not data:
+                raise ChildProcessError("an ensemble worker ended without a result")
+            ok, value = pickle.loads(data)
+            if not ok:
+                raise value
+            results.append(value)
+        done = True
+        return results
+    finally:
+        for pid, pipe in children:
+            pipe.close()
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _fork(reduce, paths: range):
+    """Fork a child that sends (True, reduce(paths)) or (False, the exception
+    it raised) pickled on a pipe and exits; returns its pid and the read end."""
+    r, w = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(r)
+        os.close(w)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(r)
+            try:
+                data = pickle.dumps((True, reduce(paths)), pickle.HIGHEST_PROTOCOL)
+            except BaseException as exc:  # handed to the parent, which raises it
+                data = pickle.dumps((False, exc), pickle.HIGHEST_PROTOCOL)
+            with open(w, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(w)  # so that a later child holds no write end of this pipe
+    return pid, open(r, "rb")
 
 
 def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: range):
@@ -146,34 +237,48 @@ def _exit_record(exit_times: list) -> dict:
             "mean_time": float(np.mean(exit_times)) if exit_times else None}
 
 
-def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec):
-    u0 = initial_field(cfg)
-    steady = cfg.c == 0.0 and cfg.init_kind == "taylor-green"
+def _simulate_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
+                    steady: bool, paths: range):
+    """Diagnostics (4, len(paths), len(times)) of the paths' velocity rows,
+    their exit indices and, when `steady`, the largest L2 drift of a last
+    row from u0 relative to |u0| (else 0)."""
     scale = sp.l2_norm(u0) or 1.0  # a zero field is steady: absolute drift
-
-    rows, exit_times, max_div, max_drift = [], [], 0.0, 0.0
-    for first, times, blocks in _ensemble(cfg, spec, u0):
+    diags, exits, max_drift = [], [], 0.0
+    for blocks in _ensemble(cfg, spec, u0, paths):
         parts = []
         for u, exit_index in blocks:
             parts.append(_diagnostics(u))
-        diag = np.concatenate(parts, axis=-1)
-        for k, e in enumerate(exit_index):
-            rows += [(first + k, j, *r) for j, r in
-                     enumerate(zip(times[:e + 1 if e >= 0 else None], *diag[:, k]))]
-        max_div = max(max_div, float(np.max(diag[3])))
+        diags.append(np.concatenate(parts, axis=-1))
+        exits.append(exit_index)
         if steady:
             drift = sp.l2_norm(u[:, -1] - u0) / scale
             max_drift = max(max_drift, float(np.max(drift)))
-        exit_times += [float(times[e]) for e in exit_index if e >= 0]
+    return np.concatenate(diags, axis=1), np.concatenate(exits), max_drift
+
+
+def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
+    u0 = initial_field(cfg)
+    steady = cfg.c == 0.0 and cfg.init_kind == "taylor-green"
+    results = _over_ranges(cfg.ensemble, workers,
+                          partial(_simulate_range, cfg, spec, u0, steady))
+    diag = np.concatenate([r[0] for r in results], axis=1)
+    exit_index = np.concatenate([r[1] for r in results])
+    times = _time_grid(cfg)
+
+    rows = []
+    for k, e in enumerate(exit_index):
+        rows += [(k, j, *r) for j, r in
+                 enumerate(zip(times[:e + 1 if e >= 0 else None], *diag[:, k]))]
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
-    acceptance = {"divergence_free": max_div < 1e-10}
+    acceptance = {"divergence_free": float(np.max(diag[3])) < 1e-10}
     if steady:
-        acceptance["taylor_green_steady"] = max_drift < 1e-8
+        acceptance["taylor_green_steady"] = max(r[2] for r in results) < 1e-8
+    exit_times = [float(times[e]) for e in exit_index if e >= 0]
     return {"diagnostics.csv": (header, rows)}, acceptance, _exit_record(exit_times)
 
 
-def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
+def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     u0 = initial_field(cfg)
     labels = uniform_labels(cfg.eq_particles)
     levels = cfg.eq_levels
@@ -208,7 +313,7 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec):
     return files, acceptance, None
 
 
-def _run_convergence(cfg: ExperimentConfig, spec: None):
+def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
     rng = derive_stream(cfg.seed, "convergence")
     n_paths = max(cfg.ensemble, 64)
     steps = [8, 16, 32, 64, 128, 256]
@@ -243,7 +348,7 @@ def _run_convergence(cfg: ExperimentConfig, spec: None):
     return {"convergence.csv": (header, rows)}, acceptance, None
 
 
-def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec):
+def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     n = max(cfg.ensemble, 10_000)
     rng = derive_stream(cfg.seed, "isometry")
     T = 1.0
@@ -282,17 +387,27 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec):
     return {"isometry.csv": (header, rows)}, acceptance, None
 
 
-def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec):
-    u0 = initial_field(cfg)
-    e0 = sp.l2_norm(u0) ** 2
-
-    terminal, exit_times, max_div = [], [], 0.0
-    for _, times, blocks in _ensemble(cfg, spec, u0):
+def _energy_growth_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
+                         paths: range):
+    """The largest divergence residual of the paths' rows, their terminal
+    energies (a stopped path's at its exit row) and their exit indices."""
+    terminal, exits, max_div = [], [], 0.0
+    for blocks in _ensemble(cfg, spec, u0, paths):
         for u, exit_index in blocks:
             max_div = max(max_div, float(np.max(sp.divergence_residual(u))))
-        terminal += list(sp.l2_norm(u[:, -1]) ** 2)  # a stopped path's last row is its exit row
-        exit_times += [float(times[e]) for e in exit_index if e >= 0]
-    terminal = np.array(terminal)
+        terminal.append(sp.l2_norm(u[:, -1]) ** 2)
+        exits.append(exit_index)
+    return max_div, np.concatenate(terminal), np.concatenate(exits)
+
+
+def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
+    u0 = initial_field(cfg)
+    e0 = sp.l2_norm(u0) ** 2
+    results = _over_ranges(cfg.ensemble, workers, partial(_energy_growth_range, cfg, spec, u0))
+    max_div = max(r[0] for r in results)
+    terminal = np.concatenate([r[1] for r in results])
+    times = _time_grid(cfg)
+    exit_times = [float(times[e]) for r in results for e in r[2] if e >= 0]
 
     slopes = (terminal - e0) / cfg.horizon
     slope = float(np.mean(slopes))
@@ -332,11 +447,18 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     """Dispatch one experiment, write its CSV artifacts and manifest.
 
     Returns the manifest; `manifest.all_passed` reflects the embedded
-    acceptance checks for that experiment kind.  `threads` is accepted
-    and ignored: ensembles run as chunks of paths in this thread, because
-    a thread pool was slower than one thread on these small NumPy calls.
+    acceptance checks for that experiment kind.  `threads` (at least 1)
+    bounds the processes an ensemble kind (`simulate-*`, `energy-growth`)
+    steps its paths in: min(threads, ensemble.size, usable CPUs) workers,
+    each a contiguous range of path indices, the first stepped in this
+    process and the others in children forked for the call and reaped
+    before it returns or raises (see _over_ranges).  The other kinds run
+    in this process.  The CSV bytes do not depend on `threads`; the
+    manifest's `workers` says how many processes ran.
     """
     cfg.validate()
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     t0 = time.perf_counter()
     out = Path(out_dir if out_dir is not None else cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -344,7 +466,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     # every kind but convergence draws its noise from one Q-Wiener spectrum
     spec = None if cfg.kind == "convergence" else \
         build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
-    files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec)
+    workers = _workers(cfg, threads)
+    files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec, workers)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
     written = []
     for name, (header, rows) in files.items():
@@ -365,6 +488,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
             "converges_in_limit": spec.converges_in_limit,
         },
         exits=exits,
+        workers=workers,
     )
     (out / "manifest.json").write_text(manifest.to_json() + "\n", encoding="utf-8")
     (out / "config.txt").write_text(cfg.to_text(), encoding="utf-8")

@@ -44,6 +44,11 @@ class SdePathError(RuntimeError):
         self.step = step
         self.t = t
 
+    def __reduce__(self):
+        # args holds the message, not (step, t): rebuild from the fields, so
+        # that the error survives pickling (an ensemble worker sends it)
+        return type(self), (self.step, self.t)
+
 
 @dataclass(frozen=True)
 class SdeProblem:

@@ -248,7 +248,8 @@ def test_alpha_one_single_shear_drift_zero():
 # 11 ------------------------------------------------------------------------
 
 def test_reproducible_across_threads(tmp_path):
-    # identical CSV bytes at 1 and at 8 worker threads, and across reruns
+    # identical CSV bytes at threads = 1 and 8 (the paths split over up to
+    # one forked worker process per CPU), and across reruns
     cfg = ExperimentConfig(kind="energy-growth", n=6, dt=0.01, horizon=0.2,
                            gamma=3.0, c=0.5, init_kind="zero",
                            scheme="euler-maruyama", seed=8128, ensemble=16)

@@ -2,6 +2,8 @@
 driver, and the command-line entry point."""
 
 import json
+import os
+import time
 import warnings
 
 import numpy as np
@@ -219,13 +221,82 @@ def test_rerun_is_byte_identical(tmp_path):
         (tmp_path / "b" / "diagnostics.csv").read_bytes()
 
 
-def test_thread_count_does_not_change_output(tmp_path):
-    cfg = base_cfg(kind="energy-growth", init_kind="zero", c=0.5, ensemble=8)
-    run_experiment(cfg, out_dir=tmp_path / "t1", threads=1)
-    run_experiment(cfg, out_dir=tmp_path / "t8", threads=8)
-    for name in ("energy.csv", "energy_summary.csv"):
-        assert (tmp_path / "t1" / name).read_bytes() == \
-            (tmp_path / "t8" / name).read_bytes()
+def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
+    # the paths are split into contiguous ranges, one worker process each,
+    # and merged in index order: the CSV bytes, exits and checks are those
+    # of one process at every thread count, for an uneven split (5 paths
+    # over 2 and 3 workers), paths that leave the ball, a steady run and
+    # more threads than paths.  Four usable CPUs are claimed, so that
+    # threads = 3 means three workers on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3}, raising=False)
+    cases = {"averaged-5": base_cfg(kind="simulate-averaged", alpha=0.3, c=0.5,
+                                    init_kind="random", ensemble=5),
+             "energy-exits": base_cfg(kind="energy-growth", init_kind="zero", c=0.5,
+                                      horizon=0.2, ensemble=6, radius_factor=1.0),
+             "steady-2": base_cfg(),
+             "energy-8": base_cfg(kind="energy-growth", init_kind="zero", c=0.5, ensemble=8)}
+    for name, cfg in cases.items():
+        runs = []
+        for threads in (1, 2, 3):
+            out = tmp_path / name / str(threads)
+            man = run_experiment(cfg, out_dir=out, threads=threads)
+            meta = json.loads((out / "manifest.json").read_text())
+            assert meta["workers"] == man.workers == min(threads, cfg.ensemble)
+            runs.append(({p.name: p.read_bytes() for p in out.glob("*.csv")},
+                         meta["exits"], meta["acceptance"]))
+        assert runs[1] == runs[0] and runs[2] == runs[0], name
+        if name == "energy-exits":
+            assert 0 < runs[0][1]["count"] < 6
+
+
+def test_one_thread_never_forks(tmp_path, monkeypatch):
+    # threads = 1 steps every range in this process, and equivalence runs
+    # in this process whatever the thread count
+    def fork():
+        raise AssertionError("forked")
+
+    monkeypatch.setattr(os, "fork", fork)
+    for kind in ("simulate-averaged", "energy-growth"):
+        cfg = base_cfg(kind=kind, init_kind="zero", c=0.5, ensemble=3)
+        assert run_experiment(cfg, out_dir=tmp_path / kind, threads=1).workers == 1
+    cfg = base_cfg(kind="equivalence", c=0.5, eq_levels=1, eq_particles=3)
+    assert run_experiment(cfg, out_dir=tmp_path / "eq", threads=4).workers == 1
+
+
+def test_worker_ranges_in_order_and_failures():
+    # W contiguous ranges, sizes differing by at most one, results in index
+    # order; the lowest failing range's exception is raised; a failure in
+    # this process's own range kills the children at once; a child that
+    # ends without a result is an error.  The autouse fixture checks that
+    # no child is left behind
+    assert experiments._over_ranges(7, 3, list) == [[0, 1], [2, 3], [4, 5, 6]]
+    assert experiments._over_ranges(2, 1, list) == [[0, 1]]
+
+    def fail_from_2(paths):
+        if paths.start >= 2:
+            raise ValueError(f"range from {paths.start}")
+        return paths.start
+
+    with pytest.raises(ValueError, match="range from 2"):
+        experiments._over_ranges(6, 3, fail_from_2)
+
+    def first_fails_others_hang(paths):
+        if paths.start == 0:
+            raise KeyError("first")
+        time.sleep(60)
+
+    t0 = time.perf_counter()
+    with pytest.raises(KeyError, match="first"):
+        experiments._over_ranges(6, 3, first_fails_others_hang)
+    assert time.perf_counter() - t0 < 30
+
+    def child_dies(paths):
+        if paths.start:
+            os._exit(3)
+        return 0
+
+    with pytest.raises(ChildProcessError, match="without a result"):
+        experiments._over_ranges(4, 2, child_dies)
 
 
 def test_isometry_experiment(tmp_path):
@@ -441,6 +512,57 @@ def test_cli_numeric_abort_is_one_line(tmp_path, capsys, extra):
     err = capsys.readouterr().err
     assert err.startswith("lab: numeric abort: non-finite state at step ")
     assert err.count("\n") == 1
+
+
+def test_cli_numeric_abort_in_a_worker_is_one_line(tmp_path, capsys, monkeypatch):
+    # path 1 draws overflowing noise; at --threads 2 a forked worker steps
+    # it, and its abort reaches the run as the same one line
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    draw = experiments._increments
+
+    def increments(cfg, spec, nsteps, paths):
+        for block in draw(cfg, spec, nsteps, paths):
+            block[[i - paths.start for i in paths if i == 1]] *= 1e200
+            yield block
+
+    monkeypatch.setattr(experiments, "_increments", increments)
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 4\nensemble.size = 2\n"
+                               "noise.c = 0.5\n")
+    for threads in ("1", "2"):
+        assert main(["simulate-euler", "--config", path, "--threads", threads,
+                     "--out", str(tmp_path / threads)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("lab: numeric abort: non-finite state at step ")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["simulate-averaged", "--threads", "abc"], "--threads"),
+    (["simulate-averaged", "--threads", "-3"], "--threads"),
+    (["simulate-averaged", "--threads", "0"], "--threads"),
+    (["simulate-averaged", "--seed", "abc"], "--seed"),
+    (["bogus"], "bogus"),
+    ([], "required"),
+], ids=["threads-abc", "threads-negative", "threads-zero", "seed-abc", "unknown-kind",
+        "no-arguments"])
+def test_cli_usage_error_is_one_line_exit_one(tmp_path, capsys, argv, named):
+    # argparse's own error is a usage block and exit 2, which is the status
+    # of a failed acceptance check
+    path = write_cfg(tmp_path, "kind = simulate-averaged\ngrid.n = 4\n")
+    if argv:
+        argv = argv + ["--config", path, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: usage error: ") and named in err
+    assert err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_help_exit_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "--threads" in capsys.readouterr().out
 
 
 def test_cli_env_var_default_out(tmp_path, monkeypatch):

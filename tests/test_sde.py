@@ -1,6 +1,7 @@
 """Tests for the generic SDE engine: steppers, Stratonovich correction,
 exit-time localization, and strong-order estimation."""
 
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -193,6 +194,13 @@ def test_nonfinite_state_aborts():
     with pytest.raises(sde.SdePathError) as exc:
         solve_paths(p, "euler-maruyama", np.linspace(0, 10, 101), np.zeros((1, 100, 1)))
     assert exc.value.step == 0
+
+
+def test_path_error_survives_pickling():
+    # an ensemble worker process sends its exception to the parent pickled
+    err = pickle.loads(pickle.dumps(sde.SdePathError(3, 0.1)))
+    assert type(err) is sde.SdePathError
+    assert (err.step, err.t, str(err)) == (3, 0.1, "non-finite state at step 3, t=0.1")
 
 
 def test_paths_exit_on_their_own():
