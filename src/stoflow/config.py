@@ -93,6 +93,9 @@ class ExperimentConfig:
         if self.alpha != 0 and self.kind != "simulate-averaged":
             raise ConfigError(f"alpha = {self.alpha!r} is not used by kind "
                               f"{self.kind!r}; only simulate-averaged reads alpha")
+        if not math.isfinite(self.alpha * self.alpha):
+            raise ConfigError(f"alpha = {self.alpha!r} is too large: the Helmholtz "
+                              f"operator id - alpha^2 Lap needs a finite alpha^2")
         if self.ensemble < 1:
             raise ConfigError("ensemble.size must be >= 1")
         if self.kind == "energy-growth" and self.ensemble < 2:
@@ -171,5 +174,11 @@ def parse_config_text(text: str) -> ExperimentConfig:
 
 
 def parse_config(path) -> ExperimentConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_config_text(fh.read())
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text (byte 0x{data[exc.start]:02x} "
+                          f"at offset {exc.start})") from None
+    return parse_config_text(text)

@@ -16,24 +16,20 @@ divergence-free by construction.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import spectral as sp
 from .qwiener import QWienerSpec, curl_from_coefficients
-from .sde import SdeProblem, solve_paths, step_paths
+from .sde import SdeProblem, step_paths
 
 __all__ = [
     "euler_drift",
     "averaged_drift",
     "make_eulerian_problem",
-    "EulerianPath",
-    "run_eulerian",
 ]
 
 LOCALIZATION_SOBOLEV_INDEX = 2.0  # H^s norm used for the exit ball
-_DIAGNOSTIC_BLOCK_BYTES = 2**18  # velocity rows reduced at once by the path diagnostics
+_DIAGNOSTIC_BLOCK_BYTES = 2**18  # velocity rows rebuilt at once by _velocity_blocks
 
 
 def euler_drift(u: np.ndarray) -> np.ndarray:
@@ -116,30 +112,6 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
                       domain_radius=radius, domain_norm=hs_norm, additive=True)
 
 
-@dataclass
-class EulerianPath:
-    """A chunk of K trajectories of the Eulerian SDE.
-
-    `q` holds the rows (K, len(times), M, M); velocities and diagnostics
-    are rebuilt from them when read.  `exit_index` is as in sde.PathResult.
-    """
-
-    times: np.ndarray
-    q: np.ndarray
-    exit_index: np.ndarray
-    alpha: float
-    mean: np.ndarray        # the mean flow U of every row
-
-    def velocities(self, index=...) -> np.ndarray:
-        """Velocity coefficients (..., 2, M, M) rebuilt from the rows q[index]."""
-        return _velocity(self.q[index], self.alpha, self.mean)
-
-    def diagnostics(self) -> np.ndarray:
-        """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of
-        the velocity of every row, shape (4, K, len(times))."""
-        return _path_diagnostics(self.q, self.alpha, self.mean)
-
-
 def _diagnostics(u: np.ndarray) -> np.ndarray:
     """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
     velocity row of u (..., 2, M, M), shape (4, ...), the squared moduli
@@ -152,26 +124,16 @@ def _diagnostics(u: np.ndarray) -> np.ndarray:
                      sp._divergence_residual(u, l2)))
 
 
-def _path_diagnostics(q: np.ndarray, alpha: float, mean: np.ndarray) -> np.ndarray:
-    """`_diagnostics` of the velocity of each row of q (..., M, M), shape
-    (4, ...).  Velocities are rebuilt in blocks of about
-    _DIAGNOSTIC_BLOCK_BYTES, which keeps the temporaries small and in cache."""
-    rows = q.reshape((-1,) + q.shape[-2:])
-    out = np.empty((4, len(rows)))
-    step = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * rows[0].nbytes))
-    for i in range(0, len(rows), step):
-        out[:, i:i + step] = _diagnostics(_velocity(rows[i:i + step], alpha, mean))
-    return out.reshape((4,) + q.shape[:-2])
-
-
 def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
                      increments, scheme: str = "heun", alpha: float = 0.0,
                      radius_factor: float = 10.0):
-    """Step K paths as run_eulerian does, without keeping them: yields
-    (u, exit_index) per block of consecutive grid times, u the velocity
-    rows (K, b, 2, M, M) of the block, a fresh array, as the paths reach
-    its last time.  `increments` is the K paths' noise as step_paths takes
-    it: one array or an iterable of blocks of grid steps.
+    """Step K paths of the potential-vorticity SDE from u0 without keeping
+    them: yields (u, exit_index) per block of consecutive grid times, u the
+    velocity rows (K, b, 2, M, M) of the block, a fresh array, as the paths
+    reach its last time.  `increments` is the K paths' raw Q-Wiener
+    coordinates as step_paths takes them: one array or an iterable of
+    blocks of grid steps; they are the same for every alpha, so they drive
+    the plain and the averaged model alike.
 
     Each q row is copied into a buffer of b grid times, b chosen so that
     the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
@@ -189,21 +151,3 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
         buf[:, i % b] = q
         if i % b == b - 1 or i == last:
             yield _velocity(buf[:, :i % b + 1], alpha, mean), exit_index
-
-
-def run_eulerian(u0: np.ndarray, spec: QWienerSpec, dt: float, increments: np.ndarray,
-                 scheme: str = "heun", alpha: float = 0.0,
-                 radius_factor: float = 10.0) -> EulerianPath:
-    """Integrate K paths of the potential-vorticity SDE from u0; the path
-    keeps the q rows.
-
-    `increments` (K, nsteps, n_modes) are raw Q-Wiener coordinates, the
-    same for every alpha, so they drive both the plain and the averaged
-    model in coupled experiments.
-    """
-    nsteps = increments.shape[1]
-    t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
-    res = solve_paths(problem, scheme, t_grid, increments)
-    return EulerianPath(times=res.times, q=res.states, exit_index=res.exit_index,
-                        alpha=alpha, mean=np.array(u0[:, 0, 0]))

@@ -499,7 +499,7 @@ def brownian_exit_mean(R: float, dt: float, n_paths: int,
                        rng: np.random.Generator, t_max: float = 50.0) -> float:
     """Mean first grid time |W_t| > R for scalar Brownian paths from 0.
 
-    Batched over paths; exit checked at grid times only, like solve_paths.
+    Batched over paths; exit checked at grid times only, like step_paths.
     The continuum value is R^2.
     """
     x = np.zeros(n_paths)

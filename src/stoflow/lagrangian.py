@@ -1,7 +1,8 @@
 """Particle-flow (Lagrangian) formulation.
 
 The lab integrates the flow map Phi of the Eulerian SDE: `run_equivalence`
-drives the Eulerian path and moves particles along it by RK2 (`advect`),
+steps the Eulerian path and moves particles along its rows by RK2
+(`advect`) as they are stepped,
 
     dPhi = u o Phi dt,
 
@@ -18,8 +19,9 @@ block of grid times at once, and each particle step evaluates them at Phi_j
 in one stack: its u_j slot is RK2's first stage, so `advect` evaluates only
 the midpoint field.  The residual is streamed: it reduces each grid time's
 values as the particles reach it, without evaluating again, and the values
-are never collected, so the particle path holds one grid time of them.  The
-stacked (Phi, eta) system, with noise kicks on velocities only, is
+are never collected, so the particle path holds one grid time of them and
+one block of Eulerian rows, however many steps it takes.  The stacked
+(Phi, eta) system, with noise kicks on velocities only, is
 `make_lagrangian_problem`, used for the Stratonovich-degeneracy check.
 """
 
@@ -30,9 +32,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .eulerian import euler_drift, run_eulerian
+from .eulerian import _velocity, euler_drift, make_eulerian_problem
 from .qwiener import QWienerSpec, field_from_coefficients
-from .sde import SdeProblem
+from .sde import SdeProblem, step_paths
 from .spectral import evaluate_stack_at
 
 __all__ = [
@@ -126,7 +128,7 @@ def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
     State layout: [Phi.ravel(), eta.ravel()].  The diffusion is the
     vertical lift: dW kicks the velocity slots by (dW)(Phi(x_i)) and never
     touches the position slots.  Its drift and diffusion take one state, not
-    a stack: it feeds the Stratonovich-correction check, not solve_paths.
+    a stack: it feeds the Stratonovich-correction check, not step_paths.
     """
     P = len(positions)
     x0 = np.concatenate([np.ravel(positions), np.ravel(velocities)])
@@ -184,19 +186,31 @@ def equivalence_residual(vals, dt: float) -> float:
     return float(np.max(np.linalg.norm(res, axis=1)))
 
 
-def _particle_values(epath, spec: QWienerSpec, increments: np.ndarray,
-                     labels: np.ndarray, dt: float):
-    """Yields, for each grid time j of the one-path Eulerian path epath, the
-    values (P, 5, 2) at Phi_j of _spray_fields(u_j) and dW_j, and (P, 4, 2)
-    at the last time, which has no kick; between two items it advects the
-    particles by RK2 from j to j + 1, taking k1 from slot 0.  The spray and
-    kick fields are built for blocks of about _SPRAY_BLOCK_BYTES of grid
-    times."""
+def _particle_values(rows, mean: np.ndarray, spec: QWienerSpec,
+                     increments: np.ndarray, labels: np.ndarray, dt: float):
+    """Yields, for each grid time j of a one-path Eulerian path, the values
+    (P, 5, 2) at Phi_j of _spray_fields(u_j) and dW_j, and (P, 4, 2) at the
+    last time, which has no kick; between two items it advects the
+    particles by RK2 from j to j + 1, taking k1 from slot 0.
+
+    `rows` yields the path's q rows (M, M), one per grid time, each of
+    which may be overwritten once the next is asked for; `mean` is its mean
+    flow.  The spray and kick fields are built for blocks of about
+    _SPRAY_BLOCK_BYTES of grid times, so a block's rows and the next one,
+    for the midpoint field of the block's last step, are all that is read
+    ahead."""
     nsteps = len(increments)
-    block = max(1, _SPRAY_BLOCK_BYTES // (5 * 2 * epath.q[0, 0].nbytes))  # 5-slot rows
+    rows = iter(rows)
+    row = next(rows)
+    block = max(1, _SPRAY_BLOCK_BYTES // (5 * 2 * row.nbytes))  # 5-slot rows
+    q = np.empty((block + 1,) + row.shape, dtype=row.dtype)
+    q[0] = row
     ens = initial_ensemble(labels)
     for first in range(0, nsteps + 1, block):
-        u = epath.velocities(np.s_[0, first:first + block + 1])  # and the next row
+        n = min(block, nsteps - first) + 1  # the block's grid times and the next
+        for j in range(1, n):
+            q[j] = next(rows)
+        u = _velocity(q[:n], 0.0, mean)
         kicks = field_from_coefficients(spec, increments[first:first + block])
         for i, fields in enumerate(_spray_fields(u[:block])):
             if i < len(kicks):  # the last grid time has no kick and no step
@@ -205,6 +219,7 @@ def _particle_values(epath, spec: QWienerSpec, increments: np.ndarray,
             yield vals
             if i < len(kicks):
                 ens = advect(ens, vals[:, 0], 0.5 * (u[i] + u[i + 1]), dt)
+        q[0] = q[n - 1]
 
 
 def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
@@ -218,20 +233,29 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     evaluation per step of the spray and kick fields at Phi_j serves the
     residual and, through its slot 0, the step's k1; the residual consumes
     the values as they are made (`_particle_values`), one grid time at a
-    time.  `increments` has one row of noise coordinates per step of dt up
-    to T.  u0 is a (2, M, M) field at the resolution of spec; run_eulerian
-    rejects any other shape.
+    time, and the particles read the Eulerian rows as `step_paths` steps
+    them, so only a block of the path's rows is held.  A path that leaves
+    the localization ball raises ValueError at the row where it leaves.
+    `increments` has one row of noise coordinates per step of dt up to T.
+    u0 is a (2, M, M) field at the resolution of spec;
+    make_eulerian_problem rejects any other shape.
     """
     nsteps = int(round(T / dt))
     if len(increments) != nsteps:
         raise ValueError(f"{len(increments)} increment rows for the {nsteps} steps "
                          f"of dt = {dt:.6g} up to T = {T:.6g}")
-    epath = run_eulerian(u0, spec, dt, increments[None], scheme="heun",
-                         radius_factor=radius_factor)
-    if epath.exit_index[0] >= 0:
-        raise ValueError(
-            f"the Eulerian path left the localization ball at "
-            f"t = {epath.times[epath.exit_index[0]]:.6g}, "
-            f"before the horizon {T:.6g}; the particle flow needs the whole path "
-            f"(raise localization.radius_factor)")
-    return equivalence_residual(_particle_values(epath, spec, increments, labels, dt), dt)
+    problem = make_eulerian_problem(u0, spec, radius_factor=radius_factor)
+    t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
+
+    def rows():
+        for q, exit_index in step_paths(problem, "heun", t_grid, increments[None]):
+            if exit_index[0] >= 0:
+                raise ValueError(
+                    f"the Eulerian path left the localization ball at "
+                    f"t = {t_grid[exit_index[0]]:.6g}, "
+                    f"before the horizon {T:.6g}; the particle flow needs the whole "
+                    f"path (raise localization.radius_factor)")
+            yield q[0]
+
+    values = _particle_values(rows(), np.array(u0[:, 0, 0]), spec, increments, labels, dt)
+    return equivalence_residual(values, dt)

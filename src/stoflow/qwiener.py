@@ -17,15 +17,12 @@ from functools import cached_property
 
 import numpy as np
 
-from .spectral import _mode_pair
-
 __all__ = [
     "QWienerSpec",
     "build_spectrum",
     "sample_coefficients",
     "field_from_coefficients",
     "curl_from_coefficients",
-    "eigenmode_field",
 ]
 
 
@@ -127,18 +124,6 @@ def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerS
     lam = c * (1.0 + ksq) ** (-gamma)
     return QWienerSpec(N=N, gamma=float(gamma), c=float(c), s_prime=int(s_prime),
                        wavevectors=ks, eigenvalues=lam)
-
-
-def eigenmode_field(spec: QWienerSpec, j: int) -> np.ndarray:
-    """The j-th unit eigenfield (even j: cosine, odd j: sine), shape (2, M, M)."""
-    kx, ky = spec.wavevectors[j // 2]
-    d = spec._layout[0][j // 2].astype(complex)
-    amp = np.sqrt(2.0) / 2.0
-    if j % 2 == 0:
-        half = amp * d
-    else:
-        half = -1j * amp * d  # sin(k.x) = (e^{ikx} - e^{-ikx}) / 2i
-    return _mode_pair(spec.N, int(kx), int(ky), half)
 
 
 def sample_coefficients(spec: QWienerSpec, dt: float, n: int,

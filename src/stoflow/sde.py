@@ -10,7 +10,7 @@ so sigma never has to exist as a matrix.  States are real or complex
 arrays of any shape; the steppers only add and scale them.  An ensemble is
 one stack of states with a leading path axis: `step_paths` yields its rows
 one grid time at a time, reading its increments a block of grid steps at a
-time, and `solve_paths` collects them.
+time; it is the only way a path is stepped, and no path is collected.
 """
 
 from __future__ import annotations
@@ -23,14 +23,12 @@ import numpy as np
 
 __all__ = [
     "SdeProblem",
-    "PathResult",
     "SdePathError",
     "step_euler_maruyama",
     "step_heun_stratonovich",
     "stratonovich_correction",
     "sample_increments",
     "step_paths",
-    "solve_paths",
     "coarsen_increments",
     "strong_convergence_order",
 ]
@@ -80,17 +78,6 @@ class SdeProblem:
         if self.domain_norm is not None:
             return self.domain_norm(x) > self.domain_radius
         return np.linalg.norm(x.reshape(len(x), -1), axis=1) > self.domain_radius
-
-
-@dataclass
-class PathResult:
-    """`states` (K, len(times), *x0.shape) and `exit_index` (K,), the row at
-    which each path first left U or -1; the rows after a path's exit row
-    repeat its exit state (the stopped path), so states[:, -1] is X(tau^T)."""
-
-    times: np.ndarray
-    states: np.ndarray
-    exit_index: np.ndarray
 
 
 def step_euler_maruyama(problem: SdeProblem, t: float, x: np.ndarray,
@@ -182,9 +169,11 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     yielded arrays are updated in place by the next step, so copy what must
     outlive it.  Only live paths are stepped (the whole stack in place of a
     gather and a scatter while none has exited), so an exited path keeps its
-    exit state and never raises SdePathError; exit_index is as in
-    PathResult.  Each path's rows are a pure function of (problem, scheme,
-    grid, its increments).
+    exit state and never raises SdePathError: its rows after its exit row
+    repeat its exit state (the stopped path), and the last row is
+    X(tau ^ T).  exit_index holds the row at which each path first left U,
+    or -1.  Each path's rows are a pure function of (problem, scheme, grid,
+    its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -227,15 +216,12 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
         raise ValueError("increment array does not match the time grid")
 
 
-def solve_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
-                increments: np.ndarray) -> PathResult:
-    """The rows of `step_paths` collected: every grid time of the K paths."""
-    t_grid = np.asarray(t_grid, dtype=float)
-    for i, (x, exit_index) in enumerate(step_paths(problem, scheme, t_grid, increments)):
-        if i == 0:
-            states = np.empty((len(x), len(t_grid)) + x.shape[1:], dtype=x.dtype)
-        states[:, i] = x
-    return PathResult(times=t_grid, states=states, exit_index=exit_index)
+def _last_row(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
+              increments: np.ndarray) -> np.ndarray:
+    """The states (K, *x0.shape) of `step_paths` at the end of the grid."""
+    for x, _ in step_paths(problem, scheme, t_grid, increments):
+        pass
+    return x
 
 
 def coarsen_increments(increments: np.ndarray, factor: int) -> np.ndarray:
@@ -254,9 +240,10 @@ def strong_convergence_order(problem: SdeProblem, scheme: str, T: float,
 
     `steps` must be >= 3 step counts in increasing geometric progression;
     coarse increments are block sums of the finest ones so all levels share
-    one driving path; each level is one stack of the n_paths paths.  The
-    reference at time T is `exact(W_T)` of the W_T rows (n_paths, m) when
-    given, otherwise the finest-grid solution.  Returns (order, dts, rms).
+    one driving path; each level is one stack of the n_paths paths, of
+    which only the last row is kept.  The reference at time T is
+    `exact(W_T)` of the W_T rows (n_paths, m) when given, otherwise the
+    finest-grid solution.  Returns (order, dts, rms).
     """
     steps = sorted(int(n) for n in steps)
     if len(steps) < 3:
@@ -272,9 +259,9 @@ def strong_convergence_order(problem: SdeProblem, scheme: str, T: float,
     if exact is not None:
         ref = exact(inc_f.sum(axis=1))
     else:
-        ref = solve_paths(problem, scheme, grid_f, inc_f).states[:, -1]
-    sols = [solve_paths(problem, scheme, np.linspace(0.0, T, n + 1),
-                        coarsen_increments(inc_f, finest // n)).states[:, -1]
+        ref = _last_row(problem, scheme, grid_f, inc_f)
+    sols = [_last_row(problem, scheme, np.linspace(0.0, T, n + 1),
+                      coarsen_increments(inc_f, finest // n))
             for n in compare]
     errs = np.zeros(len(compare))
     for k in range(n_paths):  # path by path, the summation order of the rms

@@ -17,9 +17,9 @@ from stoflow.config import ExperimentConfig
 from stoflow.experiments import brownian_exit_mean, run_experiment
 from stoflow.lagrangian import uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
-from stoflow.sde import SdeProblem, solve_paths, stratonovich_correction, \
-    strong_convergence_order
+from stoflow.sde import SdeProblem, stratonovich_correction, strong_convergence_order
 from stoflow.streams import derive_stream
+from whole_paths import eulerian_path, stack_paths
 
 Z_BOUND = 4.0
 
@@ -32,9 +32,9 @@ def test_taylor_green_steadiness():
     u0 = sp.taylor_green(16)
     spec = build_spectrum(16, 2.0, 0.0)
     t0 = time.perf_counter()
-    path = eu.run_eulerian(u0, spec, 1e-3, np.zeros((1, 1000, spec.n_modes)), scheme="heun")
+    q, _ = eulerian_path(u0, spec, 1e-3, np.zeros((1, 1000, spec.n_modes)), scheme="heun")
     wall = time.perf_counter() - t0
-    rel = sp.l2_norm(path.velocities(np.s_[0, -1]) - u0) / sp.l2_norm(u0)
+    rel = sp.l2_norm(eu._velocity(q[0, -1], 0.0, u0[:, 0, 0]) - u0) / sp.l2_norm(u0)
     print(f"steadiness: rel drift {rel:.3e}, wall {wall:.2f}s")
     assert rel < 1e-8
     assert wall < 10.0
@@ -47,13 +47,14 @@ def test_divergence_free_fields_everywhere():
     # deterministic and stochastic alike
     worst = 0.0
     spec0 = build_spectrum(8, 2.0, 0.0)
-    path = eu.run_eulerian(sp.taylor_green(8), spec0, 0.01, np.zeros((1, 50, spec0.n_modes)))
-    worst = max(worst, float(np.max(path.diagnostics()[3])))
     spec1 = build_spectrum(8, 3.0, 0.5)
     inc = np.stack([sample_coefficients(spec1, 0.01, 50, derive_stream(2024, i, "noise"))
                     for i in range(4)])
-    p = eu.run_eulerian(np.zeros((2, 17, 17), dtype=complex), spec1, 0.01, inc)
-    worst = max(worst, float(np.max(p.diagnostics()[3])))
+    for u0, spec, inc in ((sp.taylor_green(8), spec0, np.zeros((1, 50, spec0.n_modes))),
+                          (np.zeros((2, 17, 17), dtype=complex), spec1, inc)):
+        q, _ = eulerian_path(u0, spec, 0.01, inc)
+        u = eu._velocity(q, 0.0, u0[:, 0, 0])
+        worst = max(worst, float(np.max(sp.divergence_residual(u))))
     print(f"max divergence residual {worst:.3e}")
     assert worst < 1e-10
 
@@ -159,10 +160,11 @@ def test_heun_em_coupled_difference_linear_in_dt():
     for nsteps in (10, 20, 40, 80):
         dt = T / nsteps
         inc = fine.reshape(nsteps, finest // nsteps, -1).sum(axis=1)
-        a = eu.run_eulerian(u0, spec, dt, inc[None], scheme="heun")
-        b = eu.run_eulerian(u0, spec, dt, inc[None], scheme="euler-maruyama")
-        consts.append(sp.l2_norm(a.velocities(np.s_[0, -1]) - b.velocities(np.s_[0, -1]))
-                      / dt)
+        a, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
+        b, _ = eulerian_path(u0, spec, dt, inc[None], scheme="euler-maruyama")
+        mean = u0[:, 0, 0]
+        consts.append(sp.l2_norm(eu._velocity(a[0, -1], 0.0, mean)
+                                 - eu._velocity(b[0, -1], 0.0, mean)) / dt)
     print(f"difference/dt constants {['%.4f' % c for c in consts]}")
     assert max(consts) < 4.0 * min(consts)
 
@@ -200,9 +202,9 @@ def test_exit_time_deterministic_crossing():
                    noise_variances=np.array([1.0]), x0=np.zeros(1),
                    domain_radius=1.0)
     grid = np.arange(0.0, 2.0 + dt / 2, dt)
-    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, len(grid) - 1, 1)))
-    assert res.exit_index[0] >= 0
-    assert abs(res.times[res.exit_index[0]] - 1.0) <= dt + 1e-12
+    _, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, len(grid) - 1, 1)))
+    assert exit_index[0] >= 0
+    assert abs(grid[exit_index[0]] - 1.0) <= dt + 1e-12
 
 
 def test_exit_time_brownian_mean():
@@ -223,10 +225,12 @@ def test_alpha_zero_bitwise_identical(tmp_path):
     spec = build_spectrum(6, 3.0, 0.5)
     u0 = sp.taylor_green(6, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(66, "bits"))
-    a = eu.run_eulerian(u0, spec, 0.01, inc[None], alpha=0.0)
-    b = eu.run_eulerian(u0, spec, 0.01, inc[None])
-    assert np.array_equal(a.q, b.q)
-    assert np.array_equal(a.diagnostics()[0], b.diagnostics()[0])
+    a, _ = eulerian_path(u0, spec, 0.01, inc[None], alpha=0.0)
+    b, _ = eulerian_path(u0, spec, 0.01, inc[None])
+    assert np.array_equal(a, b)
+    mean = u0[:, 0, 0]
+    assert np.array_equal(eu._diagnostics(eu._velocity(a, 0.0, mean))[0],
+                          eu._diagnostics(eu._velocity(b, 0.0, mean))[0])
 
     common = dict(n=6, dt=0.01, horizon=0.1, gamma=3.0, c=0.5, seed=42,
                   ensemble=3)

@@ -396,6 +396,29 @@ def test_cli_non_finite_value_exit_one(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_alpha_whose_square_overflows_exit_one(tmp_path, capsys):
+    # the Helmholtz multiplier needs a finite alpha^2: 1e160 is one line
+    # naming alpha, not an OverflowError traceback; 1e150 is accepted
+    text = "kind = simulate-averaged\ngrid.n = 4\nnoise.c = 0.5\n"
+    path = write_cfg(tmp_path, text + "alpha = 1e160\n")
+    assert main(["simulate-averaged", "--config", path,
+                 "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: config error: alpha = 1e+160")
+    assert err.count("\n") == 1
+    assert parse_config_text(text + "alpha = 1e150\n").alpha == 1e150
+
+
+def test_cli_config_not_utf8_exit_one(tmp_path, capsys):
+    # a 0xff byte in a comment: one config-error line with its offset, not
+    # a UnicodeDecodeError traceback
+    path = tmp_path / "exp.cfg"
+    path.write_bytes(b"kind = isometry\n# caf\xff\n")
+    assert main(["isometry", "--config", str(path), "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err == f"lab: config error: {path}: not UTF-8 text (byte 0xff at offset 21)\n"
+
+
 def test_cli_negative_seed_names_the_key(tmp_path, capsys):
     path = write_cfg(tmp_path, "kind = isometry\nnoise.c = 1.0\n")
     assert main(["isometry", "--config", path, "--seed", "-3",

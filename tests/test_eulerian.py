@@ -7,9 +7,10 @@ import pytest
 from stoflow import eulerian as eu
 from stoflow import spectral as sp
 from stoflow.lagrangian import run_equivalence, uniform_labels
-from stoflow.qwiener import build_spectrum, eigenmode_field, sample_coefficients
+from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
 from test_spectral import helmholtz_inverse, modes, zero_field
+from whole_paths import eigenmode_field, eulerian_path
 
 
 # ---------------------------------------------------------------------------
@@ -136,9 +137,10 @@ def test_resolution_mismatch_rejected():
     spec = build_spectrum(3, 2.0, 1.0)
     inc = np.zeros((2, spec.n_modes))
     labels = uniform_labels(3)
+    times = np.linspace(0.0, 0.02, 3)
     for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
         for call in (lambda: eu.make_eulerian_problem(u0, spec),
-                     lambda: eu.run_eulerian(u0, spec, 0.01, inc[None]),
+                     lambda: next(eu._velocity_blocks(u0, spec, times, inc[None])),
                      lambda: run_equivalence(u0, spec, 0.01, 0.02, labels, inc)):
             with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
                 call()
@@ -149,18 +151,19 @@ def test_resolution_mismatch_rejected():
 
 def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
-    path = eu.run_eulerian(zero_field(4), spec, 0.01, np.zeros((1, 10, spec.n_modes)))
-    assert np.max(path.diagnostics()[0]) == 0.0
-    assert np.max(np.abs(path.velocities())) == 0.0
+    q, _ = eulerian_path(zero_field(4), spec, 0.01, np.zeros((1, 10, spec.n_modes)))
+    u = eu._velocity(q, 0.0, np.zeros(2))
+    assert np.max(eu._diagnostics(u)[0]) == 0.0
+    assert np.max(np.abs(u)) == 0.0
 
 
 def test_taylor_green_steady_short_run():
     u0 = sp.taylor_green(8)
     spec = build_spectrum(8, 2.0, 0.0)
-    path = eu.run_eulerian(u0, spec, 1e-3, np.zeros((1, 200, spec.n_modes)))
-    rel = sp.l2_norm(path.velocities(np.s_[0, -1]) - u0) / sp.l2_norm(u0)
+    q, exit_index = eulerian_path(u0, spec, 1e-3, np.zeros((1, 200, spec.n_modes)))
+    rel = sp.l2_norm(eu._velocity(q[0, -1], 0.0, u0[:, 0, 0]) - u0) / sp.l2_norm(u0)
     assert rel < 1e-10
-    assert path.exit_index[0] == -1
+    assert exit_index[0] == -1
 
 
 def test_path_keeps_mean_flow():
@@ -169,7 +172,8 @@ def test_path_keeps_mean_flow():
     u0 = modes(4, {(0, 0): U}) + sp.taylor_green(4, 0.5)
     spec = build_spectrum(4, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(23, "mean"))
-    u = eu.run_eulerian(u0, spec, 0.01, inc[None]).velocities(0)
+    q, _ = eulerian_path(u0, spec, 0.01, inc[None])
+    u = eu._velocity(q[0], 0.0, u0[:, 0, 0])
     assert np.array_equal(u[:, :, 0, 0], np.broadcast_to(U, (21, 2)))
     assert np.max(np.abs(u[0] - u0)) < 1e-15
 
@@ -177,18 +181,19 @@ def test_path_keeps_mean_flow():
 def test_stochastic_path_divergence_free():
     spec = build_spectrum(6, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(11, "noise"))
-    path = eu.run_eulerian(zero_field(6), spec, 0.01, inc[None])
-    assert np.max(path.diagnostics()[3]) < 1e-10
-    assert path.velocities().shape == (1, len(path.times), 2, 13, 13)
+    q, _ = eulerian_path(zero_field(6), spec, 0.01, inc[None])
+    u = eu._velocity(q, 0.0, np.zeros(2))
+    assert np.max(eu._diagnostics(u)[3]) < 1e-10
+    assert u.shape == (1, 21, 2, 13, 13)
 
 
 def test_path_reproducible_from_increments():
     spec = build_spectrum(4, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(13, "rep"))
     u0 = sp.taylor_green(4, 0.5)
-    a = eu.run_eulerian(u0, spec, 0.01, inc[None])
-    b = eu.run_eulerian(u0, spec, 0.01, inc[None])
-    assert np.array_equal(a.q, b.q)
+    a, _ = eulerian_path(u0, spec, 0.01, inc[None])
+    b, _ = eulerian_path(u0, spec, 0.01, inc[None])
+    assert np.array_equal(a, b)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 0.7])
@@ -205,16 +210,18 @@ def test_exit_norm_read_from_q(alpha):
 
 
 def test_path_diagnostics_match_per_field_functions():
-    # the whole-path reductions give every row bit for bit as the per-field
-    # norm functions do; at N = 16 the 11 rows span two reduction blocks
+    # the reductions of the velocity blocks give every row bit for bit as
+    # the per-field norm functions do; at N = 16 the 11 rows span two blocks
     N = 16
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.random_divergence_free(N, np.random.default_rng(5))
     inc = sample_coefficients(spec, 0.01, 10, derive_stream(29, "diag"))
-    path = eu.run_eulerian(u0, spec, 0.01, inc[None], alpha=0.3)
-    fields = list(path.velocities(0))
-    assert eu._DIAGNOSTIC_BLOCK_BYTES // fields[0].nbytes < len(fields)
-    energy, ens, hs, div = path.diagnostics()
+    q, _ = eulerian_path(u0, spec, 0.01, inc[None], alpha=0.3)
+    fields = list(eu._velocity(q[0], 0.3, u0[:, 0, 0]))
+    blocks = [u for u, _ in eu._velocity_blocks(u0, spec, np.linspace(0.0, 0.1, 11),
+                                                inc[None], alpha=0.3)]
+    assert len(blocks) == 2
+    energy, ens, hs, div = np.concatenate([eu._diagnostics(u) for u in blocks], axis=-1)
     assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
     assert np.array_equal(ens[0], [sp.enstrophy(f) for f in fields])
     assert np.array_equal(hs[0], [sp.sobolev_norm(f, 2) for f in fields])
@@ -222,9 +229,9 @@ def test_path_diagnostics_match_per_field_functions():
 
 
 def test_streamed_diagnostics_match_collected_path():
-    # the velocity blocks, reduced as they come, give the collected path's
-    # diagnostics bit for bit, and its exit indices and last velocities; the
-    # 31 grid times of 3 paths span four blocks, the last one short, and
+    # the velocity blocks, reduced as they come, give the diagnostics of the
+    # stacked path bit for bit, and its exit indices and last velocities;
+    # the 31 grid times of 3 paths span four blocks, the last one short, and
     # path 1 is kicked out of the ball at row 13
     N, dt, nsteps = 8, 0.01, 30
     spec = build_spectrum(N, 3.0, 0.5)
@@ -232,16 +239,18 @@ def test_streamed_diagnostics_match_collected_path():
     inc = np.stack([sample_coefficients(spec, dt, nsteps, derive_stream(31, k, "stream"))
                     for k in range(3)])
     inc[1, 12] *= 1000.0
-    path = eu.run_eulerian(u0, spec, dt, inc, alpha=0.3, radius_factor=2.0)
-    assert path.exit_index.tolist() == [-1, 13, -1]
+    q, ref_exit = eulerian_path(u0, spec, dt, inc, alpha=0.3, radius_factor=2.0)
+    assert ref_exit.tolist() == [-1, 13, -1]
+    ref = eu._velocity(q, 0.3, u0[:, 0, 0])
     parts = []
-    for u, exit_index in eu._velocity_blocks(u0, spec, path.times, inc, alpha=0.3,
+    times = np.linspace(0.0, nsteps * dt, nsteps + 1)
+    for u, exit_index in eu._velocity_blocks(u0, spec, times, inc, alpha=0.3,
                                              radius_factor=2.0):
         parts.append(eu._diagnostics(u))
     assert [d.shape[-1] for d in parts] == [9, 9, 9, 4]
-    assert np.array_equal(np.concatenate(parts, axis=-1), path.diagnostics())
-    assert np.array_equal(exit_index, path.exit_index)
-    assert np.array_equal(u[:, -1], path.velocities(np.s_[:, -1]))
+    assert np.array_equal(np.concatenate(parts, axis=-1), eu._diagnostics(ref))
+    assert np.array_equal(exit_index, ref_exit)
+    assert np.array_equal(u[:, -1], ref[:, -1])
 
 
 def test_heun_vs_em_coupled_difference_order_dt():
@@ -254,9 +263,11 @@ def test_heun_vs_em_coupled_difference_order_dt():
         dt = 0.2 / nsteps
         fine = sample_coefficients(spec, 0.2 / 40, 40, derive_stream(17, "cpl"))
         inc = fine.reshape(nsteps, 40 // nsteps, -1).sum(axis=1)
-        a = eu.run_eulerian(u0, spec, dt, inc[None], scheme="heun")
-        b = eu.run_eulerian(u0, spec, dt, inc[None], scheme="euler-maruyama")
-        diff = sp.l2_norm(a.velocities(np.s_[0, -1]) - b.velocities(np.s_[0, -1]))
+        a, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
+        b, _ = eulerian_path(u0, spec, dt, inc[None], scheme="euler-maruyama")
+        mean = u0[:, 0, 0]
+        diff = sp.l2_norm(eu._velocity(a[0, -1], 0.0, mean)
+                          - eu._velocity(b[0, -1], 0.0, mean))
         consts.append(diff / dt)
     assert max(consts) < 4.0 * max(min(consts), 1e-12)
 

@@ -4,15 +4,16 @@ vertically lifted noise, and the equivalence residual."""
 import numpy as np
 import pytest
 
+from stoflow import eulerian as eu
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
-from stoflow.eulerian import run_eulerian
 from stoflow.lagrangian import TWO_PI, initial_ensemble, uniform_labels
 from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
 from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
 from test_spectral import _ref_advection_term, grid_values, modes, zero_field
+from whole_paths import eigenmode_field, eulerian_path
 
 
 def const_field(N, vec):
@@ -140,7 +141,6 @@ def test_stacked_diffusion_matches_eigenmode_evaluation():
     pos = rng.uniform(0, TWO_PI, size=(7, 2))
     u = sp.taylor_green(2, 0.5)
     problem = lg.make_lagrangian_problem(u, spec, pos, sp.evaluate_stack_at(u, pos))
-    from stoflow.qwiener import eigenmode_field
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
         e[j] = 1.0
@@ -211,7 +211,8 @@ def test_fused_loop_matches_two_pass_reference():
     labels = uniform_labels(5)
     res = lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
 
-    states = run_eulerian(u0, spec, dt, inc[None], scheme="heun").velocities(0)
+    q, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
+    states = eu._velocity(q[0], 0.0, u0[:, 0, 0])
     fields = list(states)
     x = [labels]
     for j in range(nsteps):
@@ -245,7 +246,9 @@ def test_equivalence_reads_no_diagnostics(monkeypatch):
     def fail(*args):
         raise AssertionError("run_equivalence computed path diagnostics")
 
-    monkeypatch.setattr("stoflow.eulerian._path_diagnostics", fail)
+    for name in ("stoflow.eulerian._diagnostics", "stoflow.spectral._enstrophy_of_squares",
+                 "stoflow.spectral._divergence_residual"):
+        monkeypatch.setattr(name, fail)
     spec = build_spectrum(4, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 10, derive_stream(37, "nodiag"))
     res = lg.run_equivalence(sp.taylor_green(4, 0.5), spec, 0.01, 0.1,

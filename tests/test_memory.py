@@ -1,8 +1,8 @@
 """Working-set bounds: an ensemble holds one chunk of paths at a time and
 none of their paths, only a block of their latest rows and of their noise,
-and the particle path holds one grid time of particle values, so the traced
-allocation peak does not grow with the number of chunks, nor with the
-number of grid times."""
+and the particle path holds one grid time of particle values and a block of
+Eulerian rows, so the traced allocation peak does not grow with the number
+of chunks, nor with the number of grid times."""
 
 import tracemalloc
 
@@ -12,11 +12,11 @@ from stoflow import eulerian, experiments, sde
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
 from stoflow.config import ExperimentConfig
-from stoflow.eulerian import run_eulerian
 from stoflow.experiments import run_experiment
 from stoflow.lagrangian import uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
+from whole_paths import eulerian_path
 
 
 def traced_peak(fn) -> int:
@@ -47,19 +47,29 @@ def test_ensemble_holds_one_chunk(tmp_path, monkeypatch):
 
 
 def test_ensembles_never_collect_a_path(tmp_path, monkeypatch):
-    # simulate and energy-growth reduce the stepper's rows as they come:
-    # neither the path collector nor the collected Eulerian path is called
-    def collect(*args, **kwargs):
-        raise AssertionError("an ensemble collected a path")
+    # no module has a path collector: simulate, energy-growth and the
+    # particle path of equivalence step their Eulerian paths through
+    # step_paths, whose rows they reduce as they come
+    for mod in (sde, eulerian, lg, experiments):
+        assert not {"solve_paths", "PathResult", "run_eulerian",
+                    "EulerianPath", "_path_diagnostics"} & set(vars(mod))
+    calls = []
 
-    for mod, name in ((sde, "solve_paths"), (eulerian, "solve_paths"),
-                      (eulerian, "run_eulerian"), (experiments, "run_eulerian")):
-        monkeypatch.setattr(mod, name, collect, raising=False)
+    def counted(*args, **kwargs):
+        calls.append(args[1])
+        return sde.step_paths(*args, **kwargs)
+
+    monkeypatch.setattr(eulerian, "step_paths", counted)
+    monkeypatch.setattr(lg, "step_paths", counted)
     for i, kw in enumerate((dict(kind="simulate-euler", c=0.0, ensemble=2),
                             dict(kind="simulate-euler", c=0.5, ensemble=3),
-                            dict(kind="energy-growth", c=0.5, ensemble=3))):
+                            dict(kind="energy-growth", c=0.5, ensemble=3),
+                            dict(kind="equivalence", c=0.5, eq_levels=1,
+                                 eq_particles=3))):
+        calls.clear()
         cfg = ExperimentConfig(n=6, dt=0.01, horizon=0.1, seed=9, **kw)
         assert run_experiment(cfg, out_dir=tmp_path / str(i)).all_passed
+        assert calls == ["heun"] * (2 if cfg.kind == "equivalence" else 1), calls
 
 
 def test_ensemble_peak_does_not_grow_with_the_path(tmp_path):
@@ -78,6 +88,26 @@ def test_ensemble_peak_does_not_grow_with_the_path(tmp_path):
     short, long = traced_peak(run(20)), traced_peak(run(80))
     increments, q_rows = 60 * n_modes * 8, 60 * M * M * 16
     assert long - short < q_rows / 4, (short, long, increments, q_rows)
+
+
+def test_particle_path_peak_does_not_grow_with_the_path():
+    # one path at N = 16, 2 x 2 labels, from 20 to 160 steps: the particles
+    # read the Eulerian rows as they are stepped, so the peak grows by far
+    # less than the 140 q rows a collected path would keep
+    N, dt = 16, 0.005
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    labels = uniform_labels(2)
+    inc = sample_coefficients(spec, dt, 160, derive_stream(61, "rows"))
+
+    def run(nsteps):
+        return lambda: lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
+                                          increments=inc[:nsteps])
+
+    run(20)()  # fill the per-N constant caches outside the traced runs
+    short, long = traced_peak(run(20)), traced_peak(run(160))
+    q_rows = 140 * (2 * N + 1) ** 2 * 16
+    assert long - short < q_rows / 4, (short, long, q_rows)
 
 
 def test_particle_path_holds_one_grid_time(monkeypatch):
@@ -128,13 +158,14 @@ def test_streamed_residual_matches_collected_values():
     u0 = sp.taylor_green(N, 0.5)
     inc = sample_coefficients(spec, dt, nsteps, derive_stream(53, "stream"))
     labels = uniform_labels(5)
-    epath = run_eulerian(u0, spec, dt, inc[None], scheme="heun")
-    vals = list(lg._particle_values(epath, spec, inc, labels, dt))
+    q, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
+    mean = u0[:, 0, 0]
+    vals = list(lg._particle_values(q[0], mean, spec, inc, labels, dt))
     assert [v.shape[1] for v in vals] == [5] * nsteps + [4]
     ref = lg.equivalence_residual(vals, dt)
     assert ref > 0.0
     assert lg.equivalence_residual(iter(vals), dt) == ref
-    assert lg.equivalence_residual(lg._particle_values(epath, spec, inc, labels, dt),
+    assert lg.equivalence_residual(lg._particle_values(q[0], mean, spec, inc, labels, dt),
                                    dt) == ref
     assert lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
                               increments=inc) == ref

@@ -9,6 +9,7 @@ from stoflow import spectral as sp
 from stoflow.qwiener import QWienerSpec, build_spectrum
 from stoflow.streams import derive_stream
 from test_spectral import l2_inner
+from whole_paths import eigenmode_field
 
 
 def test_half_lattice_n1():
@@ -65,7 +66,7 @@ def test_budget_equals_trace_at_sprime_zero():
 
 def test_eigenmodes_orthonormal_divergence_free():
     spec = build_spectrum(2, 2.0, 1.0)
-    fields = [qw.eigenmode_field(spec, j) for j in range(spec.n_modes)]
+    fields = [eigenmode_field(spec, j) for j in range(spec.n_modes)]
     for j, f in enumerate(fields):
         assert abs(sp.l2_norm(f) - 1.0) < 1e-13
         assert sp.divergence_residual(f) < 1e-13
@@ -80,8 +81,8 @@ def test_single_eigenpair_increment():
                        eigenvalues=np.array([4.0]))
     xi = np.array([0.3, -1.1])
     dW = qw.field_from_coefficients(spec, 2.0 * xi)
-    ref = (2.0 * xi[0]) * qw.eigenmode_field(spec, 0) \
-        + (2.0 * xi[1]) * qw.eigenmode_field(spec, 1)
+    ref = (2.0 * xi[0]) * eigenmode_field(spec, 0) \
+        + (2.0 * xi[1]) * eigenmode_field(spec, 1)
     assert np.allclose(dW, ref, atol=1e-14)
 
     rng = derive_stream(21, "var")

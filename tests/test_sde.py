@@ -11,8 +11,9 @@ from stoflow import eulerian as eu
 from stoflow import sde
 from stoflow import spectral as sp
 from stoflow.qwiener import build_spectrum, sample_coefficients
-from stoflow.sde import SdeProblem, solve_paths
+from stoflow.sde import SdeProblem
 from stoflow.streams import derive_stream
+from whole_paths import stack_paths
 
 
 def scalar_problem(drift, diffusion, x0=1.0, variances=(1.0,), **kw):
@@ -42,8 +43,8 @@ def test_terminal_state_telescopes_noise():
     grid = np.linspace(0.0, 1.0, 33)
     inc = sde.sample_increments(p, grid, derive_stream(4, "tel"), 1)
     for scheme in ("euler-maruyama", "heun"):
-        res = solve_paths(p, scheme, grid, inc)
-        assert abs(res.states[0, -1, 0] - inc.sum()) < 1e-14
+        states, _ = stack_paths(p, scheme, grid, inc)
+        assert abs(states[0, -1, 0] - inc.sum()) < 1e-14
 
 
 def test_heun_equals_em_for_constant_sigma():
@@ -99,8 +100,8 @@ def test_ito_stratonovich_consistency():
     for nsteps in (32, 64, 128, 256):
         grid = np.linspace(0.0, 1.0, nsteps + 1)
         inc = sde.sample_increments(strat, grid, rng, 200)
-        a = solve_paths(strat, "heun", grid, inc).states[:, -1]
-        b = solve_paths(ito, "euler-maruyama", grid, inc).states[:, -1]
+        a = stack_paths(strat, "heun", grid, inc)[0][:, -1]
+        b = stack_paths(ito, "euler-maruyama", grid, inc)[0][:, -1]
         diffs.append(np.sqrt(np.sum((a - b) ** 2) / 200))
     assert diffs[-1] < diffs[0]
     assert diffs[-1] < 0.5 * diffs[0]
@@ -116,9 +117,9 @@ def test_ito_formula_residual_refines():
         grid = np.linspace(0.0, 1.0, nsteps + 1)
         dt = 1.0 / nsteps
         inc = sde.sample_increments(p, grid, rng, 200)
-        path = solve_paths(p, "euler-maruyama", grid, inc)
-        x = path.states[:, :-1, 0]
-        xT = path.states[:, -1, 0]
+        states, _ = stack_paths(p, "euler-maruyama", grid, inc)
+        x = states[:, :-1, 0]
+        xT = states[:, -1, 0]
         # Df.b = -2x^2, (1/2)tr(D2f sQs*) = 1, Df.s dW = 2x dW
         r = xT**2 - 1.0 - np.sum((-2.0 * x**2 + 1.0) * dt, axis=1) \
             - np.sum(2.0 * x * inc[:, :, 0], axis=1)
@@ -134,22 +135,22 @@ def test_deterministic_exit_within_one_step():
                        x0=0.0, domain_radius=1.0)
     dt = 0.01
     grid = np.linspace(0.0, 2.0, 201)
-    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, 200, 1)))
-    e = res.exit_index[0]
+    states, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, 200, 1)))
+    e = exit_index[0]
     assert e >= 0
-    assert abs(res.times[e] - 1.0) <= dt + 1e-12
+    assert abs(grid[e] - 1.0) <= dt + 1e-12
     # the stopped path: every row after the exit row repeats the exit state
-    assert np.all(res.states[0, e:] == res.states[0, e])
-    assert np.all(res.states[0, :e, 0] <= 1.0)
+    assert np.all(states[0, e:] == states[0, e])
+    assert np.all(states[0, :e, 0] <= 1.0)
 
 
 def test_static_path_never_exits():
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
     grid = np.linspace(0.0, 5.0, 51)
-    res = solve_paths(p, "heun", grid, np.zeros((1, 50, 1)))
-    assert res.exit_index[0] == -1
-    assert res.states.shape == (1, 51, 1)
+    states, exit_index = stack_paths(p, "heun", grid, np.zeros((1, 50, 1)))
+    assert exit_index[0] == -1
+    assert states.shape == (1, 51, 1)
 
 
 def test_exit_monotone_under_domain_inclusion():
@@ -160,9 +161,9 @@ def test_exit_monotone_under_domain_inclusion():
     big = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                          x0=0.0, domain_radius=2.0)
     inc = sde.sample_increments(small, grid, rng, 10)
-    rs = solve_paths(small, "euler-maruyama", grid, inc)
-    rb = solve_paths(big, "euler-maruyama", grid, inc)
-    for es, eb, xs, xb in zip(rs.exit_index, rb.exit_index, rs.states, rb.states):
+    xs_all, es_all = stack_paths(small, "euler-maruyama", grid, inc)
+    xb_all, eb_all = stack_paths(big, "euler-maruyama", grid, inc)
+    for es, eb, xs, xb in zip(es_all, eb_all, xs_all, xb_all):
         ts = grid[es] if es >= 0 else np.inf
         tb = grid[eb] if eb >= 0 else np.inf
         assert tb >= ts
@@ -175,7 +176,7 @@ def test_initial_state_outside_domain_rejected():
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                        x0=3.0, domain_radius=1.0)
     with pytest.raises(ValueError):
-        solve_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((1, 10, 1)))
+        next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((1, 10, 1))))
 
 
 def test_custom_domain_norm():
@@ -185,14 +186,14 @@ def test_custom_domain_norm():
                    x0=np.zeros(2), domain_radius=1.0,
                    domain_norm=lambda v: 2.0 * np.abs(v[:, 0]))
     grid = np.linspace(0.0, 1.0, 101)
-    res = solve_paths(p, "euler-maruyama", grid, np.zeros((1, 100, 1)))
-    assert abs(res.times[res.exit_index[0]] - 0.51) < 1e-12
+    _, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, 100, 1)))
+    assert abs(grid[exit_index[0]] - 0.51) < 1e-12
 
 
 def test_nonfinite_state_aborts():
     p = scalar_problem(lambda t, x: np.full(1, np.nan), lambda x, dW: np.zeros(1))
     with pytest.raises(sde.SdePathError) as exc:
-        solve_paths(p, "euler-maruyama", np.linspace(0, 10, 101), np.zeros((1, 100, 1)))
+        stack_paths(p, "euler-maruyama", np.linspace(0, 10, 101), np.zeros((1, 100, 1)))
     assert exc.value.step == 0
 
 
@@ -206,38 +207,50 @@ def test_path_error_survives_pickling():
 def test_paths_exit_on_their_own():
     # three paths in one stack: path 0 is kicked out of U at row 7, where
     # the drift turns NaN; exited paths are never stepped again, so no
-    # SdePathError, and each live path's rows equal its solo solve
+    # SdePathError, and each live path's rows equal its solo rows
     p = scalar_problem(lambda t, x: np.where(np.abs(x) > 1.0, np.nan, -x),
                        lambda x, dW: dW, x0=0.2, domain_radius=1.0)
     grid = np.linspace(0.0, 0.2, 21)
     inc = 0.01 * derive_stream(41, "own").standard_normal((3, 20, 1))
     inc[0, 6] = 2.0
-    res = solve_paths(p, "euler-maruyama", grid, inc)
-    assert res.exit_index.tolist() == [7, -1, -1]
-    assert np.all(res.states[0, 7:] == res.states[0, 7])
+    states, exit_index = stack_paths(p, "euler-maruyama", grid, inc)
+    assert exit_index.tolist() == [7, -1, -1]
+    assert np.all(states[0, 7:] == states[0, 7])
     for k in (1, 2):
-        solo = solve_paths(p, "euler-maruyama", grid, inc[k:k + 1])
-        assert solo.exit_index[0] == -1
-        assert np.array_equal(res.states[k], solo.states[0])
+        solo, solo_exit = stack_paths(p, "euler-maruyama", grid, inc[k:k + 1])
+        assert solo_exit[0] == -1
+        assert np.array_equal(states[k], solo[0])
 
 
 def test_step_paths_rows_are_the_collected_path():
-    # the stepper's rows, copied as they come, are solve_paths' states bit
-    # for bit on a stack where two of three paths exit at different rows;
-    # the exit indices agree; the next step overwrites the yielded array
+    # the stepper's rows, copied as they come, are bit for bit the path
+    # each path makes alone, stepped one Heun step at a time and stopped at
+    # its first exit, on a stack where two of three paths exit at different
+    # rows; the exit indices agree; the next step overwrites the yielded array
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
     grid = np.linspace(0.0, 0.2, 21)
     inc = 0.01 * derive_stream(42, "rows").standard_normal((3, 20, 1))
     inc[0, 6], inc[2, 11] = 2.0, -2.0
-    ref = solve_paths(p, "heun", grid, inc)
-    assert ref.exit_index.tolist() == [7, -1, 12]
+    ref = np.empty((3, len(grid), 1))
+    ref_exit = []
+    for k in range(3):
+        x, e = p.x0[None], -1
+        ref[k, 0] = x[0]
+        for i in range(len(grid) - 1):
+            if e < 0:
+                x = sde.step_heun_stratonovich(p, grid[i], x, inc[k, i:i + 1],
+                                               grid[i + 1] - grid[i])
+                e = i + 1 if p.outside(x)[0] else -1
+            ref[k, i + 1] = x[0]
+        ref_exit.append(e)
+    assert ref_exit == [7, -1, 12]
     rows = []
     for x, exit_index in sde.step_paths(p, "heun", grid, inc):
         rows.append(x.copy())
     assert len(rows) == len(grid)
-    assert np.array_equal(np.stack(rows, axis=1), ref.states)
-    assert np.array_equal(exit_index, ref.exit_index)
-    assert np.array_equal(x, ref.states[:, -1])
+    assert np.array_equal(np.stack(rows, axis=1), ref)
+    assert exit_index.tolist() == ref_exit
+    assert np.array_equal(x, ref[:, -1])
     steps = sde.step_paths(p, "heun", grid, inc)
     assert next(steps)[0] is next(steps)[0]
 
@@ -251,8 +264,8 @@ def test_step_paths_reads_increment_blocks():
     grid = np.linspace(0.0, 0.2, 21)
     inc = 0.01 * derive_stream(43, "blocks").standard_normal((3, 20, 1))
     inc[1, 9] = 2.0
-    ref = solve_paths(p, "heun", grid, inc)
-    assert ref.exit_index.tolist() == [-1, 10, -1]
+    ref, ref_exit = stack_paths(p, "heun", grid, inc)
+    assert ref_exit.tolist() == [-1, 10, -1]
 
     def reused(lengths):
         buf = np.empty((3, max(lengths), 1))
@@ -264,7 +277,7 @@ def test_step_paths_reads_increment_blocks():
 
     for lengths in ([20], [1] * 20, [7, 7, 6], [3, 10, 1, 6]):
         rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused(lengths))]
-        assert np.array_equal(np.stack(rows, axis=1), ref.states)
+        assert np.array_equal(np.stack(rows, axis=1), ref)
     for bad in ([inc[:, :7], inc[:, 7:19]], [inc[:, :7], inc[:, 7:], inc[:, :1]],
                 [inc[:, :7], inc[:2, 7:]], [inc[:, :7], inc[:, 7:, 0]], []):
         with pytest.raises(ValueError, match="does not match the time grid"):
@@ -304,7 +317,7 @@ def test_increments_must_match_grid():
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     for bad in (np.zeros((1, 9, 1)), np.zeros((10, 1))):
         with pytest.raises(ValueError, match="does not match the time grid"):
-            solve_paths(p, "heun", np.linspace(0, 1, 11), bad)
+            next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), bad))
 
 
 # ---------------------------------------------------------------------------
@@ -313,9 +326,10 @@ def test_increments_must_match_grid():
 def test_solve_path_deterministic():
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
     grid = np.linspace(0.0, 1.0, 65)
-    a = solve_paths(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det"), 2))
-    b = solve_paths(p, "heun", grid, sde.sample_increments(p, grid, derive_stream(3, "det"), 2))
-    assert np.array_equal(a.states, b.states)
+    a, b = (stack_paths(p, "heun", grid,
+                        sde.sample_increments(p, grid, derive_stream(3, "det"), 2))[0]
+            for _ in range(2))
+    assert np.array_equal(a, b)
 
 
 def test_coarsen_increments_sums_blocks():
