@@ -115,7 +115,8 @@ def material_acceleration_at(u: np.ndarray, points: np.ndarray) -> np.ndarray:
     the subtracted part is the Galerkin-truncated projected advection that
     drives the Eulerian system; their difference is -(grad p) plus the
     truncation tail, matching the discrete dynamics exactly.  All four
-    fields are evaluated on one set of phase tables.
+    fields are evaluated in one `evaluate_stack_at` call: one power table of
+    the points, one real matrix product and one per-point contraction.
     """
     return _spray_from(evaluate_stack_at(_spray_fields(u), points))
 
@@ -215,7 +216,7 @@ def _particle_values(rows, mean: np.ndarray, spec: QWienerSpec,
         for i, fields in enumerate(_spray_fields(u[:block])):
             if i < len(kicks):  # the last grid time has no kick and no step
                 fields = np.concatenate([fields, kicks[i, None]])
-            vals = evaluate_stack_at(fields, ens.positions)
+            vals = evaluate_stack_at(fields, ens.positions_unwrapped)  # the kernel wraps them
             yield vals
             if i < len(kicks):
                 ens = advect(ens, vals[:, 0], 0.5 * (u[i] + u[i + 1]), dt)

@@ -29,16 +29,14 @@ __all__ = [
 def half_lattice(N: int) -> np.ndarray:
     """Representatives of the +/-k pairs with |k|_inf <= N, k != 0.
 
-    Convention: kx > 0, or kx == 0 and ky > 0.
+    Convention: kx > 0, or kx == 0 and ky > 0; ordered by kx, then ky.
+    Built as arrays, so an N too large for memory fails at its first
+    allocation.
     """
-    ks = []
-    for kx in range(0, N + 1):
-        for ky in range(-N, N + 1):
-            if kx == 0 and ky <= 0:
-                continue
-            if kx > 0 or (kx == 0 and ky > 0):
-                ks.append((kx, ky))
-    return np.array(ks, dtype=int)
+    pos = np.arange(1, N + 1, dtype=int)
+    kx, ky = np.meshgrid(pos, np.arange(-N, N + 1, dtype=int), indexing="ij")
+    axis = np.stack([np.zeros_like(pos), pos], axis=1)  # kx == 0, ky > 0
+    return np.concatenate([axis, np.stack([kx.ravel(), ky.ravel()], axis=1)])
 
 
 @dataclass(frozen=True)

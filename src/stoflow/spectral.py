@@ -11,6 +11,12 @@ Leading axes stack fields, such as the rows of a path: operators and norms
 act on the trailing axes and broadcast over the leading ones.  Real-valued
 fields obey the Hermitian symmetry uhat(-k) = conj(uhat(k)).
 
+Products of fields go through one dealiased transform kernel
+(`advection_term`); values at arbitrary points go through one direct sum,
+`evaluate_stack_at`, which uses that symmetry to run in the real cos/sin
+basis: one real matrix product over kx and one real contraction over
+ky >= 0 per point, half the multiply-adds of the complex sum.
+
 All operations are pure: they return new arrays and never write to their
 inputs, except the work buffers a caller may lend the transport kernel.
 The per-N constants are built once and are read-only, and the module keeps
@@ -300,16 +306,33 @@ def advection_term(q: np.ndarray, u: np.ndarray, work: tuple | None = None) -> n
 # ---------------------------------------------------------------------------
 # pointwise evaluation
 
-def _phase_tables(pts: np.ndarray, N: int) -> np.ndarray:
-    """exp(i x k) and exp(i y k) for k = 0..N at the points (P, 2), shape
-    (P, 2, N + 1).  One cos and one sin of the points give exp(i x); the
-    higher k are its powers, built by repeated multiplication."""
-    e = np.empty(pts.shape + (N + 1,), dtype=complex)
-    e[..., 0] = 1.0
-    e[..., 1].real = np.cos(pts)
-    e[..., 1].imag = np.sin(pts)
-    for k in range(2, N + 1):
-        np.multiply(e[..., k - 1], e[..., 1], out=e[..., k])
+@lru_cache(maxsize=None)
+def _ky_weights(N: int) -> np.ndarray:
+    """(w, -w) for ky = 0..N, shape (N + 1, 2), with w = 1 at ky = 0 and 2
+    above: the real part of a Hermitian sum over the columns ky >= 0 is
+    sum_ky (w Re S cos(ky y) - w Im S sin(ky y)); read-only, built once per
+    N."""
+    w = np.full((N + 1, 2), 2.0)
+    w[0] = 1.0
+    w[:, 1] *= -1.0
+    return _freeze(w)
+
+
+def _power_table(pts: np.ndarray, N: int) -> np.ndarray:
+    """exp(i k x) and exp(i k y) for k = 0..N at the points (P, 2), k-major:
+    shape (N + 1, 2, P).  One cos and one sin of the points give exp(i x);
+    the higher powers are its N - 1 products, made in doubling blocks: with
+    the powers up to k built, powers k + 1..2k are one contiguous product of
+    powers 1..k by the k-th, so N = 8 takes 3 array products, not 7."""
+    e = np.empty((N + 1,) + pts.shape[::-1], dtype=complex)
+    e[0] = 1.0
+    np.cos(pts.T, out=e[1].real)
+    np.sin(pts.T, out=e[1].imag)
+    k = 1  # powers 0..k are built; the next block is 1..k times the k-th
+    while k < N:
+        n = min(k, N - k)
+        np.multiply(e[1:n + 1], e[k], out=e[k + 1:k + n + 1])
+        k += n
     return e
 
 
@@ -318,32 +341,45 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
 
     coeffs: array (..., M, M) of Fourier coefficients of real fields (the
     Hermitian symmetry c(-k) = conj c(k) is assumed, not checked); points:
-    array (P, 2).  Returns the real values, shape (P, ...).  The phase
-    exp(i k.x) is separable, exp(i x kx) exp(i y ky), so one pair of phase
-    tables serves every field in the stack; the tables cost 2 P cos/sin
-    and 2 P (N - 1) complex products (see _phase_tables).  Since the fields
-    are real, the contraction runs over the N + 1 columns ky >= 0 only,
-    with weight 1 on ky = 0 and 2 on the rest, and keeps the real part: a
-    P M (N+1) contraction per field.  Exact: matches the inverse FFT at the
-    collocation points.  The points are reduced mod 2 pi before the tables
-    are built, so points a period apart give bitwise-equal values.
+    array (P, 2).  Returns the real values, shape (P, ...).
+
+    The sum runs in the real cos/sin basis.  For each of the N + 1 columns
+    ky >= 0, S(ky; x) = sum_kx c(kx, ky) exp(i kx x) is
+    sum_{kx >= 0} A cos(kx x) + sum_{kx > 0} B sin(kx x) with A(0) = c(0, ky),
+    A = c(kx, ky) + c(-kx, ky) and B = i (c(kx, ky) - c(-kx, ky)); since the
+    fields are real, the value is sum_ky (w Re S cos(ky y) - w Im S sin(ky y)),
+    with w = 1 on ky = 0 and 2 above (_ky_weights, applied to A and B).
+    With F fields in the stack, stage 1 is one real matrix product of the
+    (P, M) cos/sin table of x with the (M, 2 F (N+1)) real view of the
+    folded, weighted A/B, 2 P M F (N+1) multiply-adds, and stage 2 a real
+    contraction of length 2 (N+1) per point and field against the cos/sin
+    of y, 2 P F (N+1): half the real multiply-adds of the complex sums.  Both
+    tables come from one k-major power table of exp(i x) (see _power_table):
+    2 P cos/sin and 2 P (N - 1) complex products.  Exact: matches the inverse
+    FFT at the collocation points.  The points are reduced mod 2 pi before
+    the tables are built, so points a period apart give bitwise-equal values.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
     M = coeffs.shape[-1]
     N = _resolution(coeffs)
     P = len(pts)
-    e = _phase_tables(pts, N)
-    ex = np.concatenate([e[:, 0], np.conj(e[:, 0, N:0:-1])], axis=1)
-    lead = coeffs.shape[:-2]
-    weight = np.full(N + 1, 2.0)
-    weight[0] = 1.0
-    half = coeffs.reshape(-1, M, M)[..., :N + 1].transpose(1, 0, 2) * weight
-    # sum over kx as one matrix product, then over ky >= 0 against the y
-    # table per point
-    partial = (ex @ half.reshape(M, -1)).reshape(P, -1, N + 1)
-    vals = (partial @ e[:, 1, :, None])[..., 0]
-    # a copy: a view of .real would keep the complex products alive
-    return np.ascontiguousarray(vals.real).reshape((P,) + lead)
+    e = _power_table(pts, N)
+    cs = np.empty((M, P))  # cos(kx x) for kx = 0..N, then sin(kx x) for kx = 1..N
+    cs[:N + 1] = e[:, 0].real
+    cs[N + 1:] = e[1:, 0].imag
+    ey = e[:, 1].T.copy().view(float)  # (cos, sin)(ky y) per point, (P, 2 (N + 1))
+    half = coeffs.reshape(-1, M, M)[..., :N + 1].transpose(1, 0, 2)  # (M, F, N + 1)
+    ab = np.empty(half.shape, dtype=complex)  # A for kx = 0..N, then B for kx = 1..N
+    ab[0] = half[0]
+    np.add(half[1:N + 1], half[:N:-1], out=ab[1:N + 1])
+    np.subtract(half[1:N + 1], half[:N:-1], out=ab[N + 1:])
+    ab[N + 1:] *= 1j
+    ab = ab.view(float).reshape(M, -1, N + 1, 2)
+    ab *= _ky_weights(N)
+    # (w Re S, -w Im S) as one real matrix product over kx, (P, F, 2 (N + 1)),
+    # then the sum over ky >= 0 per point and field
+    s = (cs.T @ ab.reshape(M, -1)).reshape(P, -1, 2 * (N + 1))
+    return np.einsum("pfj,pj->pf", s, ey).reshape((P,) + coeffs.shape[:-2])
 
 
 def _gradient_stack(u: np.ndarray) -> np.ndarray:

@@ -505,6 +505,16 @@ def test_cli_out_of_memory_is_one_line(tmp_path, capsys):
     assert err.count("\n") == 1
 
 
+def test_cli_huge_grid_is_one_line(tmp_path, capsys):
+    # the noise lattice of grid.n = 10**12 is built as arrays, so the run
+    # fails at its first allocation instead of growing a list of modes
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 1000000000000\n")
+    assert main(["simulate-euler", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: out of memory: ")
+    assert err.count("\n") == 1
+
+
 def test_cli_isometry_needs_noise(tmp_path, capsys):
     # the isometry z-scores divide by the noise variances: without noise
     # the run is a config error naming the key and the kind, not four FAILs

@@ -12,7 +12,8 @@ from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
 from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
-from test_spectral import _ref_advection_term, grid_values, modes, zero_field
+from test_spectral import _ref_advection_term, dense_phase_sum, grid_values, modes, \
+    zero_field
 from whole_paths import eigenmode_field, eulerian_path
 
 
@@ -238,6 +239,27 @@ def test_fused_loop_matches_two_pass_reference():
     ref = np.max(np.linalg.norm(defect, axis=1))
     assert ref > 0.0
     assert abs(res - ref) <= 1e-12 * ref
+
+
+def test_residual_matches_dense_phase_sum_evaluation(monkeypatch):
+    # the rounding of the evaluation kernel moves the residuals of a noisy
+    # refinement ladder by at most 1e-12 relative against the full phase sum
+    N, dt0, T = 6, 0.02, 0.1
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    fine = sample_coefficients(spec, dt0 / 4, 20, derive_stream(47, "dense"))
+
+    def residuals():
+        return [lg.run_equivalence(u0, spec, dt0 / f, T, labels=uniform_labels(4),
+                                   increments=fine.reshape(5 * f, 4 // f, -1).sum(axis=1))
+                for f in (1, 2, 4)]
+
+    fast = residuals()
+    monkeypatch.setattr(lg, "evaluate_stack_at", dense_phase_sum)
+    ref = residuals()
+    assert min(ref) > 0.0
+    for a, b in zip(fast, ref):
+        assert abs(a - b) <= 1e-12 * b
 
 
 def test_equivalence_reads_no_diagnostics(monkeypatch):

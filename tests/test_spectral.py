@@ -464,26 +464,42 @@ def test_evaluate_linear_in_field():
     assert np.allclose(lhs, rhs, atol=1e-12)
 
 
+def dense_phase_sum(coeffs, points):
+    """Reference pointwise evaluation: the real part of the full sum of
+    c(k) exp(i k.x) over all (2N+1)^2 modes, values (P, ...)."""
+    pts = np.atleast_2d(points)
+    k = sp._wavenumbers(sp._resolution(coeffs))
+    phase = np.exp(1j * (pts[:, 0, None, None] * k[None, :, None]
+                         + pts[:, 1, None, None] * k[None, None, :]))
+    return np.real(np.einsum("pxy,...xy->p...", phase, coeffs))
+
+
 def test_evaluate_matches_dense_phase_sum():
     rng = np.random.default_rng(16)
-    for N in (5, 32):
+    for N in (1, 5, 32):
         u = sp.random_divergence_free(N, rng)
         pts = rng.uniform(-3 * np.pi, 5 * np.pi, size=(40, 2))
         assert np.any(pts < 0) and np.any(pts > 2 * np.pi)
-        k = sp._wavenumbers(N)
-        phase = np.exp(1j * (pts[:, 0, None, None] * k[None, :, None]
-                             + pts[:, 1, None, None] * k[None, None, :]))
-        ref = np.real(np.einsum("pxy,cxy->pc", phase, u))
-        assert np.max(np.abs(sp.evaluate_stack_at(u, pts) - ref)) < 1e-13
+        assert np.max(np.abs(sp.evaluate_stack_at(u, pts) - dense_phase_sum(u, pts))) < 1e-13
+    # a stack with two leading axes folds into one matrix product
+    N = 5
+    stack = np.stack([sp.random_divergence_free(N, rng) for _ in range(12)])
+    stack = stack.reshape(3, 4, 2, 2 * N + 1, 2 * N + 1)
+    pts = rng.uniform(-3 * np.pi, 5 * np.pi, size=(40, 2))
+    vals = sp.evaluate_stack_at(stack, pts)
+    assert vals.shape == (40, 3, 4, 2)
+    assert np.max(np.abs(vals - dense_phase_sum(stack, pts))) < 1e-13
 
 
 def test_phase_tables_match_exponentials():
-    # the tables by powers of exp(i x) against the direct exponential
+    # the k-major table by powers of exp(i x) against the direct exponential
     rng = np.random.default_rng(19)
     pts = rng.uniform(-4 * np.pi, 4 * np.pi, size=(50, 2))
     for N in (1, 8, 32):
-        ref = np.exp(1j * pts[:, :, None] * np.arange(N + 1))
-        assert np.max(np.abs(sp._phase_tables(pts, N) - ref)) <= 1e-13
+        ref = np.exp(1j * np.arange(N + 1)[:, None, None] * pts.T)
+        table = sp._power_table(pts, N)
+        assert table.shape == (N + 1, 2, 50)
+        assert np.max(np.abs(table - ref)) <= 1e-13
 
 
 def test_evaluate_stack_matches_per_field():
