@@ -29,7 +29,11 @@ __all__ = [
 ]
 
 LOCALIZATION_SOBOLEV_INDEX = 2.0  # H^s norm used for the exit ball
-_DIAGNOSTIC_BLOCK_BYTES = 2**18  # velocity rows rebuilt at once by _velocity_blocks
+# bytes of velocity rows rebuilt at once by _velocity_blocks: 14 grid times
+# for one path at N = 8.  The particle path builds four spray fields and a
+# kick per row of a block; on particles-p24's finest level they peak 0.9 MB
+# above one row per block at this size, 1.6 MB at 2**18 (28 rows)
+_DIAGNOSTIC_BLOCK_BYTES = 2**17
 
 
 def euler_drift(u: np.ndarray) -> np.ndarray:
@@ -140,6 +144,12 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
     velocities are rebuilt once per block.  `exit_index` is the stepper's,
     final after the last block, whose last rows are the paths' last
     velocities (a stopped path's exit velocity).
+
+    It has two consumers: the ensembles reduce each block to diagnostics,
+    and `lagrangian.run_equivalence` moves particles along one path's rows.
+    Since every block is a fresh array, a consumer may keep rows of a block
+    past the next one, as the particle loop keeps the previous block's last
+    row for the midpoint field of the step into the next block.
     """
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
     mean = np.array(u0[:, 0, 0])

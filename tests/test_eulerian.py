@@ -211,7 +211,8 @@ def test_exit_norm_read_from_q(alpha):
 
 def test_path_diagnostics_match_per_field_functions():
     # the reductions of the velocity blocks give every row bit for bit as
-    # the per-field norm functions do; at N = 16 the 11 rows span two blocks
+    # the per-field norm functions do; at N = 16 the 11 rows span four
+    # blocks of 3 rows, the last one short
     N = 16
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.random_divergence_free(N, np.random.default_rng(5))
@@ -220,7 +221,7 @@ def test_path_diagnostics_match_per_field_functions():
     fields = list(eu._velocity(q[0], 0.3, u0[:, 0, 0]))
     blocks = [u for u, _ in eu._velocity_blocks(u0, spec, np.linspace(0.0, 0.1, 11),
                                                 inc[None], alpha=0.3)]
-    assert len(blocks) == 2
+    assert [u.shape[1] for u in blocks] == [3, 3, 3, 2]
     energy, ens, hs, div = np.concatenate([eu._diagnostics(u) for u in blocks], axis=-1)
     assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
     assert np.array_equal(ens[0], [sp.enstrophy(f) for f in fields])
@@ -231,7 +232,7 @@ def test_path_diagnostics_match_per_field_functions():
 def test_streamed_diagnostics_match_collected_path():
     # the velocity blocks, reduced as they come, give the diagnostics of the
     # stacked path bit for bit, and its exit indices and last velocities;
-    # the 31 grid times of 3 paths span four blocks, the last one short, and
+    # the 31 grid times of 3 paths span eight blocks, the last one short, and
     # path 1 is kicked out of the ball at row 13
     N, dt, nsteps = 8, 0.01, 30
     spec = build_spectrum(N, 3.0, 0.5)
@@ -247,7 +248,7 @@ def test_streamed_diagnostics_match_collected_path():
     for u, exit_index in eu._velocity_blocks(u0, spec, times, inc, alpha=0.3,
                                              radius_factor=2.0):
         parts.append(eu._diagnostics(u))
-    assert [d.shape[-1] for d in parts] == [9, 9, 9, 4]
+    assert [d.shape[-1] for d in parts] == [4] * 7 + [3]
     assert np.array_equal(np.concatenate(parts, axis=-1), eu._diagnostics(ref))
     assert np.array_equal(exit_index, ref_exit)
     assert np.array_equal(u[:, -1], ref[:, -1])

@@ -176,10 +176,11 @@ def test_zero_noise_zero_field_static():
 # equivalence residual
 
 def test_residual_zero_horizon():
-    u0 = sp.taylor_green(4)
-    vals = sp.evaluate_stack_at(lg._spray_fields(u0),
-                                initial_ensemble(uniform_labels(4)).positions)
-    assert lg.equivalence_residual([vals], 0.01) == 0.0
+    # T = 0: one grid time, no step and no kick, so u o Phi is u0 exactly
+    spec = build_spectrum(4, 3.0, 0.5)
+    res = lg.run_equivalence(sp.taylor_green(4), spec, 0.01, 0.0, labels=uniform_labels(4),
+                             increments=np.zeros((0, spec.n_modes)))
+    assert res == 0.0
 
 
 def test_residual_deterministic_taylor_green_small():
@@ -279,8 +280,9 @@ def test_equivalence_reads_no_diagnostics(monkeypatch):
 
 
 def test_block_size_does_not_change_residual(monkeypatch):
-    # the 101 grid times span several blocks at the default size; one grid time
-    # per block and the whole path in one block give the same bits
+    # the 101 grid times span several blocks of velocity rows at the default
+    # size; one grid time per block and the whole path in one block give the
+    # same bits
     N, dt, nsteps = 6, 0.002, 100
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.taylor_green(N, 0.5)
@@ -291,9 +293,9 @@ def test_block_size_does_not_change_residual(monkeypatch):
                                   increments=inc)
 
     ref = residual()
-    assert 1 < lg._SPRAY_BLOCK_BYTES // (5 * u0.nbytes) < nsteps + 1
-    for size in (1, (nsteps + 1) * 5 * u0.nbytes):
-        monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", size)
+    assert 1 < eu._DIAGNOSTIC_BLOCK_BYTES // u0.nbytes < nsteps + 1  # u0: one row
+    for size in (1, (nsteps + 1) * u0.nbytes):
+        monkeypatch.setattr(eu, "_DIAGNOSTIC_BLOCK_BYTES", size)
         assert residual() == ref
 
 
@@ -306,6 +308,23 @@ def test_increment_rows_must_match_steps():
         inc = np.zeros((n, spec.n_modes))
         with pytest.raises(ValueError, match=f"{n} increment rows for the 10 steps"):
             lg.run_equivalence(u0, spec, 0.01, 0.1, labels=uniform_labels(3), increments=inc)
+
+
+def test_exit_inside_a_block_names_its_time():
+    # N = 8 blocks hold 14 grid times; the kick at step 20 throws the path
+    # out of the ball at row 21, inside the block of rows 14-27, and the
+    # error names the time of that row, not of the block's end
+    N, dt, nsteps = 8, 0.005, 40
+    spec = build_spectrum(N, 3.0, 0.5)
+    u0 = sp.taylor_green(N, 0.5)
+    inc = sample_coefficients(spec, dt, nsteps, derive_stream(67, "exit"))
+    inc[20] *= 1e3
+    _, ref_exit = eulerian_path(u0, spec, dt, inc[None], radius_factor=2.0)
+    assert ref_exit.tolist() == [21]
+    assert eu._DIAGNOSTIC_BLOCK_BYTES // u0.nbytes == 14
+    with pytest.raises(ValueError, match=r"left the localization ball at t = 0\.105,"):
+        lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=uniform_labels(3),
+                           increments=inc, radius_factor=2.0)
 
 
 def test_residual_decreases_under_coupled_refinement():

@@ -6,8 +6,6 @@ of chunks, nor with the number of grid times."""
 
 import tracemalloc
 
-import pytest
-
 from stoflow import eulerian, experiments, sde
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
@@ -16,7 +14,6 @@ from stoflow.experiments import run_experiment
 from stoflow.lagrangian import uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
-from whole_paths import eulerian_path
 
 
 def traced_peak(fn) -> int:
@@ -48,8 +45,9 @@ def test_ensemble_holds_one_chunk(tmp_path, monkeypatch):
 
 def test_ensembles_never_collect_a_path(tmp_path, monkeypatch):
     # no module has a path collector: simulate, energy-growth and the
-    # particle path of equivalence step their Eulerian paths through
-    # step_paths, whose rows they reduce as they come
+    # particle path of equivalence step their Eulerian paths through the one
+    # step_paths call of eulerian._velocity_blocks, whose rows they reduce
+    # as they come
     for mod in (sde, eulerian, lg, experiments):
         assert not {"solve_paths", "PathResult", "run_eulerian",
                     "EulerianPath", "_path_diagnostics"} & set(vars(mod))
@@ -60,7 +58,6 @@ def test_ensembles_never_collect_a_path(tmp_path, monkeypatch):
         return sde.step_paths(*args, **kwargs)
 
     monkeypatch.setattr(eulerian, "step_paths", counted)
-    monkeypatch.setattr(lg, "step_paths", counted)
     for i, kw in enumerate((dict(kind="simulate-euler", c=0.0, ensemble=2),
                             dict(kind="simulate-euler", c=0.5, ensemble=3),
                             dict(kind="energy-growth", c=0.5, ensemble=3),
@@ -113,7 +110,7 @@ def test_particle_path_peak_does_not_grow_with_the_path():
 def test_particle_path_holds_one_grid_time(monkeypatch):
     # one grid time per block: 60 more grid times add far less than the
     # 60 rows of (P, 5, 2) particle values a collected residual would keep
-    monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", 1)
+    monkeypatch.setattr(eulerian, "_DIAGNOSTIC_BLOCK_BYTES", 1)
     N, dt = 4, 0.005
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.taylor_green(N, 0.5)
@@ -132,7 +129,8 @@ def test_particle_path_holds_one_grid_time(monkeypatch):
 
 def test_spray_blocks_stay_small(monkeypatch):
     # particles-p24's finest level (N = 8, 24^2 labels, 41 grid times): the
-    # default spray blocks peak within a megabyte of one grid time per block
+    # spray fields of the default velocity blocks peak within a megabyte of
+    # one grid time per block
     N, dt, nsteps = 8, 0.00625, 40
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.taylor_green(N)
@@ -144,32 +142,7 @@ def test_spray_blocks_stay_small(monkeypatch):
 
     run()  # fill the per-N constant caches outside the traced runs
     default = traced_peak(run)
-    monkeypatch.setattr(lg, "_SPRAY_BLOCK_BYTES", 1)
+    monkeypatch.setattr(eulerian, "_DIAGNOSTIC_BLOCK_BYTES", 1)
     one = traced_peak(run)
     assert default - one < 2**20, (default, one)
 
-
-def test_streamed_residual_matches_collected_values():
-    # the residual reads an iterable once; over a generator it gives the
-    # float it gives over the equal list, and slot counts that do not end
-    # in one 4-slot row after 5-slot rows raise
-    N, dt, nsteps = 6, 0.01, 8
-    spec = build_spectrum(N, 3.0, 0.5)
-    u0 = sp.taylor_green(N, 0.5)
-    inc = sample_coefficients(spec, dt, nsteps, derive_stream(53, "stream"))
-    labels = uniform_labels(5)
-    q, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
-    mean = u0[:, 0, 0]
-    vals = list(lg._particle_values(q[0], mean, spec, inc, labels, dt))
-    assert [v.shape[1] for v in vals] == [5] * nsteps + [4]
-    ref = lg.equivalence_residual(vals, dt)
-    assert ref > 0.0
-    assert lg.equivalence_residual(iter(vals), dt) == ref
-    assert lg.equivalence_residual(lg._particle_values(q[0], mean, spec, inc, labels, dt),
-                                   dt) == ref
-    assert lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
-                              increments=inc) == ref
-    for bad in (vals[:-1], vals[:-2] + vals[-1:] + vals[-1:],
-                vals[:1] + [v[:, :4] for v in vals[1:]], []):
-        with pytest.raises(ValueError):
-            lg.equivalence_residual(iter(bad), dt)
