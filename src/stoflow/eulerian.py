@@ -90,12 +90,9 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
         # _velocity on the columns ky >= 0, the only ones the kernel reads
         u = multiplier[..., :N + 1] * q[..., None, :, :N + 1]
         u[..., :, 0, 0] = mean
-        if q.ndim != 3:
-            adv = sp.advection_term(q, u)
-        else:
-            if not work or len(work[0]) < len(q):
-                work[:] = sp._advection_work(q.shape[:1], N)
-            adv = sp.advection_term(q, u, tuple(w[:len(q)] for w in work))
+        if not work or len(work[0]) < len(q):
+            work[:] = sp._advection_work(q.shape[:1], N)
+        adv = sp.advection_term(q, u, tuple(w[:len(q)] for w in work))
         return np.negative(adv, out=adv)
 
     def diffusion(q: np.ndarray, dW: np.ndarray) -> np.ndarray:

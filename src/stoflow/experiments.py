@@ -33,7 +33,7 @@ from .qwiener import QWienerSpec, build_spectrum, sample_coefficients
 from .sde import SdeProblem, coarsen_increments, strong_convergence_order
 from .streams import derive_stream
 
-__all__ = ["RunManifest", "run_experiment", "initial_field", "brownian_exit_mean"]
+__all__ = ["RunManifest", "run_experiment", "initial_field"]
 
 Z_BOUND = 4.0
 # paths stepped as one stack: a chunk's transport-kernel grid values
@@ -494,27 +494,3 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     (out / "config.txt").write_text(cfg.to_text(), encoding="utf-8")
     return manifest
 
-
-def brownian_exit_mean(R: float, dt: float, n_paths: int,
-                       rng: np.random.Generator, t_max: float = 50.0) -> float:
-    """Mean first grid time |W_t| > R for scalar Brownian paths from 0.
-
-    Batched over paths; exit checked at grid times only, like step_paths.
-    The continuum value is R^2.
-    """
-    x = np.zeros(n_paths)
-    exit_t = np.full(n_paths, np.nan)
-    alive = np.ones(n_paths, dtype=bool)
-    nsteps = int(round(t_max / dt))
-    sqdt = np.sqrt(dt)
-    for i in range(1, nsteps + 1):
-        idx = np.flatnonzero(alive)
-        if idx.size == 0:
-            break
-        x[idx] += sqdt * rng.standard_normal(idx.size)
-        crossed = idx[np.abs(x[idx]) > R]
-        exit_t[crossed] = i * dt
-        alive[crossed] = False
-    if np.any(alive):
-        raise RuntimeError("some paths never exited within t_max")
-    return float(np.mean(exit_t))

@@ -21,8 +21,7 @@ in one stack: its u_j slot is RK2's first stage, so `advect` evaluates only
 the midpoint field.  The defect is reduced as the particles reach each grid
 time and the values are never collected, so the particle path holds one
 grid time of them and one block of Eulerian rows, however many steps it
-takes.  The stacked (Phi, eta) system, with noise kicks on velocities only,
-is `make_lagrangian_problem`, used for the Stratonovich-degeneracy check.
+takes.
 """
 
 from __future__ import annotations
@@ -34,7 +33,6 @@ import numpy as np
 from . import spectral as sp
 from .eulerian import _velocity_blocks, euler_drift
 from .qwiener import QWienerSpec, field_from_coefficients
-from .sde import SdeProblem
 from .spectral import evaluate_stack_at
 
 __all__ = [
@@ -101,47 +99,6 @@ def _spray_fields(u: np.ndarray) -> np.ndarray:
 def _spray_from(vals: np.ndarray) -> np.ndarray:
     """Material acceleration from the values at the points of _spray_fields."""
     return sp._transport(vals[:, :3]) - vals[:, 3]
-
-
-def material_acceleration_at(u: np.ndarray, points: np.ndarray) -> np.ndarray:
-    """Spray drift ((u.grad)u - Pi[(u.grad)u]) evaluated at the points.
-
-    The transport part is the exact pointwise product (modes up to 2N),
-    the subtracted part is the Galerkin-truncated projected advection that
-    drives the Eulerian system; their difference is -(grad p) plus the
-    truncation tail, matching the discrete dynamics exactly.  All four
-    fields are evaluated in one `evaluate_stack_at` call: one power table of
-    the points, one real matrix product and one per-point contraction.
-    """
-    return _spray_from(evaluate_stack_at(_spray_fields(u), points))
-
-
-def make_lagrangian_problem(u: np.ndarray, spec: QWienerSpec,
-                            positions: np.ndarray, velocities: np.ndarray):
-    """Stacked (Phi, eta) SdeProblem with the field u frozen in the drift,
-    starting from positions and velocities, each of shape (P, 2).
-
-    State layout: [Phi.ravel(), eta.ravel()].  The diffusion is the
-    vertical lift: dW kicks the velocity slots by (dW)(Phi(x_i)) and never
-    touches the position slots.  Its drift and diffusion take one state, not
-    a stack: it feeds the Stratonovich-correction check, not step_paths.
-    """
-    P = len(positions)
-    x0 = np.concatenate([np.ravel(positions), np.ravel(velocities)])
-
-    def drift(t, z):
-        eta = z[2 * P:]
-        pos = z[:2 * P].reshape(P, 2)
-        acc = material_acceleration_at(u, pos)
-        return np.concatenate([eta, acc.ravel()])
-
-    def diffusion(z, dW):
-        pos = z[:2 * P].reshape(P, 2)
-        kicks = evaluate_stack_at(field_from_coefficients(spec, dW), pos)
-        return np.concatenate([np.zeros(2 * P), kicks.ravel()])
-
-    return SdeProblem(dim=4 * P, drift=drift, diffusion=diffusion,
-                      noise_variances=spec.mode_variances, x0=x0)
 
 
 def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,

@@ -1,6 +1,5 @@
-"""Finite-dimensional SDE engine: Ito / Stratonovich steppers, the
-Ito-Stratonovich drift correction, exit-time localization, and strong
-convergence-order estimation.
+"""Finite-dimensional SDE engine: Ito / Stratonovich steppers, exit-time
+localization, and strong convergence-order estimation.
 
 Noise is a vector of independent Gaussian coordinates with per-coordinate
 variances (the diagonal of Q in its eigenbasis); an increment over dt has
@@ -26,7 +25,6 @@ __all__ = [
     "SdePathError",
     "step_euler_maruyama",
     "step_heun_stratonovich",
-    "stratonovich_correction",
     "sample_increments",
     "step_paths",
     "coarsen_increments",
@@ -120,32 +118,6 @@ _STEPPERS = {
     "euler-maruyama": step_euler_maruyama,
     "heun": step_heun_stratonovich,
 }
-
-
-def stratonovich_correction(problem: SdeProblem, x: np.ndarray,
-                            h: Optional[float] = None) -> np.ndarray:
-    """Drift correction (1/2) tr[sigma'(x) sigma(x) Q] by central differences.
-
-    Converts a Stratonovich drift into the equivalent Ito drift:
-    b_ito = b_strat + correction.  Works for a black-box diffusion: column
-    j of sigma(y) is diffusion(y, e_j).
-    """
-    if h is None:
-        h = 1e-5 * (1.0 + float(np.linalg.norm(x)))
-    lam = np.asarray(problem.noise_variances, dtype=float)
-    out = np.zeros(np.shape(x), dtype=np.result_type(x, float))
-    for j in range(len(lam)):
-        if lam[j] == 0.0:
-            continue
-        e = np.zeros(len(lam))
-        e[j] = 1.0
-        v = problem.diffusion(x, e)
-        if not np.any(v):
-            continue
-        col_plus = problem.diffusion(x + h * v, e)
-        col_minus = problem.diffusion(x - h * v, e)
-        out += lam[j] * (col_plus - col_minus) / (2.0 * h)
-    return 0.5 * out
 
 
 def sample_increments(problem: SdeProblem, t_grid: np.ndarray,

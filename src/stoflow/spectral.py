@@ -217,33 +217,30 @@ def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
     return Mg, _freeze(k % Mg), _freeze(-k % Mg)
 
 
-def _to_grid(half: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def _to_grid(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Values on the Mg x Mg product grid of a stack of real fields, given
     the N + 1 columns ky >= 0 of their half spectra zero-padded along kx,
     shape (..., Mg, N + 1), which are transformed along x in place (half is
     overwritten); irfft(n=Mg) then zero-pads the rest of the half spectrum,
-    into `out` (..., Mg, Mg) when given.  Equals irfft2 of the zero-padded
-    half spectrum."""
+    into `out` (..., Mg, Mg).  Equals irfft2 of the zero-padded half
+    spectrum."""
     np.fft.ifft(half, axis=-2, norm="forward", out=half)
     return np.fft.irfft(half, n=half.shape[-2], axis=-1, norm="forward", out=out)
 
 
-def _from_grid(values: np.ndarray, N: int, spectrum: np.ndarray | None = None,
-               cols: np.ndarray | None = None) -> np.ndarray:
+def _from_grid(values: np.ndarray, N: int, spectrum: np.ndarray,
+               cols: np.ndarray) -> np.ndarray:
     """Coefficients with |k| <= N, shape (..., M, M), of real product-grid
     values (..., Mg, Mg): rfft along y, then fft along x of the N + 1
     retained columns ky >= 0 only (equal to those columns of rfft2).  The
     rest is rebuilt as c(-k) = conj c(k), so the output is exactly Hermitian.
-    `spectrum` (..., Mg, Mg // 2 + 1) and `cols` (..., Mg, N + 1), when
-    given, receive the rfft and the retained columns, which are then
-    transformed in place; the output is a fresh array either way."""
+    `spectrum` (..., Mg, Mg // 2 + 1) and `cols` (..., Mg, N + 1) receive
+    the rfft and the retained columns, which are then transformed in place;
+    the output is a fresh array."""
     Mg, rows, neg = _grid_layout(N)
-    spectrum = np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
-    if cols is None:
-        half = np.fft.fft(spectrum[..., :N + 1], axis=-2, norm="forward")
-    else:
-        cols[...] = spectrum[..., :N + 1]
-        half = np.fft.fft(cols, axis=-2, norm="forward", out=cols)
+    np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
+    cols[...] = spectrum[..., :N + 1]
+    half = np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     out = np.empty(values.shape[:-2] + (2 * N + 1, 2 * N + 1), dtype=complex)
     out[..., :N + 1] = half[..., rows, :]
     out[..., N + 1:] = np.conj(half[..., neg, N:0:-1])
@@ -279,14 +276,14 @@ def advection_term(q: np.ndarray, u: np.ndarray, work: tuple | None = None) -> n
     the buffers of `_advection_work` for this stack shape, every transform
     writes into them (the half spectrum's first field takes the retained
     columns of the forward one) and a call allocates only its output;
-    without it the buffers are fresh and the half spectrum is freed before
-    the forward transform.  The output is the same bit for bit.
+    without it the call allocates them for itself.  The output is the same
+    bit for bit.
     """
     N = _resolution(q)
     Mg = _grid_layout(N)[0]
     ikx, iky = _ik_grids(N)
     if work is None:
-        work = (np.empty(q.shape[:-2] + (4, Mg, N + 1), dtype=complex), None, None)
+        work = _advection_work(q.shape[:-2], N)
     half, grid, spectrum = work
     half[..., N + 1:Mg - N, :] = 0.0  # the padding rows; a lent buffer holds stale ones
     for lo, hi in ((np.s_[:N + 1], np.s_[:N + 1]), (np.s_[N + 1:], np.s_[Mg - N:])):
@@ -295,12 +292,10 @@ def advection_term(q: np.ndarray, u: np.ndarray, work: tuple | None = None) -> n
         np.multiply(ikx[lo], q[..., lo, :N + 1], out=half[..., 2, hi, :])
         np.multiply(iky[:, :N + 1], q[..., lo, :N + 1], out=half[..., 3, hi, :])
     g = _to_grid(half, grid)
-    cols = None if grid is None else half[..., 0, :, :]
-    del half, work  # a fresh half spectrum is freed for the forward transform
     ux, uy, qx, qy = (g[..., i, :, :] for i in range(4))
     prod = np.multiply(ux, qx, out=ux)
     prod += np.multiply(uy, qy, out=uy)
-    return _from_grid(prod, N, spectrum, cols)
+    return _from_grid(prod, N, spectrum, half[..., 0, :, :])
 
 
 # ---------------------------------------------------------------------------

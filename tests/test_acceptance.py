@@ -14,11 +14,12 @@ from stoflow import eulerian as eu
 from stoflow import lagrangian as lg
 from stoflow import spectral as sp
 from stoflow.config import ExperimentConfig
-from stoflow.experiments import brownian_exit_mean, run_experiment
+from stoflow.experiments import run_experiment
 from stoflow.lagrangian import uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
-from stoflow.sde import SdeProblem, stratonovich_correction, strong_convergence_order
+from stoflow.sde import SdeProblem, sample_increments, step_paths, strong_convergence_order
 from stoflow.streams import derive_stream
+from vertical_lift import lifted_noise, stratonovich_correction
 from whole_paths import eulerian_path, stack_paths
 
 Z_BOUND = 4.0
@@ -142,8 +143,8 @@ def test_vertical_lift_stratonovich_degeneracy():
     spec = build_spectrum(3, 2.0, 1.0)
     u = sp.taylor_green(3, 0.7)
     labels = uniform_labels(5)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
-    corr = stratonovich_correction(problem, problem.x0)
+    x0, diffusion = lifted_noise(spec, labels, sp.evaluate_stack_at(u, labels))
+    corr = stratonovich_correction(diffusion, spec.mode_variances, x0)
     print(f"stacked correction sup-norm {np.max(np.abs(corr)):.3e}")
     assert np.max(np.abs(corr)) < 1e-8
 
@@ -208,11 +209,22 @@ def test_exit_time_deterministic_crossing():
 
 
 def test_exit_time_brownian_mean():
-    # scalar Brownian motion from the center of [-R, R]: E tau = R^2,
-    # within 10% at 1e4 paths
-    R = 1.0
-    est = brownian_exit_mean(R, dt=0.002, n_paths=10_000,
-                             rng=derive_stream(577215, "exit"))
+    # scalar Brownian motion from the center of [-R, R], stopped by
+    # step_paths at its first grid time outside: E tau = R^2, within 10%
+    # at 1e4 paths, every one of which must exit before t = 50
+    R, dt, n_paths, block = 1.0, 0.002, 10_000, 100
+    p = SdeProblem(dim=1, drift=lambda t, x: np.zeros_like(x),
+                   diffusion=lambda x, dW: dW, noise_variances=np.array([1.0]),
+                   x0=np.zeros(1), domain_radius=R)
+    t_grid = np.linspace(0.0, 50.0, int(round(50.0 / dt)) + 1)
+    rng = derive_stream(577215, "exit")
+    blocks = (sample_increments(p, t_grid[i:i + block + 1], rng, n_paths)
+              for i in range(0, len(t_grid) - 1, block))
+    for _, exit_index in step_paths(p, "euler-maruyama", t_grid, blocks):
+        if np.all(exit_index >= 0):
+            break
+    assert np.all(exit_index >= 0)  # t_grid[-1] would count a path that stayed
+    est = float(np.mean(t_grid[exit_index]))
     print(f"mean Brownian exit time {est:.4f} (target {R**2})")
     assert abs(est - R**2) < 0.1 * R**2
 

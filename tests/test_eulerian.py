@@ -63,7 +63,7 @@ def test_euler_drift_is_projected_advection_term():
     for u in [sp.taylor_green(6), sp.random_divergence_free(6, rng),
               mean + sp.random_divergence_free(6, rng)]:
         problem = eu.make_eulerian_problem(u, spec)
-        ref = problem.drift(0.0, sp.curl(u))
+        ref = problem.drift(0.0, sp.curl(u)[None])[0]
         got = sp.curl(eu.euler_drift(u))
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 

@@ -10,15 +10,20 @@ from stoflow import spectral as sp
 from stoflow.lagrangian import TWO_PI, initial_ensemble, uniform_labels
 from stoflow.qwiener import build_spectrum, field_from_coefficients, \
     sample_coefficients
-from stoflow.sde import stratonovich_correction
 from stoflow.streams import derive_stream
 from test_spectral import _ref_advection_term, dense_phase_sum, grid_values, modes, \
     zero_field
+from vertical_lift import lifted_noise, stratonovich_correction
 from whole_paths import eigenmode_field, eulerian_path
 
 
 def const_field(N, vec):
     return modes(N, {(0, 0): list(vec)})
+
+
+def spray_at(u, pts):
+    """The material acceleration at the points, as run_equivalence forms it."""
+    return lg._spray_from(sp.evaluate_stack_at(lg._spray_fields(u), pts))
 
 
 # ---------------------------------------------------------------------------
@@ -69,14 +74,14 @@ def test_advect_zero_field_static():
 
 def test_spray_zero_field():
     ens = initial_ensemble(uniform_labels(4))
-    acc = lg.material_acceleration_at(zero_field(4), ens.positions)
+    acc = spray_at(zero_field(4), ens.positions)
     assert np.max(np.abs(acc)) == 0.0
 
 
 def test_spray_single_shear_zero():
     u = sp.single_mode_field(6, (2, 1))
     ens = initial_ensemble(uniform_labels(5))
-    acc = lg.material_acceleration_at(u, ens.positions)
+    acc = spray_at(u, ens.positions)
     assert np.max(np.abs(acc)) < 1e-12
 
 
@@ -88,7 +93,7 @@ def test_spray_taylor_green_is_pressure_gradient():
     labels = initial_ensemble(uniform_labels(6)).positions
     random = np.random.default_rng(13).uniform(0, TWO_PI, size=(25, 2))
     for pos in (labels, random):
-        acc = lg.material_acceleration_at(u, pos)
+        acc = spray_at(u, pos)
         ref = 0.5 * np.stack([np.sin(2 * pos[:, 0]), np.sin(2 * pos[:, 1])], axis=1)
         assert np.max(np.abs(acc - ref)) < 1e-12
 
@@ -106,7 +111,7 @@ def test_material_acceleration_is_transport_minus_projected_advection():
     transport = val[:, :1] * dudx + val[:, 1:] * dudy
     proj = sp.leray_project(_ref_advection_term(u, 0.0))
     ref = transport - sp.evaluate_stack_at(proj, pts)
-    assert np.max(np.abs(lg.material_acceleration_at(u, pts) - ref)) < 1e-13
+    assert np.max(np.abs(spray_at(u, pts) - ref)) < 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -122,8 +127,8 @@ def test_kicks_at_identity_equal_grid_values():
     P = M ** 2
     u = zero_field(3)
     labels = uniform_labels(M)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
-    kicks = problem.diffusion(problem.x0, w)[2 * P:].reshape(P, 2)
+    x0, diffusion = lifted_noise(spec, labels, sp.evaluate_stack_at(u, labels))
+    kicks = diffusion(x0, w)[2 * P:].reshape(P, 2)
     grid = grid_values(dW).reshape(2, -1).T
     assert np.max(np.abs(kicks - grid)) < 1e-12
 
@@ -132,8 +137,8 @@ def test_zero_increment_zero_kicks():
     spec = build_spectrum(3, 2.0, 1.0)
     u = zero_field(3)
     labels = uniform_labels(4)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
-    assert np.max(np.abs(problem.diffusion(problem.x0, np.zeros(spec.n_modes)))) == 0.0
+    x0, diffusion = lifted_noise(spec, labels, sp.evaluate_stack_at(u, labels))
+    assert np.max(np.abs(diffusion(x0, np.zeros(spec.n_modes)))) == 0.0
 
 
 def test_stacked_diffusion_matches_eigenmode_evaluation():
@@ -141,11 +146,11 @@ def test_stacked_diffusion_matches_eigenmode_evaluation():
     rng = derive_stream(5, "pos")
     pos = rng.uniform(0, TWO_PI, size=(7, 2))
     u = sp.taylor_green(2, 0.5)
-    problem = lg.make_lagrangian_problem(u, spec, pos, sp.evaluate_stack_at(u, pos))
+    x0, diffusion = lifted_noise(spec, pos, sp.evaluate_stack_at(u, pos))
     for j in range(spec.n_modes):
         e = np.zeros(spec.n_modes)
         e[j] = 1.0
-        col = problem.diffusion(problem.x0, e)
+        col = diffusion(x0, e)
         assert np.max(np.abs(col[:14])) == 0.0  # position rows silent
         vals = sp.evaluate_stack_at(eigenmode_field(spec, j), pos)
         assert np.max(np.abs(col[14:].reshape(7, 2) - vals)) < 1e-12
@@ -157,8 +162,8 @@ def test_stratonovich_correction_degenerates():
     spec = build_spectrum(2, 2.0, 1.0)
     u = sp.taylor_green(2, 0.5)
     labels = uniform_labels(4)
-    problem = lg.make_lagrangian_problem(u, spec, labels, sp.evaluate_stack_at(u, labels))
-    corr = stratonovich_correction(problem, problem.x0)
+    x0, diffusion = lifted_noise(spec, labels, sp.evaluate_stack_at(u, labels))
+    corr = stratonovich_correction(diffusion, spec.mode_variances, x0)
     assert np.max(np.abs(corr)) < 1e-8
 
 

@@ -1,5 +1,6 @@
-"""Tests for the generic SDE engine: steppers, Stratonovich correction,
-exit-time localization, and strong-order estimation."""
+"""Tests for the generic SDE engine: steppers, the Stratonovich correction
+the degeneracy checks read, exit-time localization, and strong-order
+estimation."""
 
 import pickle
 from dataclasses import replace
@@ -13,6 +14,7 @@ from stoflow import spectral as sp
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.sde import SdeProblem
 from stoflow.streams import derive_stream
+from vertical_lift import stratonovich_correction
 from whole_paths import stack_paths
 
 
@@ -71,23 +73,19 @@ def test_heun_zero_noise_is_deterministic_heun():
 # Stratonovich correction
 
 def test_correction_constant_sigma_zero():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: 2.0 * dW)
-    corr = sde.stratonovich_correction(p, np.array([0.7]))
+    corr = stratonovich_correction(lambda x, dW: 2.0 * dW, [1.0], np.array([0.7]))
     assert np.max(np.abs(corr)) == 0.0
 
 
 def test_correction_linear_sigma():
     # sigma(x) = x, Q = 1: correction = x/2
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
-    for x in (0.5, -1.3, 2.0):
-        corr = sde.stratonovich_correction(p, np.array([x]))
-        assert abs(corr[0] - 0.5 * x) < 1e-9
+    for x0 in (0.5, -1.3, 2.0):
+        corr = stratonovich_correction(lambda x, dW: x * dW, [1.0], np.array([x0]))
+        assert abs(corr[0] - 0.5 * x0) < 1e-9
 
 
 def test_correction_scales_with_variance():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW,
-                       variances=(3.0,))
-    corr = sde.stratonovich_correction(p, np.array([1.0]))
+    corr = stratonovich_correction(lambda x, dW: x * dW, [3.0], np.array([1.0]))
     assert abs(corr[0] - 1.5) < 1e-8
 
 
@@ -278,6 +276,22 @@ def test_step_paths_reads_increment_blocks():
     for lengths in ([20], [1] * 20, [7, 7, 6], [3, 10, 1, 6]):
         rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused(lengths))]
         assert np.array_equal(np.stack(rows, axis=1), ref)
+
+    # blocks are pulled as the steps need them: a consumer that stops at a
+    # grid time has drawn only the blocks that reach it
+    pulled = []
+
+    def counted(lengths):
+        for block in reused(lengths):
+            pulled.append(block.shape[1])
+            yield block
+
+    for stop, drawn in ((0, [7]), (7, [7]), (8, [7, 7]), (14, [7, 7]), (20, [7, 7, 6])):
+        pulled.clear()
+        for i, (x, _) in enumerate(sde.step_paths(p, "heun", grid, counted([7, 7, 6]))):
+            if i == stop:
+                break
+        assert np.array_equal(x, ref[:, stop]) and pulled == drawn
     for bad in ([inc[:, :7], inc[:, 7:19]], [inc[:, :7], inc[:, 7:], inc[:, :1]],
                 [inc[:, :7], inc[:2, 7:]], [inc[:, :7], inc[:, 7:, 0]], []):
         with pytest.raises(ValueError, match="does not match the time grid"):
