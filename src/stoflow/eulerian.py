@@ -23,22 +23,16 @@ from .qwiener import QWienerSpec, curl_from_coefficients
 from .sde import SdeProblem, step_paths
 
 __all__ = [
-    "euler_drift",
     "averaged_drift",
     "make_eulerian_problem",
 ]
 
 LOCALIZATION_SOBOLEV_INDEX = 2.0  # H^s norm used for the exit ball
 # bytes of velocity rows rebuilt at once by _velocity_blocks: 14 grid times
-# for one path at N = 8.  The particle path builds four spray fields and a
-# kick per row of a block; on particles-p24's finest level they peak 0.9 MB
+# for one path at N = 8.  The particle path builds a stack of five fields
+# per row of a block; on particles-p24's finest level they peak 0.9 MB
 # above one row per block at this size, 1.6 MB at 2**18 (28 rows)
 _DIAGNOSTIC_BLOCK_BYTES = 2**17
-
-
-def euler_drift(u: np.ndarray) -> np.ndarray:
-    """-Pi[(u.grad)u], the averaged drift at alpha = 0."""
-    return averaged_drift(u, 0.0)
 
 
 def averaged_drift(u: np.ndarray, alpha: float) -> np.ndarray:
@@ -108,7 +102,7 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
         return np.sqrt(mean_sq + np.sum(wq * np.abs(q) ** 2, axis=(-2, -1)))
 
     radius = radius_factor * max(sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX), 1.0)
-    return SdeProblem(dim=2 * q0.size, drift=drift, diffusion=diffusion,
+    return SdeProblem(drift=drift, diffusion=diffusion,
                       noise_variances=spec.mode_variances, x0=q0,
                       domain_radius=radius, domain_norm=hs_norm, additive=True)
 

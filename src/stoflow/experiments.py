@@ -319,13 +319,13 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
     steps = [8, 16, 32, 64, 128, 256]
 
     # additive-noise Ornstein-Uhlenbeck, Euler-Maruyama (strong order 1)
-    ou = SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
+    ou = SdeProblem(drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
                     noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_add, _, _ = strong_convergence_order(ou, "euler-maruyama", 1.0, steps,
                                              n_paths, rng)
 
     # scalar Stratonovich dX = X o dW against the exact exp(W_T)
-    mult = SdeProblem(dim=1, drift=lambda t, x: np.zeros(1),
+    mult = SdeProblem(drift=lambda t, x: np.zeros(1),
                       diffusion=lambda x, dW: x * dW,
                       noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_mult, _, _ = strong_convergence_order(
@@ -333,7 +333,7 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
         exact=lambda wT: np.exp(wT))
 
     # zero noise, smooth drift: Heun is the order-2 ODE method
-    ode = SdeProblem(dim=1, drift=lambda t, x: np.sin(x) + 0.5,
+    ode = SdeProblem(drift=lambda t, x: np.sin(x) + 0.5,
                      diffusion=lambda x, dW: np.zeros(1),
                      noise_variances=np.array([1.0]), x0=np.array([0.3]))
     ord_ode, _, _ = strong_convergence_order(
@@ -349,12 +349,17 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
 
 
 def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
+    lam = spec.mode_variances
+    bad = np.count_nonzero(~(np.isfinite(lam) & (lam > 0)))
+    if bad:  # a variance of 0 leaves the z-scores nan, as noise.c = 0 would
+        raise ValueError(f"noise.gamma = {cfg.gamma:g}, noise.c = {cfg.c:g} and grid.n = "
+                         f"{cfg.n} give {bad} of {len(lam)} mode variances of 0 or not "
+                         f"finite; the isometry checks need them positive")
     n = max(cfg.ensemble, 10_000)
     rng = derive_stream(cfg.seed, "isometry")
     T = 1.0
     w = sample_coefficients(spec, T, n, rng)  # W(1) coordinates per path
 
-    lam = spec.mode_variances
     # per-mode variance z-scores (chi-square normal approximation)
     var_hat = np.var(w, axis=0)
     z_var = (var_hat / (lam * T) - 1.0) * np.sqrt(n / 2.0)

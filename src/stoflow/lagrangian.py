@@ -14,14 +14,14 @@ of the identity eta = u o Phi for the carried material velocity
 
 The drift is the flat-coordinate localization of the geodesic spray: the
 full transport term (u.grad)u minus its divergence-free part, i.e. the
-pressure-gradient acceleration -(grad p) o Phi.  The fields u_j, its
-gradient, Pi[(u_j.grad)u_j] (`_spray_fields`) and dW_j are built for a
-block of velocity rows at once, and each grid time evaluates them at Phi_j
-in one stack: its u_j slot is RK2's first stage, so `advect` evaluates only
-the midpoint field.  The defect is reduced as the particles reach each grid
-time and the values are never collected, so the particle path holds one
-grid time of them and one block of Eulerian rows, however many steps it
-takes.
+pressure-gradient acceleration -(grad p) o Phi.  The five fields u_j, its
+two derivatives, Pi[(u_j.grad)u_j] and dW_j are one stack per block of
+velocity rows (`_spray_fields`), and each grid time evaluates its row of
+the stack at Phi_j: the u_j slot is RK2's first stage, so `advect`
+evaluates only the midpoint field.  The defect is reduced as the particles
+reach each grid time and the values are never collected, so the particle
+path holds one grid time of them and one block of Eulerian rows, however
+many steps it takes.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import spectral as sp
-from .eulerian import _velocity_blocks, euler_drift
+from .eulerian import _velocity_blocks, averaged_drift
 from .qwiener import QWienerSpec, field_from_coefficients
 from .spectral import evaluate_stack_at
 
@@ -89,16 +89,25 @@ def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: np.ndarray,
     return ParticleEnsemble(labels=particles.labels, positions_unwrapped=x + dt * k2)
 
 
-def _spray_fields(u: np.ndarray) -> np.ndarray:
-    """u, d_x u, d_y u and Pi[(u.grad)u] of each field of u (..., 2, M, M),
-    stacked on axis -4: shape (..., 4, 2, M, M), from one drift call."""
-    proj = -euler_drift(u)
-    return np.concatenate([sp._gradient_stack(u), proj[..., None, :, :, :]], axis=-4)
+def _spray_fields(u: np.ndarray, kicks: np.ndarray) -> np.ndarray:
+    """u, d_x u, d_y u, Pi[(u.grad)u] and the kick of each row of u (b, 2, M, M),
+    stacked on axis 1: (b, 5, 2, M, M).  `kicks` has b rows, or b - 1 when
+    the last grid time starts no step; that row's kick slot is zero."""
+    drift = averaged_drift(u, 0.0)  # before the stack, so its work is freed first
+    ikx, iky = sp._ik_grids(sp._resolution(u))
+    out = np.zeros((len(u), 5) + u.shape[1:], dtype=complex)
+    out[:, 0] = u
+    np.multiply(ikx, u, out=out[:, 1])
+    np.multiply(iky, u, out=out[:, 2])
+    np.negative(drift, out=out[:, 3])
+    out[:len(kicks), 4] = kicks
+    return out
 
 
 def _spray_from(vals: np.ndarray) -> np.ndarray:
-    """Material acceleration from the values at the points of _spray_fields."""
-    return sp._transport(vals[:, :3]) - vals[:, 3]
+    """(u.grad)u - Pi[(u.grad)u] from a _spray_fields row's values (P, 5, 2)."""
+    u, dudx, dudy, proj = vals[:, 0], vals[:, 1], vals[:, 2], vals[:, 3]
+    return u[:, :1] * dudx + u[:, 1:] * dudy - proj
 
 
 def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
@@ -118,17 +127,17 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     sum by left-point (Ito) evaluation of the kicks dW_j at Phi_j.
 
     The velocity rows come from `_velocity_blocks`, a block of grid times
-    at a time; per block the spray fields and the kicks are built at once.
-    At each grid time j the particles take an RK2 step from j - 1, whose
-    midpoint field is the average of the rows j - 1 and j (good to
-    O(dt^2)), then the spray and kick fields are evaluated at Phi_j in one
-    stack: its u_j slot is the next step's k1 and the first term of the
-    defect, the rest feed the running sums.  So the path holds one block of
-    velocity rows and one grid time of particle values, however many steps
-    it takes.  A path that leaves the localization ball raises ValueError
-    naming the time it leaves.  `increments` has one row of noise
-    coordinates per step of dt up to T.  u0 is a (2, M, M) field at the
-    resolution of spec; make_eulerian_problem rejects any other shape.
+    at a time, and `_spray_fields` stacks each block's five fields.  At each
+    grid time j the particles take an RK2 step from j - 1, whose midpoint
+    field is the average of the rows j - 1 and j (good to O(dt^2)), then
+    row j of the stack is evaluated at Phi_j: its u_j slot is the next
+    step's k1 and the first term of the defect, the rest feed the running
+    sums.  So the path holds one block of velocity rows and one
+    grid time of particle values, however many steps it takes.  A path
+    that leaves the localization ball raises ValueError naming the time it
+    leaves.  `increments` has one row of noise coordinates per step of dt
+    up to T.  u0 is a (2, M, M) field at the resolution of spec;
+    make_eulerian_problem rejects any other shape.
     """
     nsteps = int(round(T / dt))
     if len(increments) != nsteps:
@@ -146,12 +155,10 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
                 f"before the horizon {T:.6g}; the particle flow needs the whole "
                 f"path (raise localization.radius_factor)")
         u = u[0]
-        kicks = field_from_coefficients(spec, increments[j:j + len(u)])
-        for i, fields in enumerate(_spray_fields(u)):
+        stack = _spray_fields(u, field_from_coefficients(spec, increments[j:j + len(u)]))
+        for i, fields in enumerate(stack):
             if j > 0:  # RK2 from j - 1, k1 from the previous stack's u slot
                 ens = advect(ens, vals[:, 0], 0.5 * (u_prev + u[i]), dt)
-            if i < len(kicks):  # the last grid time has no kick
-                fields = np.concatenate([fields, kicks[i, None]])
             v = evaluate_stack_at(fields, ens.positions_unwrapped)  # the kernel wraps them
             g = _spray_from(v)
             if j == 0:  # Phi_0 is the identity on the labels

@@ -52,7 +52,7 @@ class SdeProblem:
 
     `drift(t, x)`, `diffusion(x, dW)` = sigma(x) dW and `domain_norm(x)`
     act on a stack x (K, *x0.shape) of paths, dW (K, m); the norm gives one
-    value per path.  `dim` counts the real degrees of freedom of a state (a
+    value per path.  `dim` counts the real degrees of freedom of x0 (a
     complex entry counts twice); `noise_variances` has one entry per noise
     coordinate.  U is the closed ball of radius `domain_radius` about the
     origin in the norm `domain_norm` (Euclidean when None); paths are
@@ -61,7 +61,6 @@ class SdeProblem:
     noise of one dW once and reuse it.
     """
 
-    dim: int
     drift: Callable[[float, np.ndarray], np.ndarray]
     diffusion: Callable[[np.ndarray, np.ndarray], np.ndarray]
     noise_variances: np.ndarray
@@ -69,6 +68,10 @@ class SdeProblem:
     domain_radius: float = np.inf
     domain_norm: Optional[Callable[[np.ndarray], np.ndarray]] = None
     additive: bool = False
+
+    @property
+    def dim(self) -> int:
+        return self.x0.size * (2 if np.iscomplexobj(self.x0) else 1)
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Whether each state of the stack x (K, *x0.shape) lies outside U,

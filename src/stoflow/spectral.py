@@ -377,18 +377,6 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     return np.einsum("pfj,pj->pf", s, ey).reshape((P,) + coeffs.shape[:-2])
 
 
-def _gradient_stack(u: np.ndarray) -> np.ndarray:
-    """u, d_x u and d_y u of each field of u, stacked on axis -4: (..., 3, 2, M, M)."""
-    ikx, iky = _ik_grids(_resolution(u))
-    return np.stack([u, ikx * u, iky * u], axis=-4)
-
-
-def _transport(vals: np.ndarray) -> np.ndarray:
-    """(u.grad)u from the values (P, 3, 2) of a _gradient_stack."""
-    u, dudx, dudy = vals[:, 0], vals[:, 1], vals[:, 2]
-    return u[:, :1] * dudx + u[:, 1:] * dudy
-
-
 # ---------------------------------------------------------------------------
 # canonical initial fields
 

@@ -173,7 +173,7 @@ def test_heun_em_coupled_difference_linear_in_dt():
 # 8 -------------------------------------------------------------------------
 
 def test_strong_order_euler_maruyama_additive():
-    p = SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
+    p = SdeProblem(drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
         p, "euler-maruyama", 1.0, [8, 16, 32, 64, 128, 256], 200,
@@ -184,7 +184,7 @@ def test_strong_order_euler_maruyama_additive():
 
 def test_strong_order_heun_stratonovich_benchmark():
     # dX = X o dW against the exact exp(W_T)
-    p = SdeProblem(dim=1, drift=lambda t, x: np.zeros(1),
+    p = SdeProblem(drift=lambda t, x: np.zeros(1),
                    diffusion=lambda x, dW: x * dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
@@ -198,7 +198,7 @@ def test_strong_order_heun_stratonovich_benchmark():
 
 def test_exit_time_deterministic_crossing():
     dt = 0.01
-    p = SdeProblem(dim=1, drift=lambda t, x: np.ones(1),
+    p = SdeProblem(drift=lambda t, x: np.ones(1),
                    diffusion=lambda x, dW: np.zeros(1),
                    noise_variances=np.array([1.0]), x0=np.zeros(1),
                    domain_radius=1.0)
@@ -213,7 +213,7 @@ def test_exit_time_brownian_mean():
     # step_paths at its first grid time outside: E tau = R^2, within 10%
     # at 1e4 paths, every one of which must exit before t = 50
     R, dt, n_paths, block = 1.0, 0.002, 10_000, 100
-    p = SdeProblem(dim=1, drift=lambda t, x: np.zeros_like(x),
+    p = SdeProblem(drift=lambda t, x: np.zeros_like(x),
                    diffusion=lambda x, dW: dW, noise_variances=np.array([1.0]),
                    x0=np.zeros(1), domain_radius=R)
     t_grid = np.linspace(0.0, 50.0, int(round(50.0 / dt)) + 1)

@@ -374,6 +374,23 @@ def test_cli_alpha_rejected_where_unused(tmp_path, capsys, kind):
     assert parse_config_text("kind = simulate-averaged\nalpha = 0.3\n").alpha == 0.3
 
 
+@pytest.mark.parametrize("n, gamma, zeros", [(4, 1200.0, 80), (8, 160.0, 12)])
+def test_cli_isometry_underflowed_spectrum_exit_one(tmp_path, capsys, n, gamma, zeros):
+    # mode variances that underflow to 0 leave z-scores nan: like noise.c = 0
+    # the spectrum cannot be judged, so it is one error line, not [FAIL]s
+    spec = build_spectrum(n, gamma, 0.5)
+    assert np.count_nonzero(spec.mode_variances == 0) == zeros
+    path = write_cfg(tmp_path, f"kind = isometry\ngrid.n = {n}\nnoise.c = 0.5\n"
+                               f"noise.gamma = {gamma}\n")
+    assert main(["isometry", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("lab: error: ")
+    assert "noise.gamma" in captured.err and "grid.n" in captured.err
+    assert captured.err.count("\n") == 1
+    assert "[FAIL]" not in captured.out
+    assert not (tmp_path / "o" / "isometry.csv").exists()
+
+
 def test_cli_kind_mismatch_is_operational_error(tmp_path, capsys):
     path = write_cfg(tmp_path, "kind = isometry\nnoise.c = 1.0\n")
     code = main(["convergence", "--config", path])

@@ -18,25 +18,25 @@ from whole_paths import eigenmode_field, eulerian_path
 
 def test_taylor_green_drift_zero():
     u = sp.taylor_green(8)
-    d = eu.euler_drift(u)
+    d = eu.averaged_drift(u, 0.0)
     assert np.max(np.abs(d)) < 1e-14
 
 
 def test_zero_field_drift_zero():
-    d = eu.euler_drift(zero_field(4))
+    d = eu.averaged_drift(zero_field(4), 0.0)
     assert np.max(np.abs(d)) == 0.0
 
 
 def test_single_shear_drift_zero():
     u = sp.single_mode_field(6, (2, 1), amplitude=1.5)
-    d = eu.euler_drift(u)
+    d = eu.averaged_drift(u, 0.0)
     assert np.max(np.abs(d)) < 1e-14
 
 
 def test_drift_divergence_free():
     rng = derive_stream(3, "drift")
     u = sp.random_divergence_free(6, rng)
-    assert sp.divergence_residual(eu.euler_drift(u)) < 1e-13
+    assert sp.divergence_residual(eu.averaged_drift(u, 0.0)) < 1e-13
     assert sp.divergence_residual(eu.averaged_drift(u, 0.7)) < 1e-13
 
 
@@ -46,13 +46,15 @@ def test_drift_divergence_free():
 def test_alpha_zero_reduces_to_euler():
     rng = derive_stream(5, "alpha0")
     u = sp.random_divergence_free(6, rng)
+    # H = id at alpha = 0 is applied and inverted exactly: the drift is the
+    # Euler drift built from the vorticity curl u, bit for bit
     a = eu.averaged_drift(u, 0.0)
-    b = eu.euler_drift(u)
+    b = sp.biot_savart(-sp.advection_term(sp.curl(u), u), 0.0)
     assert np.array_equal(a, b)
 
 
 def test_euler_drift_is_projected_advection_term():
-    # the spray reads Pi[(u.grad)u] as -euler_drift(u); the equivalence
+    # the spray reads Pi[(u.grad)u] as -averaged_drift(u, 0.0); the equivalence
     # residual needs it to be the velocity of the q drift the Eulerian path
     # integrates.  The problem rebuilds u from curl u, which is the identity
     # on zero-mean divergence-free fields only up to the rounding of the
@@ -64,7 +66,7 @@ def test_euler_drift_is_projected_advection_term():
               mean + sp.random_divergence_free(6, rng)]:
         problem = eu.make_eulerian_problem(u, spec)
         ref = problem.drift(0.0, sp.curl(u)[None])[0]
-        got = sp.curl(eu.euler_drift(u))
+        got = sp.curl(eu.averaged_drift(u, 0.0))
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
 
@@ -276,5 +278,5 @@ def test_heun_vs_em_coupled_difference_order_dt():
 def test_mean_mode_invariant_under_drift():
     # a constant mean flow just translates; the drift must not feed it
     u = modes(6, {(0, 0): [0.4, -0.1]}) + sp.taylor_green(6)
-    d = eu.euler_drift(u)
+    d = eu.averaged_drift(u, 0.0)
     assert np.max(np.abs(d[:, 0, 0])) < 1e-14

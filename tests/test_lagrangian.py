@@ -22,8 +22,10 @@ def const_field(N, vec):
 
 
 def spray_at(u, pts):
-    """The material acceleration at the points, as run_equivalence forms it."""
-    return lg._spray_from(sp.evaluate_stack_at(lg._spray_fields(u), pts))
+    """The material acceleration at the points, as run_equivalence forms it
+    at a grid time without a kick."""
+    fields = lg._spray_fields(u[None], np.empty((0,) + u.shape))[0]
+    return lg._spray_from(sp.evaluate_stack_at(fields, pts))
 
 
 # ---------------------------------------------------------------------------
@@ -112,6 +114,28 @@ def test_material_acceleration_is_transport_minus_projected_advection():
     proj = sp.leray_project(_ref_advection_term(u, 0.0))
     ref = transport - sp.evaluate_stack_at(proj, pts)
     assert np.max(np.abs(spray_at(u, pts) - ref)) < 1e-13
+
+
+def test_spray_fields_stack_five_slots():
+    # one stack per block: u, d_x u, d_y u, Pi[(u.grad)u] and the kick of
+    # each row, bit for bit; a block one kick short (the last grid time
+    # starts no step) gets a zero kick slot in its last row
+    N = 5
+    rng = np.random.default_rng(29)
+    u = np.stack([sp.random_divergence_free(N, rng) for _ in range(3)])
+    spec = build_spectrum(N, 2.0, 0.5)
+    kicks = field_from_coefficients(
+        spec, sample_coefficients(spec, 0.1, 3, derive_stream(29, "kicks")))
+    ikx, iky = sp._ik_grids(N)
+    for rows in (3, 2):
+        fields = lg._spray_fields(u, kicks[:rows])
+        assert fields.shape == (3, 5) + u.shape[1:]
+        assert np.array_equal(fields[:, 0], u)
+        assert np.array_equal(fields[:, 1], ikx * u)
+        assert np.array_equal(fields[:, 2], iky * u)
+        assert np.array_equal(fields[:, 3], -eu.averaged_drift(u, 0.0))
+        assert np.array_equal(fields[:rows, 4], kicks[:rows])
+    assert np.any(kicks[2]) and not np.any(fields[2, 4])
 
 
 # ---------------------------------------------------------------------------

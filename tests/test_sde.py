@@ -19,7 +19,7 @@ from whole_paths import stack_paths
 
 
 def scalar_problem(drift, diffusion, x0=1.0, variances=(1.0,), **kw):
-    return SdeProblem(dim=1, drift=drift, diffusion=diffusion,
+    return SdeProblem(drift=drift, diffusion=diffusion,
                       noise_variances=np.array(variances),
                       x0=np.array([x0]), **kw)
 
@@ -178,7 +178,7 @@ def test_initial_state_outside_domain_rejected():
 
 
 def test_custom_domain_norm():
-    p = SdeProblem(dim=2, drift=lambda t, x: np.array([1.0, 0.0]),
+    p = SdeProblem(drift=lambda t, x: np.array([1.0, 0.0]),
                    diffusion=lambda x, dW: np.zeros(2),
                    noise_variances=np.array([1.0]),
                    x0=np.zeros(2), domain_radius=1.0,
@@ -323,8 +323,15 @@ def test_additive_noise_is_placed_once_per_step(scheme):
         steps[additive] = sde._STEPPERS[scheme](p, 0.0, x, dW, 0.01)
         assert len(calls) == (1 if additive or scheme == "euler-maruyama" else 2)
     assert np.array_equal(steps[True], steps[False])
-    assert not SdeProblem(dim=1, drift=lambda t, x: -x, diffusion=lambda x, dW: x * dW,
+    assert not SdeProblem(drift=lambda t, x: -x, diffusion=lambda x, dW: x * dW,
                           noise_variances=np.ones(1), x0=np.ones(1)).additive
+
+
+def test_problem_dim_is_read_from_x0():
+    # the real degrees of freedom of a state: a complex entry counts twice
+    assert scalar_problem(lambda t, x: -x, lambda x, dW: dW).dim == 1
+    spec = build_spectrum(3, 2.0, 0.5)
+    assert eu.make_eulerian_problem(sp.taylor_green(3), spec).dim == 2 * 7 * 7
 
 
 def test_increments_must_match_grid():

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from stoflow import eulerian as eu
+from stoflow import lagrangian as lg
 from stoflow import spectral as sp
 
 
@@ -515,11 +516,14 @@ def test_evaluate_stack_matches_per_field():
 
 def test_pointwise_advection_matches_closed_form():
     # the exact pointwise (u.grad)u that the spray drift is built from:
-    # 1/2 (sin 2x, sin 2y) for Taylor-Green, at random points
+    # 1/2 (sin 2x, sin 2y) for Taylor-Green, at random points; with the
+    # projected slot zeroed, the spray is the transport term alone
     u = sp.taylor_green(8)
     rng = np.random.default_rng(13)
     pts = rng.uniform(0, 2 * np.pi, size=(25, 2))
-    adv = sp._transport(sp.evaluate_stack_at(sp._gradient_stack(u), pts))
+    fields = lg._spray_fields(u[None], np.empty((0,) + u.shape))[0]
+    fields[3] = 0.0
+    adv = lg._spray_from(sp.evaluate_stack_at(fields, pts))
     ref = 0.5 * np.stack([np.sin(2 * pts[:, 0]), np.sin(2 * pts[:, 1])], axis=1)
     assert np.max(np.abs(adv - ref)) < 1e-12
 
@@ -579,8 +583,7 @@ def test_operators_leave_inputs_unchanged():
         (sp.sobolev_norm, (stack, 2.0)), (sp.l2_norm, (stack,)),
         (sp.enstrophy, (stack,)), (sp.helmholtz_apply, (stack, 0.7)),
         (sp.helmholtz_apply, (q, 0.7)), (sp.evaluate_stack_at, (stack, pts)),
-        (sp.divergence_residual, (stack,)), (eu.euler_drift, (u,)),
-        (eu.averaged_drift, (u, 0.7)),
+        (sp.divergence_residual, (stack,)), (eu.averaged_drift, (u, 0.7)),
     ]
     exported = {f.__name__ for f, _ in calls}
     assert set(sp.__all__) - exported == {"taylor_green", "single_mode_field",
