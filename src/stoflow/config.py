@@ -20,7 +20,8 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass
+import typing
+from dataclasses import dataclass, field, fields
 
 __all__ = ["ExperimentConfig", "ConfigError", "parse_config", "parse_config_text"]
 
@@ -34,29 +35,34 @@ class ConfigError(ValueError):
     pass
 
 
+def _key(key: str, default):
+    """A field whose value the config text sets by `key`."""
+    return field(default=default, metadata={"key": key})
+
+
 @dataclass
 class ExperimentConfig:
-    kind: str = ""
-    n: int = 8
-    dt: float = 0.01
-    horizon: float = 0.5
-    gamma: float = 3.0
-    c: float = 0.0
-    s_prime: int = 2
-    alpha: float = 0.0
-    init_kind: str = "taylor-green"
-    init_kx: int = 1
-    init_ky: int = 0
-    init_amplitude: float = 1.0
-    init_seed: int = 0
-    init_slope: float = 2.0
-    scheme: str = "heun"
-    seed: int = 12345
-    ensemble: int = 1
-    radius_factor: float = 10.0
-    out_dir: str = "runs"
-    eq_levels: int = 4
-    eq_particles: int = 8
+    kind: str = _key("kind", "")
+    n: int = _key("grid.n", 8)
+    dt: float = _key("time.dt", 0.01)
+    horizon: float = _key("time.horizon", 0.5)
+    gamma: float = _key("noise.gamma", 3.0)
+    c: float = _key("noise.c", 0.0)
+    s_prime: int = _key("noise.s_prime", 2)
+    alpha: float = _key("alpha", 0.0)
+    init_kind: str = _key("init.kind", "taylor-green")
+    init_kx: int = _key("init.kx", 1)
+    init_ky: int = _key("init.ky", 0)
+    init_amplitude: float = _key("init.amplitude", 1.0)
+    init_seed: int = _key("init.seed", 0)
+    init_slope: float = _key("init.slope", 2.0)
+    scheme: str = _key("scheme", "heun")
+    seed: int = _key("seed", 12345)
+    ensemble: int = _key("ensemble.size", 1)
+    radius_factor: float = _key("localization.radius_factor", 10.0)
+    out_dir: str = _key("output.dir", "runs")
+    eq_levels: int = _key("equivalence.levels", 4)
+    eq_particles: int = _key("equivalence.particles", 8)
 
     def validate(self) -> "ExperimentConfig":
         if not self.kind:
@@ -116,29 +122,9 @@ class ExperimentConfig:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()[:16]
 
 
-_KEYMAP = {
-    "kind": ("kind", str),
-    "grid.n": ("n", int),
-    "time.dt": ("dt", float),
-    "time.horizon": ("horizon", float),
-    "noise.gamma": ("gamma", float),
-    "noise.c": ("c", float),
-    "noise.s_prime": ("s_prime", int),
-    "alpha": ("alpha", float),
-    "init.kind": ("init_kind", str),
-    "init.kx": ("init_kx", int),
-    "init.ky": ("init_ky", int),
-    "init.amplitude": ("init_amplitude", float),
-    "init.seed": ("init_seed", int),
-    "init.slope": ("init_slope", float),
-    "scheme": ("scheme", str),
-    "seed": ("seed", int),
-    "ensemble.size": ("ensemble", int),
-    "localization.radius_factor": ("radius_factor", float),
-    "output.dir": ("out_dir", str),
-    "equivalence.levels": ("eq_levels", int),
-    "equivalence.particles": ("eq_particles", int),
-}
+# key -> (attribute, type), in field order; the hints are resolved once
+_TYPES = typing.get_type_hints(ExperimentConfig)
+_KEYMAP = {f.metadata["key"]: (f.name, _TYPES[f.name]) for f in fields(ExperimentConfig)}
 
 
 def _fmt(v) -> str:

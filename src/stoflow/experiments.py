@@ -6,9 +6,9 @@ stream, and an ensemble's paths are split into contiguous ranges of path
 indices, one per worker process, each stepped as chunks of paths in one
 stack; the rows are put back in index order, so the bytes depend neither
 on the chunk size nor on the number of workers.  Ensembles keep no path:
-each path's noise is drawn a block of grid steps at a time as the stack
-reaches it, and each range's chunks are reduced a block of grid times at
-a time as they are stepped, to what the runner writes or checks.
+each path's noise is drawn one grid step at a time as the stack reaches
+it, and each range's chunks are reduced a block of grid times at a time
+as they are stepped, to what the runner writes or checks.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import os
 import pickle
 import signal
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import partial
 from pathlib import Path
 
@@ -49,9 +49,8 @@ Z_BOUND = 4.0
 # once per stack.  No path is kept, so it bounds the stepping work of a
 # chunk, not a history
 _CHUNK_BYTES = 5 * 2**17
-# noise drawn at once for a chunk: one grid step of 6 paths at N = 16, 7
-# steps of one path; a larger block only adds to the peak
-_NOISE_BLOCK_BYTES = 2**16
+# the kinds that step an ensemble of paths, split over `threads` workers
+_ENSEMBLE_KINDS = ("simulate-euler", "simulate-averaged", "energy-growth")
 
 
 def _fmt(x) -> str:
@@ -85,12 +84,8 @@ class RunManifest:
         return all(self.acceptance.values())
 
     def to_json(self) -> str:
-        d = dict(config_hash=self.config_hash, code_version=self.code_version,
-                 kind=self.kind, seeds=self.seeds, wall_clock_s=self.wall_clock_s,
-                 acceptance=self.acceptance, files=self.files,
-                 all_passed=self.all_passed, noise=self.noise, exits=self.exits,
-                 workers=self.workers)
-        return json.dumps(d, indent=2, sort_keys=True)
+        return json.dumps(asdict(self) | {"all_passed": self.all_passed},
+                          indent=2, sort_keys=True)
 
 
 def initial_field(cfg: ExperimentConfig) -> np.ndarray:
@@ -135,8 +130,7 @@ def _workers(cfg: ExperimentConfig, threads: int) -> int:
     """Processes an ensemble kind steps its paths in: at most `threads`,
     one per path and one per CPU this process may run on; 1 for the other
     kinds and where os.fork does not exist."""
-    if cfg.kind not in ("simulate-euler", "simulate-averaged", "energy-growth") \
-            or not hasattr(os, "fork"):
+    if cfg.kind not in _ENSEMBLE_KINDS or not hasattr(os, "fork"):
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))
@@ -210,21 +204,18 @@ def _fork(reduce, paths: range):
 
 
 def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: range):
-    """Yields the increments of the paths, (len(paths), b, n_modes) per
-    block of b grid steps, b the most steps within _NOISE_BLOCK_BYTES (at
-    least one); the last block may be shorter.  Path i draws
-    derive_stream(cfg.seed, i, "noise") a block at a time, in place and
+    """Yields the increments of the paths one grid step at a time, a block
+    (len(paths), 1, n_modes) per step.  Path i draws
+    derive_stream(cfg.seed, i, "noise") a step at a time, in place and
     scaled in place, so its rows are those of sample_coefficients(spec,
     cfg.dt, nsteps, that stream) bit for bit.  Every block is the same
     buffer, overwritten by the next one."""
     rngs = [derive_stream(cfg.seed, i, "noise") for i in paths]
     scale = np.sqrt(spec.mode_variances * cfg.dt)
-    b = min(nsteps, max(1, _NOISE_BLOCK_BYTES // (len(paths) * spec.n_modes * 8)))
-    buf = np.empty((len(paths), b, spec.n_modes))
-    for first in range(0, nsteps, b):
-        block = buf[:, :min(b, nsteps - first)]
-        for rng, rows in zip(rngs, block):
-            rng.standard_normal(out=rows)
+    block = np.empty((len(paths), 1, spec.n_modes))
+    for _ in range(nsteps):
+        for rng, row in zip(rngs, block):
+            rng.standard_normal(out=row)
         block *= scale
         yield block
 
@@ -294,7 +285,7 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
         factor = 2 ** lvl
         dt = cfg.dt / factor
         inc = coarsen_increments(inc_fine, finest_factor // factor)
-        res = run_equivalence(u0, spec, dt, cfg.horizon, labels=labels,
+        res = run_equivalence(u0, spec, dt, labels=labels,
                               increments=inc, radius_factor=cfg.radius_factor)
         rows.append((lvl, dt, res))
         dts.append(dt)
@@ -433,9 +424,9 @@ def _drawn_streams(cfg: ExperimentConfig) -> list:
     streams = []
     if cfg.init_kind == "random" and cfg.kind not in ("convergence", "isometry"):
         streams.append(f"{cfg.init_seed}:init")
-    if cfg.kind in ("equivalence", "convergence", "isometry"):
-        return streams + [f"{cfg.seed}:{cfg.kind}"]
-    return streams + [f"{cfg.seed}:{i}:noise" for i in range(cfg.ensemble)]
+    if cfg.kind in _ENSEMBLE_KINDS:
+        return streams + [f"{cfg.seed}:{i}:noise" for i in range(cfg.ensemble)]
+    return streams + [f"{cfg.seed}:{cfg.kind}"]
 
 
 _RUNNERS = {
@@ -459,14 +450,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     process and the others in children forked for the call and reaped
     before it returns or raises (see _over_ranges).  The other kinds run
     in this process.  The CSV bytes do not depend on `threads`; the
-    manifest's `workers` says how many processes ran.
+    manifest's `workers` says how many processes ran.  The output directory
+    is made only once the runner has returned, so a run that raises leaves
+    none behind.
     """
     cfg.validate()
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
     t0 = time.perf_counter()
-    out = Path(out_dir if out_dir is not None else cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
 
     # every kind but convergence draws its noise from one Q-Wiener spectrum
     spec = None if cfg.kind == "convergence" else \
@@ -474,6 +465,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     workers = _workers(cfg, threads)
     files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec, workers)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
+    out = Path(out_dir if out_dir is not None else cfg.out_dir)
+    out.mkdir(parents=True, exist_ok=True)  # only once the run has results
     written = []
     for name, (header, rows) in files.items():
         _write_csv(out / name, header, rows)

@@ -110,9 +110,8 @@ def _spray_from(vals: np.ndarray) -> np.ndarray:
     return u[:, :1] * dudx + u[:, 1:] * dudy - proj
 
 
-def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
-                    labels: np.ndarray, increments: np.ndarray,
-                    radius_factor: float = 10.0) -> float:
+def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, labels: np.ndarray,
+                    increments: np.ndarray, radius_factor: float = 10.0) -> float:
     """Drive the Heun Eulerian path on the increments, advect particles
     along it, return the discrete Lagrangian-identity defect.
 
@@ -135,14 +134,12 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
     sums.  So the path holds one block of velocity rows and one
     grid time of particle values, however many steps it takes.  A path
     that leaves the localization ball raises ValueError naming the time it
-    leaves.  `increments` has one row of noise coordinates per step of dt
-    up to T.  u0 is a (2, M, M) field at the resolution of spec;
-    make_eulerian_problem rejects any other shape.
+    leaves.  `increments` has one row of noise coordinates per step of dt,
+    so the path runs to T = len(increments) * dt.  u0 is a (2, M, M) field
+    at the resolution of spec; make_eulerian_problem rejects any other
+    shape.
     """
-    nsteps = int(round(T / dt))
-    if len(increments) != nsteps:
-        raise ValueError(f"{len(increments)} increment rows for the {nsteps} steps "
-                         f"of dt = {dt:.6g} up to T = {T:.6g}")
+    nsteps = len(increments)
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     ens = initial_ensemble(labels)
     j = 0  # the grid time reached
@@ -152,7 +149,7 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, T: float,
             raise ValueError(
                 f"the Eulerian path left the localization ball at "
                 f"t = {t_grid[exit_index[0]]:.6g}, "
-                f"before the horizon {T:.6g}; the particle flow needs the whole "
+                f"before the horizon {t_grid[-1]:.6g}; the particle flow needs the whole "
                 f"path (raise localization.radius_factor)")
         u = u[0]
         stack = _spray_fields(u, field_from_coefficients(spec, increments[j:j + len(u)]))

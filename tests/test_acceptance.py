@@ -115,7 +115,7 @@ def test_equivalence_residual_decays():
     for lvl in range(levels + 1):
         f = 2**lvl
         inc = fine.reshape(n0 * f, 2**levels // f, -1).sum(axis=1)
-        res = lg.run_equivalence(u0, spec, dt0 / f, T,
+        res = lg.run_equivalence(u0, spec, dt0 / f,
                                  labels=uniform_labels(6), increments=inc)
         dts.append(dt0 / f)
         residuals.append(res)
@@ -129,7 +129,7 @@ def test_equivalence_residual_deterministic_taylor_green():
     # zero noise, Taylor-Green at N=16, dt=1e-3, T=0.5: residual < 1e-6
     u0 = sp.taylor_green(16)
     spec = build_spectrum(16, 2.0, 0.0)
-    res = lg.run_equivalence(u0, spec, 1e-3, 0.5, labels=uniform_labels(6),
+    res = lg.run_equivalence(u0, spec, 1e-3, labels=uniform_labels(6),
                              increments=np.zeros((500, spec.n_modes)))
     print(f"deterministic equivalence residual {res:.3e}")
     assert res < 1e-6

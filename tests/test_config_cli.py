@@ -197,17 +197,14 @@ def test_chunk_size_does_not_change_output(tmp_path, monkeypatch):
                 (tmp_path / kind / "default" / name).read_bytes()
 
 
-@pytest.mark.parametrize("steps, n_blocks", [(1, 13), (4, 4), (13, 1)])
-def test_noise_blocks_are_sample_coefficients_rows(monkeypatch, steps, n_blocks):
-    # a chunk's noise, drawn a block of grid steps at a time (one step,
-    # blocks of 4 with a short last one, one block), is each path's
+def test_noise_blocks_are_sample_coefficients_rows():
+    # a chunk's noise, drawn one grid step at a time, is each path's
     # sample_coefficients draw from its own stream bit for bit
     cfg = base_cfg(c=0.5, horizon=0.13, seed=19)
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c)
     paths = range(2, 5)
-    monkeypatch.setattr(experiments, "_NOISE_BLOCK_BYTES", steps * 3 * spec.n_modes * 8)
     blocks = [b.copy() for b in experiments._increments(cfg, spec, 13, paths)]
-    assert len(blocks) == n_blocks
+    assert [b.shape for b in blocks] == [(3, 1, spec.n_modes)] * 13
     ref = np.stack([sample_coefficients(spec, cfg.dt, 13, derive_stream(19, i, "noise"))
                     for i in paths])
     assert np.array_equal(np.concatenate(blocks, axis=1), ref)
@@ -388,7 +385,34 @@ def test_cli_isometry_underflowed_spectrum_exit_one(tmp_path, capsys, n, gamma, 
     assert "noise.gamma" in captured.err and "grid.n" in captured.err
     assert captured.err.count("\n") == 1
     assert "[FAIL]" not in captured.out
-    assert not (tmp_path / "o" / "isometry.csv").exists()
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("kind, text", [
+    ("isometry", "grid.n = 4\nnoise.gamma = 1200\nnoise.c = 0.5\n"),
+    ("simulate-euler", "init.kind = single-mode\ninit.kx = 9\n"),
+    ("equivalence", "grid.n = 6\nnoise.c = 2.0\nlocalization.radius_factor = 1.0\n"
+                    "time.horizon = 0.2\ntime.dt = 0.05\nequivalence.levels = 1\n"),
+], ids=["underflowed-spectrum", "mode-off-grid", "path-exit"])
+def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, kind, text):
+    # the output directory is made once the runner has results, so an error
+    # the runner raises leaves none behind, as a config error leaves none
+    path = write_cfg(tmp_path, f"kind = {kind}\n{text}")
+    assert main([kind, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: error: ") and err.count("\n") == 1
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_out_naming_a_file_is_an_io_error(tmp_path, capsys):
+    # --out is made after the run, so a file in its place is reported then
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 4\n"
+                               "time.horizon = 0.05\nensemble.size = 1\n")
+    (tmp_path / "o").write_text("")
+    assert main(["simulate-euler", "--config", path, "--out", str(tmp_path / "o")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("lab: i/o error: ") and err.count("\n") == 1
+    assert (tmp_path / "o").read_text() == ""
 
 
 def test_cli_kind_mismatch_is_operational_error(tmp_path, capsys):

@@ -143,7 +143,7 @@ def test_resolution_mismatch_rejected():
     for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
         for call in (lambda: eu.make_eulerian_problem(u0, spec),
                      lambda: next(eu._velocity_blocks(u0, spec, times, inc[None])),
-                     lambda: run_equivalence(u0, spec, 0.01, 0.02, labels, inc)):
+                     lambda: run_equivalence(u0, spec, 0.01, labels, inc)):
             with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
                 call()
 

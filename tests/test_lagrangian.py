@@ -196,7 +196,7 @@ def test_stratonovich_correction_degenerates():
 
 def test_zero_noise_zero_field_static():
     spec = build_spectrum(3, 2.0, 0.0)
-    res = lg.run_equivalence(zero_field(3), spec, 0.05, 0.5, labels=uniform_labels(4),
+    res = lg.run_equivalence(zero_field(3), spec, 0.05, labels=uniform_labels(4),
                              increments=np.zeros((10, spec.n_modes)))
     assert res == 0.0
 
@@ -207,7 +207,7 @@ def test_zero_noise_zero_field_static():
 def test_residual_zero_horizon():
     # T = 0: one grid time, no step and no kick, so u o Phi is u0 exactly
     spec = build_spectrum(4, 3.0, 0.5)
-    res = lg.run_equivalence(sp.taylor_green(4), spec, 0.01, 0.0, labels=uniform_labels(4),
+    res = lg.run_equivalence(sp.taylor_green(4), spec, 0.01, labels=uniform_labels(4),
                              increments=np.zeros((0, spec.n_modes)))
     assert res == 0.0
 
@@ -215,7 +215,7 @@ def test_residual_zero_horizon():
 def test_residual_deterministic_taylor_green_small():
     u0 = sp.taylor_green(8)
     spec = build_spectrum(8, 2.0, 0.0)
-    res = lg.run_equivalence(u0, spec, 2e-3, 0.2, labels=uniform_labels(6),
+    res = lg.run_equivalence(u0, spec, 2e-3, labels=uniform_labels(6),
                              increments=np.zeros((100, spec.n_modes)))
     assert res < 1e-6
 
@@ -225,8 +225,8 @@ def test_residual_invariant_under_label_period_shift():
     spec = build_spectrum(6, 3.0, 0.4)
     inc = sample_coefficients(spec, 0.01, 10, derive_stream(33, "shift"))
     labels = uniform_labels(5)
-    r1 = lg.run_equivalence(u0, spec, 0.01, 0.1, labels=labels, increments=inc)
-    r2 = lg.run_equivalence(u0, spec, 0.01, 0.1, labels=labels + TWO_PI,
+    r1 = lg.run_equivalence(u0, spec, 0.01, labels=labels, increments=inc)
+    r2 = lg.run_equivalence(u0, spec, 0.01, labels=labels + TWO_PI,
                             increments=inc)
     assert r1 == r2
 
@@ -240,7 +240,7 @@ def test_fused_loop_matches_two_pass_reference():
     u0 = sp.taylor_green(N, 0.5)
     inc = sample_coefficients(spec, dt, nsteps, derive_stream(21, "fused"))
     labels = uniform_labels(5)
-    res = lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
+    res = lg.run_equivalence(u0, spec, dt, labels=labels, increments=inc)
 
     q, _ = eulerian_path(u0, spec, dt, inc[None], scheme="heun")
     states = eu._velocity(q[0], 0.0, u0[:, 0, 0])
@@ -274,13 +274,13 @@ def test_fused_loop_matches_two_pass_reference():
 def test_residual_matches_dense_phase_sum_evaluation(monkeypatch):
     # the rounding of the evaluation kernel moves the residuals of a noisy
     # refinement ladder by at most 1e-12 relative against the full phase sum
-    N, dt0, T = 6, 0.02, 0.1
+    N, dt0 = 6, 0.02  # 20 fine steps of dt0 / 4: T = 0.1
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.taylor_green(N, 0.5)
     fine = sample_coefficients(spec, dt0 / 4, 20, derive_stream(47, "dense"))
 
     def residuals():
-        return [lg.run_equivalence(u0, spec, dt0 / f, T, labels=uniform_labels(4),
+        return [lg.run_equivalence(u0, spec, dt0 / f, labels=uniform_labels(4),
                                    increments=fine.reshape(5 * f, 4 // f, -1).sum(axis=1))
                 for f in (1, 2, 4)]
 
@@ -303,7 +303,7 @@ def test_equivalence_reads_no_diagnostics(monkeypatch):
         monkeypatch.setattr(name, fail)
     spec = build_spectrum(4, 3.0, 0.5)
     inc = sample_coefficients(spec, 0.01, 10, derive_stream(37, "nodiag"))
-    res = lg.run_equivalence(sp.taylor_green(4, 0.5), spec, 0.01, 0.1,
+    res = lg.run_equivalence(sp.taylor_green(4, 0.5), spec, 0.01,
                              labels=uniform_labels(3), increments=inc)
     assert res > 0.0
 
@@ -318,7 +318,7 @@ def test_block_size_does_not_change_residual(monkeypatch):
     inc = sample_coefficients(spec, dt, nsteps, derive_stream(43, "block"))
 
     def residual():
-        return lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=uniform_labels(3),
+        return lg.run_equivalence(u0, spec, dt, labels=uniform_labels(3),
                                   increments=inc)
 
     ref = residual()
@@ -326,17 +326,6 @@ def test_block_size_does_not_change_residual(monkeypatch):
     for size in (1, (nsteps + 1) * u0.nbytes):
         monkeypatch.setattr(eu, "_DIAGNOSTIC_BLOCK_BYTES", size)
         assert residual() == ref
-
-
-def test_increment_rows_must_match_steps():
-    # T = 0.1 at dt = 0.01 is 10 steps: 9 or 11 rows are rejected, naming
-    # both counts
-    spec = build_spectrum(4, 3.0, 0.5)
-    u0 = sp.taylor_green(4, 0.5)
-    for n in (9, 11):
-        inc = np.zeros((n, spec.n_modes))
-        with pytest.raises(ValueError, match=f"{n} increment rows for the 10 steps"):
-            lg.run_equivalence(u0, spec, 0.01, 0.1, labels=uniform_labels(3), increments=inc)
 
 
 def test_exit_inside_a_block_names_its_time():
@@ -351,8 +340,9 @@ def test_exit_inside_a_block_names_its_time():
     _, ref_exit = eulerian_path(u0, spec, dt, inc[None], radius_factor=2.0)
     assert ref_exit.tolist() == [21]
     assert eu._DIAGNOSTIC_BLOCK_BYTES // u0.nbytes == 14
-    with pytest.raises(ValueError, match=r"left the localization ball at t = 0\.105,"):
-        lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=uniform_labels(3),
+    with pytest.raises(ValueError, match=r"left the localization ball at t = 0\.105, "
+                                         r"before the horizon 0\.2;"):
+        lg.run_equivalence(u0, spec, dt, labels=uniform_labels(3),
                            increments=inc, radius_factor=2.0)
 
 
@@ -368,7 +358,7 @@ def test_residual_decreases_under_coupled_refinement():
     for lvl in range(levels + 1):
         f = 2**lvl
         inc = fine.reshape(n0 * f, 2**levels // f, -1).sum(axis=1)
-        residuals.append(lg.run_equivalence(u0, spec, dt0 / f, T,
+        residuals.append(lg.run_equivalence(u0, spec, dt0 / f,
                                             labels=uniform_labels(4),
                                             increments=inc))
     assert residuals[-1] < residuals[0]

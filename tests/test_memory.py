@@ -98,7 +98,7 @@ def test_particle_path_peak_does_not_grow_with_the_path():
     inc = sample_coefficients(spec, dt, 160, derive_stream(61, "rows"))
 
     def run(nsteps):
-        return lambda: lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
+        return lambda: lg.run_equivalence(u0, spec, dt, labels=labels,
                                           increments=inc[:nsteps])
 
     run(20)()  # fill the per-N constant caches outside the traced runs
@@ -118,7 +118,7 @@ def test_particle_path_holds_one_grid_time(monkeypatch):
     inc = sample_coefficients(spec, dt, 80, derive_stream(47, "memory"))
 
     def run(nsteps):
-        return lambda: lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels,
+        return lambda: lg.run_equivalence(u0, spec, dt, labels=labels,
                                           increments=inc[:nsteps])
 
     run(20)()  # fill the per-N constant caches outside the traced runs
@@ -138,7 +138,7 @@ def test_spray_blocks_stay_small(monkeypatch):
     inc = sample_coefficients(spec, dt, nsteps, derive_stream(59, "spray"))
 
     def run():
-        lg.run_equivalence(u0, spec, dt, nsteps * dt, labels=labels, increments=inc)
+        lg.run_equivalence(u0, spec, dt, labels=labels, increments=inc)
 
     run()  # fill the per-N constant caches outside the traced runs
     default = traced_peak(run)
