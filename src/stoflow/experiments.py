@@ -117,7 +117,7 @@ def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray, paths: r
     no reference to a chunk it has yielded, so a chunk's buffers are freed
     before the next chunk's are made."""
     times = _time_grid(cfg)
-    size = max(1, _CHUNK_BYTES // (4 * sp._grid_layout(cfg.n)[0] ** 2 * 8))
+    size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))
     for first in range(paths.start, paths.stop, size):
         chunk = range(first, min(first + size, paths.stop))
         yield _velocity_blocks(u0, spec, times,
@@ -341,10 +341,10 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
 
 def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     lam = spec.mode_variances
+    given = f"noise.gamma = {cfg.gamma:g}, noise.c = {cfg.c:g} and grid.n = {cfg.n} give"
     bad = np.count_nonzero(~(np.isfinite(lam) & (lam > 0)))
     if bad:  # a variance of 0 leaves the z-scores nan, as noise.c = 0 would
-        raise ValueError(f"noise.gamma = {cfg.gamma:g}, noise.c = {cfg.c:g} and grid.n = "
-                         f"{cfg.n} give {bad} of {len(lam)} mode variances of 0 or not "
+        raise ValueError(f"{given} {bad} of {len(lam)} mode variances of 0 or not "
                          f"finite; the isometry checks need them positive")
     n = max(cfg.ensemble, 10_000)
     rng = derive_stream(cfg.seed, "isometry")
@@ -363,6 +363,9 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     # Ito isometry: E |W(1)|^2 = trace(Q)
     sq = np.sum(w**2, axis=1)
     se = np.std(sq, ddof=1) / np.sqrt(n)
+    if not (np.isfinite(se) and se > 0):  # |W(1)|^2's spread overflowed or underflowed
+        raise ValueError(f"{given} a standard error {se:g} of |W(1)|^2; the Ito "
+                         f"isometry check needs it positive and finite")
     z_iso = (np.mean(sq) - spec.trace) / se
     # zero mean
     mean_z = np.mean(w, axis=0) / (std / np.sqrt(n))

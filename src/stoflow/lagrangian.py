@@ -48,13 +48,14 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Labels x and positions Phi(x).
+    """Positions Phi(x) of the particles started at the labels x.
 
     Only the continuous (unwrapped) trajectory is stored; `positions` is
-    that trajectory wrapped into [0, 2pi)^2.
+    that trajectory wrapped into [0, 2pi)^2.  The particle path reads only
+    the trajectory: the class and `n` stay for bench/spans.py, which counts
+    particle steps from `advect`'s first argument and is their last reader.
     """
 
-    labels: np.ndarray
     positions_unwrapped: np.ndarray
 
     @property
@@ -63,7 +64,7 @@ class ParticleEnsemble:
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return len(self.positions_unwrapped)
 
 
 def uniform_labels(n_side: int) -> np.ndarray:
@@ -75,18 +76,18 @@ def uniform_labels(n_side: int) -> np.ndarray:
 
 def initial_ensemble(labels: np.ndarray) -> ParticleEnsemble:
     """Phi = identity on the labels."""
-    labels = np.asarray(labels, dtype=float) % TWO_PI
-    return ParticleEnsemble(labels=labels, positions_unwrapped=labels.copy())
+    return ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)
 
 
 def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: np.ndarray,
            dt: float) -> ParticleEnsemble:
     """Advance positions by explicit midpoint (RK2): k1 (P, 2) is the field
     at the step's start evaluated at the positions, u_mid (2, M, M) the
-    midpoint field."""
+    midpoint field.  A function of its own, not a line of the particle
+    loop, because bench/spans.py traces it by name."""
     x = particles.positions_unwrapped
     k2 = evaluate_stack_at(u_mid, x + 0.5 * dt * k1)
-    return ParticleEnsemble(labels=particles.labels, positions_unwrapped=x + dt * k2)
+    return ParticleEnsemble(x + dt * k2)
 
 
 def _spray_fields(u: np.ndarray, kicks: np.ndarray) -> np.ndarray:

@@ -50,7 +50,6 @@ class QWienerSpec:
 
     N: int
     gamma: float
-    c: float
     s_prime: int
     wavevectors: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)  # one per wavevector
@@ -120,7 +119,7 @@ def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerS
     ks = half_lattice(N)
     ksq = np.sum(ks.astype(float) ** 2, axis=1)
     lam = c * (1.0 + ksq) ** (-gamma)
-    return QWienerSpec(N=N, gamma=float(gamma), c=float(c), s_prime=int(s_prime),
+    return QWienerSpec(N=N, gamma=float(gamma), s_prime=int(s_prime),
                        wavevectors=ks, eigenvalues=lam)
 
 

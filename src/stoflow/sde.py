@@ -33,7 +33,8 @@ __all__ = [
 
 
 class SdePathError(RuntimeError):
-    """A path produced non-finite state; carries the offending step index."""
+    """A path produced a non-finite state or domain norm; carries the
+    offending step index."""
 
     def __init__(self, step: int, t: float):
         super().__init__(f"non-finite state at step {step}, t={t}")
@@ -71,14 +72,20 @@ class SdeProblem:
 
     @property
     def dim(self) -> int:
+        """Read only by bench/spans.py, which sizes sigma from it; it goes
+        with that tracer."""
         return self.x0.size * (2 if np.iscomplexobj(self.x0) else 1)
+
+    def norm(self, x: np.ndarray) -> np.ndarray:
+        """The domain norm of each state of the stack x (K, *x0.shape)."""
+        if self.domain_norm is not None:
+            return self.domain_norm(x)
+        return np.linalg.norm(x.reshape(len(x), -1), axis=1)
 
     def outside(self, x: np.ndarray) -> np.ndarray:
         """Whether each state of the stack x (K, *x0.shape) lies outside U,
         one bool per path."""
-        if self.domain_norm is not None:
-            return self.domain_norm(x) > self.domain_radius
-        return np.linalg.norm(x.reshape(len(x), -1), axis=1) > self.domain_radius
+        return self.norm(x) > self.domain_radius
 
 
 def step_euler_maruyama(problem: SdeProblem, t: float, x: np.ndarray,
@@ -147,8 +154,9 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     exit state and never raises SdePathError: its rows after its exit row
     repeat its exit state (the stopped path), and the last row is
     X(tau ^ T).  exit_index holds the row at which each path first left U,
-    or -1.  Each path's rows are a pure function of (problem, scheme, grid,
-    its increments).
+    or -1.  A live path whose new state or its domain norm is not finite
+    raises SdePathError: an overflow is no exit.  Each path's rows are a
+    pure function of (problem, scheme, grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -179,10 +187,11 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
                 dt = t_grid[i + 1] - t_grid[i]
                 rows = np.s_[:] if len(live) == len(states) else live
                 x = stepper(problem, t_grid[i], states[rows], dW[rows], dt)
-                if not np.all(np.isfinite(x)):
+                norm = problem.norm(x)
+                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(norm))):
                     raise SdePathError(i, float(t_grid[i + 1]))
                 states[rows] = x
-                out = problem.outside(x)
+                out = norm > problem.domain_radius
                 exit_index[live[out]] = i + 1
                 live = live[~out]
             i += 1

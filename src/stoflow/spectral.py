@@ -193,6 +193,7 @@ def _enstrophy_of_squares(sq: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # nonlinear terms (pseudo-spectral with 2/3-rule dealiasing, real transforms)
 
+@lru_cache(maxsize=None)
 def _dealias_grid_size(N: int) -> int:
     """The smallest 5-smooth size >= 3N + 1.  The retained band |k| <= N is
     then within the lowest third of the product grid, so quadratic products
@@ -208,13 +209,10 @@ def _dealias_grid_size(N: int) -> int:
         Mg += 1
 
 
-@lru_cache(maxsize=None)
-def _grid_layout(N: int) -> tuple[int, np.ndarray, np.ndarray]:
-    """Product-grid size Mg and the half-spectrum rows kx mod Mg and
-    (-kx) mod Mg of the fft-ordered modes; read-only, built once per N."""
-    Mg = _dealias_grid_size(N)
-    k = _wavenumbers(N)
-    return Mg, _freeze(k % Mg), _freeze(-k % Mg)
+def _row_blocks(N: int, Mg: int) -> tuple:
+    """The rows kx >= 0 and kx < 0 as slice pairs (lo, hi): lo the rows of
+    the M x M spectrum, hi the same kx on the Mg-row product grid."""
+    return (np.s_[:N + 1], np.s_[:N + 1]), (np.s_[N + 1:], np.s_[Mg - N:])
 
 
 def _to_grid(half: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -233,18 +231,19 @@ def _from_grid(values: np.ndarray, N: int, spectrum: np.ndarray,
     """Coefficients with |k| <= N, shape (..., M, M), of real product-grid
     values (..., Mg, Mg): rfft along y, then fft along x of the N + 1
     retained columns ky >= 0 only (equal to those columns of rfft2).  The
-    rest is rebuilt as c(-k) = conj c(k), so the output is exactly Hermitian.
-    `spectrum` (..., Mg, Mg // 2 + 1) and `cols` (..., Mg, N + 1) receive
-    the rfft and the retained columns, which are then transformed in place;
-    the output is a fresh array."""
-    Mg, rows, neg = _grid_layout(N)
+    rest is reflected, c(-k) = conj c(k) with row i opposite row M - i, so
+    the output is exactly Hermitian.  `spectrum` (..., Mg, Mg // 2 + 1) and
+    `cols` (..., Mg, N + 1) receive the rfft and the retained columns,
+    which are then transformed in place; the output is a fresh array."""
     np.fft.rfft(values, axis=-1, norm="forward", out=spectrum)
     cols[...] = spectrum[..., :N + 1]
     half = np.fft.fft(cols, axis=-2, norm="forward", out=cols)
     out = np.empty(values.shape[:-2] + (2 * N + 1, 2 * N + 1), dtype=complex)
-    out[..., :N + 1] = half[..., rows, :]
-    out[..., N + 1:] = np.conj(half[..., neg, N:0:-1])
-    out[..., N + 1:, 0] = np.conj(out[..., N:0:-1, 0])
+    for lo, hi in _row_blocks(N, values.shape[-1]):
+        out[..., lo, :N + 1] = half[..., hi, :]
+    np.conj(out[..., :1, N:0:-1], out=out[..., :1, N + 1:])
+    np.conj(out[..., :0:-1, N:0:-1], out=out[..., 1:, N + 1:])
+    np.conj(out[..., N:0:-1, 0], out=out[..., N + 1:, 0])
     return out
 
 
@@ -255,7 +254,7 @@ def _advection_work(lead: tuple, N: int) -> tuple:
     caller that applies the kernel to one stack many times allocates them
     once and passes them, or leading slices [:k] of them for the first k
     fields, to every call; their contents between calls are scratch."""
-    Mg = _grid_layout(N)[0]
+    Mg = _dealias_grid_size(N)
     return (np.empty(lead + (4, Mg, N + 1), dtype=complex),
             np.empty(lead + (4, Mg, Mg)),
             np.empty(lead + (Mg, Mg // 2 + 1), dtype=complex))
@@ -280,14 +279,13 @@ def advection_term(q: np.ndarray, u: np.ndarray, work: tuple | None = None) -> n
     bit for bit.
     """
     N = _resolution(q)
-    Mg = _grid_layout(N)[0]
+    Mg = _dealias_grid_size(N)
     ikx, iky = _ik_grids(N)
     if work is None:
         work = _advection_work(q.shape[:-2], N)
     half, grid, spectrum = work
     half[..., N + 1:Mg - N, :] = 0.0  # the padding rows; a lent buffer holds stale ones
-    for lo, hi in ((np.s_[:N + 1], np.s_[:N + 1]), (np.s_[N + 1:], np.s_[Mg - N:])):
-        # lo: the rows of the M x M spectrum, hi: the same kx on the padded grid
+    for lo, hi in _row_blocks(N, Mg):
         half[..., :2, hi, :] = u[..., lo, :N + 1]
         np.multiply(ikx[lo], q[..., lo, :N + 1], out=half[..., 2, hi, :])
         np.multiply(iky[:, :N + 1], q[..., lo, :N + 1], out=half[..., 3, hi, :])
@@ -354,7 +352,7 @@ def evaluate_stack_at(coeffs: np.ndarray, points: np.ndarray) -> np.ndarray:
     FFT at the collocation points.  The points are reduced mod 2 pi before
     the tables are built, so points a period apart give bitwise-equal values.
     """
-    pts = np.atleast_2d(np.asarray(points, dtype=float)) % (2.0 * np.pi)
+    pts = np.asarray(points, dtype=float) % (2.0 * np.pi)
     M = coeffs.shape[-1]
     N = _resolution(coeffs)
     P = len(pts)

@@ -135,6 +135,24 @@ def test_manifest_lists_streams_drawn(tmp_path, kw, seeds):
     assert json.loads((tmp_path / "manifest.json").read_text())["seeds"] == seeds
 
 
+@pytest.mark.parametrize("init", ["taylor-green", "random"])
+@pytest.mark.parametrize("kind", sorted(experiments._RUNNERS))
+def test_manifest_seeds_are_the_streams_drawn(tmp_path, monkeypatch, kind, init):
+    # every stream a run derives, in draw order, is one label of `seeds`: a
+    # stream a runner starts to draw fails here until _drawn_streams names it
+    drawn = []
+
+    def derive(seed, *keys):
+        drawn.append(":".join(str(k) for k in (seed, *keys)))
+        return derive_stream(seed, *keys)
+
+    monkeypatch.setattr(experiments, "derive_stream", derive)
+    kw = {"isometry": dict(n=2, c=1.0),
+          "equivalence": dict(eq_levels=1, eq_particles=3)}.get(kind, {})
+    cfg = base_cfg(kind=kind, init_kind=init, init_seed=3, **kw)
+    assert run_experiment(cfg, out_dir=tmp_path, threads=1).seeds == drawn
+
+
 @pytest.mark.parametrize("gamma, verdict", [(3.0, False), (3.5, True)])
 def test_manifest_reports_noise_verdict(tmp_path, gamma, verdict):
     # s' = 2: the H^s' budget converges as N -> infinity iff 2 gamma - 4 > 2
@@ -388,19 +406,43 @@ def test_cli_isometry_underflowed_spectrum_exit_one(tmp_path, capsys, n, gamma, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("kind, text", [
-    ("isometry", "grid.n = 4\nnoise.gamma = 1200\nnoise.c = 0.5\n"),
-    ("simulate-euler", "init.kind = single-mode\ninit.kx = 9\n"),
+# an H^2 norm that overflows while q stays finite: not an exit from the ball
+OVERFLOW = ("grid.n = 4\nnoise.c = 1e160\nlocalization.radius_factor = 1e300\n"
+            "init.kind = zero\ntime.horizon = 0.05\ntime.dt = 0.01\n"
+            "scheme = euler-maruyama\nseed = 1\n")
+ABORT = "lab: numeric abort: non-finite state at step 1, t=0.02\n"
+ISOMETRY_SE = ("lab: error: noise.gamma = 3, noise.c = {} and grid.n = 2 give a "
+               "standard error {} of |W(1)|^2")
+
+
+@pytest.mark.parametrize("kind, text, threads, head", [
+    ("isometry", "grid.n = 4\nnoise.gamma = 1200\nnoise.c = 0.5\n", "1", "lab: error: "),
+    ("simulate-euler", "init.kind = single-mode\ninit.kx = 9\n", "1", "lab: error: "),
     ("equivalence", "grid.n = 6\nnoise.c = 2.0\nlocalization.radius_factor = 1.0\n"
-                    "time.horizon = 0.2\ntime.dt = 0.05\nequivalence.levels = 1\n"),
-], ids=["underflowed-spectrum", "mode-off-grid", "path-exit"])
-def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, kind, text):
+                    "time.horizon = 0.2\ntime.dt = 0.05\nequivalence.levels = 1\n",
+     "1", "lab: error: "),
+    ("isometry", "grid.n = 2\nnoise.gamma = 3\nnoise.c = 1e160\n", "1",
+     ISOMETRY_SE.format("1e+160", "inf")),
+    ("isometry", "grid.n = 2\nnoise.gamma = 3\nnoise.c = 1e-290\n", "1",
+     ISOMETRY_SE.format("1e-290", "0")),
+    ("simulate-euler", "ensemble.size = 2\n" + OVERFLOW, "1", ABORT),
+    ("simulate-euler", "ensemble.size = 2\n" + OVERFLOW, "2", ABORT),
+    ("energy-growth", "ensemble.size = 8\n" + OVERFLOW, "1", ABORT),
+    ("energy-growth", "ensemble.size = 8\n" + OVERFLOW, "2", ABORT),
+], ids=["underflowed-spectrum", "mode-off-grid", "path-exit", "isometry-stderr-inf",
+        "isometry-stderr-zero", "overflow-simulate-t1", "overflow-simulate-t2",
+        "overflow-energy-t1", "overflow-energy-t2"])
+def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, monkeypatch, kind, text,
+                                            threads, head):
     # the output directory is made once the runner has results, so an error
-    # the runner raises leaves none behind, as a config error leaves none
+    # the runner raises leaves none behind, as a config error leaves none;
+    # two usable CPUs, so that --threads 2 forks a worker on any host
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
     path = write_cfg(tmp_path, f"kind = {kind}\n{text}")
-    assert main([kind, "--config", path, "--out", str(tmp_path / "o")]) == 1
+    assert main([kind, "--config", path, "--threads", threads,
+                 "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("lab: error: ") and err.count("\n") == 1
+    assert err.startswith(head) and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
 
 

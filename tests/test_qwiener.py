@@ -76,7 +76,7 @@ def test_eigenmodes_orthonormal_divergence_free():
 
 def test_single_eigenpair_increment():
     # lambda = 4, dt = 1: increment = 2 xi_c e_cos + 2 xi_s e_sin
-    spec = QWienerSpec(N=2, gamma=0.0, c=4.0, s_prime=0,
+    spec = QWienerSpec(N=2, gamma=0.0, s_prime=0,
                        wavevectors=np.array([[1, 0]]),
                        eigenvalues=np.array([4.0]))
     xi = np.array([0.3, -1.1])

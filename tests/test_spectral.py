@@ -307,6 +307,21 @@ def test_advection_term_stacks_paths():
             assert np.array_equal(got[i, j], sp.advection_term(q[i, j], u[i, j]))
 
 
+@pytest.mark.parametrize("lead", [(), (3,), (2, 4)], ids=["one", "3", "2x4"])
+@pytest.mark.parametrize("N", [1, 2, 5, 8, 16])
+def test_advection_term_output_exactly_hermitian(N, lead):
+    # the kernel keeps the ky >= 0 columns and reflects them onto ky < 0, and
+    # its kx > 0 rows onto kx < 0 at ky = 0: a lost or misplaced conjugate
+    # shows bitwise here, below the reference tests' 1e-13
+    rng = np.random.default_rng(500 + N)
+    M = 2 * N + 1
+    u = np.stack([random_real_field(rng, N) for _ in range(int(np.prod(lead)))])
+    q = sp.curl(np.stack([random_real_field(rng, N) for _ in range(len(u))]))
+    got = sp.advection_term(q.reshape(lead + (M, M)), u.reshape(lead + (2, M, M)))
+    assert got.shape == lead + (M, M)
+    assert is_hermitian(got)
+
+
 def test_advection_term_reuses_caller_buffers():
     # buffers owned by the caller, first full of NaN, then stale from a call
     # on a longer stack, give the fresh kernel's output bit for bit: the
@@ -347,7 +362,8 @@ def test_pruned_transforms_match_full_real_ffts(N):
     # spectrum, _from_grid keeps them before the kx transform; both agree
     # with the full 2-D real transforms
     rng = np.random.default_rng(400 + N)
-    Mg, rows, _ = sp._grid_layout(N)
+    Mg = sp._dealias_grid_size(N)
+    rows = sp._wavenumbers(N) % Mg  # kx's row of the padded half spectrum
     c = np.stack([random_real_field(rng, N)[0], sp.curl(random_real_field(rng, N))])
     half = np.zeros((2, Mg, Mg // 2 + 1), dtype=complex)
     half[..., rows, :N + 1] = c[..., :N + 1]
@@ -594,8 +610,7 @@ def test_operators_leave_inputs_unchanged():
         for a, b in zip(args, before):
             assert np.array_equal(a, b), fn.__name__
     cached = [sp._wavenumbers(N), *sp._k_grids(N), *sp._ik_grids(N),
-              sp._biot_savart_multiplier(N, 0.7),
-              *sp._grid_layout(N)[1:]]
+              sp._biot_savart_multiplier(N, 0.7)]
     for c in cached:
         assert not c.flags.writeable
         with pytest.raises(ValueError):
