@@ -94,6 +94,12 @@ class ExperimentConfig:
         if self.c == 0 and self.kind == "isometry":
             raise ConfigError("noise.c must be positive for kind 'isometry': "
                               "its z-scores divide by the noise variances")
+        try:
+            float(self.s_prime)
+        except OverflowError:
+            raise ConfigError(f"noise.s_prime has {len(str(abs(self.s_prime)))} digits, too "
+                              f"many for a float: the regularity budget's weights "
+                              f"(1+|k|^2)^s_prime need a float exponent") from None
         if self.alpha < 0:
             raise ConfigError("alpha must be >= 0")
         if self.alpha != 0 and self.kind != "simulate-averaged":

@@ -8,7 +8,8 @@ stack; the rows are put back in index order, so the bytes depend neither
 on the chunk size nor on the number of workers.  Ensembles keep no path:
 each path's noise is drawn one grid step at a time as the stack reaches
 it, and each range's chunks are reduced a block of grid times at a time
-as they are stepped, to what the runner writes or checks.
+as they are stepped, by the kind's own reduction, in the one runner
+both ensemble kinds share (_run_ensemble).
 """
 
 from __future__ import annotations
@@ -84,8 +85,9 @@ class RunManifest:
         return all(self.acceptance.values())
 
     def to_json(self) -> str:
+        # allow_nan=False: NaN and Infinity are not JSON (RFC 8259)
         return json.dumps(asdict(self) | {"all_passed": self.all_passed},
-                          indent=2, sort_keys=True)
+                          indent=2, sort_keys=True, allow_nan=False)
 
 
 def initial_field(cfg: ExperimentConfig) -> np.ndarray:
@@ -107,23 +109,6 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
     nsteps = int(round(cfg.horizon / cfg.dt))
     return np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
-
-
-def _ensemble(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray, paths: range):
-    """Yields the velocity blocks of eulerian._velocity_blocks per chunk of
-    the paths `paths`, each chunk at most _CHUNK_BYTES of transport-kernel
-    grid values and at most the whole range.  A chunk keeps one block of its
-    increments and its latest rows, never its path, and the generator keeps
-    no reference to a chunk it has yielded, so a chunk's buffers are freed
-    before the next chunk's are made."""
-    times = _time_grid(cfg)
-    size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))
-    for first in range(paths.start, paths.stop, size):
-        chunk = range(first, min(first + size, paths.stop))
-        yield _velocity_blocks(u0, spec, times,
-                               _increments(cfg, spec, len(times) - 1, chunk),
-                               scheme=cfg.scheme, alpha=cfg.alpha,
-                               radius_factor=cfg.radius_factor)
 
 
 def _workers(cfg: ExperimentConfig, threads: int) -> int:
@@ -220,40 +205,49 @@ def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: ra
         yield block
 
 
-def _exit_record(exit_times: list) -> dict:
-    """How many paths left the localization ball, and the earliest and mean
-    exit times (None when none left)."""
-    return {"count": len(exit_times),
-            "min_time": min(exit_times) if exit_times else None,
-            "mean_time": float(np.mean(exit_times)) if exit_times else None}
-
-
-def _simulate_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
-                    steady: bool, paths: range):
-    """Diagnostics (4, len(paths), len(times)) of the paths' velocity rows,
-    their exit indices and, when `steady`, the largest L2 drift of a last
-    row from u0 relative to |u0| (else 0)."""
-    scale = sp.l2_norm(u0) or 1.0  # a zero field is steady: absolute drift
-    diags, exits, max_drift = [], [], 0.0
-    for blocks in _ensemble(cfg, spec, u0, paths):
+def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
+                    reduce, paths: range):
+    """Steps the paths `paths` a chunk at a time, each chunk at most
+    _CHUNK_BYTES of transport-kernel grid values, and returns reduce(u) of
+    their velocity blocks u (K, b, 2, M, M), joined along the time axis
+    (last) and then the path axis (next to last); their exit indices; and
+    the L2 norms (2, len(paths)) of each path's last row (a stopped path's
+    exit row) and of that row minus u0.  A chunk keeps one block of its
+    increments and its latest rows, never its path."""
+    times = _time_grid(cfg)
+    size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))
+    values, exits, norms = [], [], []
+    for first in range(paths.start, paths.stop, size):
+        chunk = range(first, min(first + size, paths.stop))
         parts = []
-        for u, exit_index in blocks:
-            parts.append(_diagnostics(u))
-        diags.append(np.concatenate(parts, axis=-1))
+        for u, exit_index in _velocity_blocks(u0, spec, times,
+                                              _increments(cfg, spec, len(times) - 1, chunk),
+                                              scheme=cfg.scheme, alpha=cfg.alpha,
+                                              radius_factor=cfg.radius_factor):
+            parts.append(reduce(u))
+        values.append(np.concatenate(parts, axis=-1))
         exits.append(exit_index)
-        if steady:
-            drift = sp.l2_norm(u[:, -1] - u0) / scale
-            max_drift = max(max_drift, float(np.max(drift)))
-    return np.concatenate(diags, axis=1), np.concatenate(exits), max_drift
+        norms.append((sp.l2_norm(u[:, -1]), sp.l2_norm(u[:, -1] - u0)))
+    return np.concatenate(values, axis=-2), np.concatenate(exits), np.concatenate(norms, axis=-1)
+
+
+def _run_ensemble(cfg: ExperimentConfig, spec: QWienerSpec, workers: int, reduce):
+    """The configured ensemble stepped over `workers` ranges of paths (see
+    _over_ranges): u0, the ranges' _ensemble_range results joined in path
+    order, and the exit record: how many paths left the localization ball,
+    and the earliest and mean exit times (None when none left)."""
+    u0 = initial_field(cfg)
+    values, exit_indices, norms = zip(*_over_ranges(
+        cfg.ensemble, workers, partial(_ensemble_range, cfg, spec, u0, reduce)))
+    exit_index = np.concatenate(exit_indices)
+    times = _time_grid(cfg)[exit_index[exit_index >= 0]].tolist()
+    return u0, np.concatenate(values, axis=-2), exit_index, np.concatenate(norms, axis=-1), {
+        "count": len(times), "min_time": min(times) if times else None,
+        "mean_time": float(np.mean(times)) if times else None}
 
 
 def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
-    u0 = initial_field(cfg)
-    steady = cfg.c == 0.0 and cfg.init_kind == "taylor-green"
-    results = _over_ranges(cfg.ensemble, workers,
-                          partial(_simulate_range, cfg, spec, u0, steady))
-    diag = np.concatenate([r[0] for r in results], axis=1)
-    exit_index = np.concatenate([r[1] for r in results])
+    u0, diag, exit_index, (_, drift), exits = _run_ensemble(cfg, spec, workers, _diagnostics)
     times = _time_grid(cfg)
 
     rows = []
@@ -263,10 +257,11 @@ def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     header = ["traj", "step", "t", "energy", "enstrophy", "hs_norm", "div_residual"]
 
     acceptance = {"divergence_free": float(np.max(diag[3])) < 1e-10}
-    if steady:
-        acceptance["taylor_green_steady"] = max(r[2] for r in results) < 1e-8
-    exit_times = [float(times[e]) for e in exit_index if e >= 0]
-    return {"diagnostics.csv": (header, rows)}, acceptance, _exit_record(exit_times)
+    if cfg.c == 0.0 and cfg.init_kind == "taylor-green":
+        # the largest drift of a last row relative to |u0|; a zero field is
+        # steady: absolute drift
+        acceptance["taylor_green_steady"] = np.max(drift) / (sp.l2_norm(u0) or 1.0) < 1e-8
+    return {"diagnostics.csv": (header, rows)}, acceptance, exits
 
 
 def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
@@ -386,29 +381,10 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     return {"isometry.csv": (header, rows)}, acceptance, None
 
 
-def _energy_growth_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
-                         paths: range):
-    """The largest divergence residual of the paths' rows, their terminal
-    energies (a stopped path's at its exit row) and their exit indices."""
-    terminal, exits, max_div = [], [], 0.0
-    for blocks in _ensemble(cfg, spec, u0, paths):
-        for u, exit_index in blocks:
-            max_div = max(max_div, float(np.max(sp.divergence_residual(u))))
-        terminal.append(sp.l2_norm(u[:, -1]) ** 2)
-        exits.append(exit_index)
-    return max_div, np.concatenate(terminal), np.concatenate(exits)
-
-
 def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
-    u0 = initial_field(cfg)
-    e0 = sp.l2_norm(u0) ** 2
-    results = _over_ranges(cfg.ensemble, workers, partial(_energy_growth_range, cfg, spec, u0))
-    max_div = max(r[0] for r in results)
-    terminal = np.concatenate([r[1] for r in results])
-    times = _time_grid(cfg)
-    exit_times = [float(times[e]) for r in results for e in r[2] if e >= 0]
-
-    slopes = (terminal - e0) / cfg.horizon
+    u0, div, _, (last, _), exits = _run_ensemble(cfg, spec, workers, sp.divergence_residual)
+    terminal = last ** 2  # a stopped path's energy at its exit row
+    slopes = (terminal - sp.l2_norm(u0) ** 2) / cfg.horizon
     slope = float(np.mean(slopes))
     se = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))
     z = (slope - spec.trace) / se if se > 0 else 0.0
@@ -416,10 +392,10 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     rows = [(i, e) for i, e in enumerate(terminal)]
     summary = [(slope, se, spec.trace, z)]
     acceptance = {"energy_growth_slope": abs(z) < Z_BOUND,
-                  "divergence_free": max_div < 1e-10}
+                  "divergence_free": np.max(div) < 1e-10}
     return {"energy.csv": (["traj", "terminal_energy"], rows),
             "energy_summary.csv": (["slope", "stderr", "trace_q", "z"], summary)}, \
-        acceptance, _exit_record(exit_times)
+        acceptance, exits
 
 
 def _drawn_streams(cfg: ExperimentConfig) -> list:
@@ -430,6 +406,18 @@ def _drawn_streams(cfg: ExperimentConfig) -> list:
     if cfg.kind in _ENSEMBLE_KINDS:
         return streams + [f"{cfg.seed}:{i}:noise" for i in range(cfg.ensemble)]
     return streams + [f"{cfg.seed}:{cfg.kind}"]
+
+
+def _noise_record(cfg: ExperimentConfig, spec: QWienerSpec) -> dict:
+    """The manifest's `noise` record; a regularity budget that is not finite
+    is a ValueError naming the keys that set it, raised before any run."""
+    budget = spec.regularity_budget()
+    if not np.isfinite(budget):
+        raise ValueError(f"noise.s_prime = {cfg.s_prime}, noise.gamma = {cfg.gamma:g}, "
+                         f"noise.c = {cfg.c:g} and grid.n = {cfg.n} give a regularity "
+                         f"budget {budget:g}; the manifest needs it finite")
+    return {"trace_q": spec.trace, "regularity_budget": budget,
+            "converges_in_limit": spec.converges_in_limit}
 
 
 _RUNNERS = {
@@ -465,6 +453,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
     # every kind but convergence draws its noise from one Q-Wiener spectrum
     spec = None if cfg.kind == "convergence" else \
         build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
+    noise = None if spec is None else _noise_record(cfg, spec)
     workers = _workers(cfg, threads)
     files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec, workers)
     acceptance = {k: bool(v) for k, v in acceptance.items()}
@@ -483,11 +472,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
         wall_clock_s=time.perf_counter() - t0,
         acceptance=acceptance,
         files=sorted(written),
-        noise=None if spec is None else {
-            "trace_q": spec.trace,
-            "regularity_budget": spec.regularity_budget(),
-            "converges_in_limit": spec.converges_in_limit,
-        },
+        noise=noise,
         exits=exits,
         workers=workers,
     )

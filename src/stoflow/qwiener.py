@@ -96,9 +96,12 @@ class QWienerSpec:
         return float(2.0 * np.sum(self.eigenvalues))
 
     def regularity_budget(self) -> float:
-        """sum_modes lambda_k (1+|k|^2)^{s'}, the H^{s'}-valued-noise proxy."""
-        ksq = np.sum(self.wavevectors.astype(float) ** 2, axis=1)
-        return float(2.0 * np.sum(self.eigenvalues * (1.0 + ksq) ** self.s_prime))
+        """sum_modes lambda_k (1+|k|^2)^{s'}, the H^{s'}-valued-noise proxy;
+        a mode without noise adds 0 whatever s' is, so with c = 0 it is 0.0.
+        It may overflow to inf for a large s'."""
+        noisy = self.eigenvalues > 0
+        ksq = np.sum(self.wavevectors[noisy].astype(float) ** 2, axis=1)
+        return float(2.0 * np.sum(self.eigenvalues[noisy] * (1.0 + ksq) ** self.s_prime))
 
     @property
     def converges_in_limit(self) -> bool:

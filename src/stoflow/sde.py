@@ -34,17 +34,20 @@ __all__ = [
 
 class SdePathError(RuntimeError):
     """A path produced a non-finite state or domain norm; carries the
-    offending step index."""
+    offending step index and, when given, what was not finite."""
 
-    def __init__(self, step: int, t: float):
-        super().__init__(f"non-finite state at step {step}, t={t}")
+    def __init__(self, step: int, t: float, detail: str = ""):
+        super().__init__(f"non-finite state at step {step}, t={t}"
+                         + (f": {detail}" if detail else ""))
         self.step = step
         self.t = t
+        self.detail = detail
 
     def __reduce__(self):
-        # args holds the message, not (step, t): rebuild from the fields, so
-        # that the error survives pickling (an ensemble worker sends it)
-        return type(self), (self.step, self.t)
+        # args holds the message, not (step, t, detail): rebuild from the
+        # fields, so that the error survives pickling (an ensemble worker
+        # sends it)
+        return type(self), (self.step, self.t, self.detail)
 
 
 @dataclass(frozen=True)

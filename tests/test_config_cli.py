@@ -264,6 +264,34 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
             assert 0 < runs[0][1]["count"] < 6
 
 
+@pytest.mark.parametrize("kw", [
+    dict(init_kind="random", init_seed=4, c=0.5, scheme="heun", ensemble=40),
+    dict(init_kind="zero", c=2.0, radius_factor=1.0, scheme="euler-maruyama", ensemble=4,
+         horizon=0.2, seed=3),
+    dict(init_kind="taylor-green", c=0.5, scheme="euler-maruyama", ensemble=35),
+], ids=["random-heun-40", "exits-4", "taylor-green-em-35"])
+def test_ensemble_kinds_step_the_same_paths(tmp_path, monkeypatch, kw):
+    # simulate-euler and energy-growth step path i of one config alike: its
+    # terminal energy is, as written, the last energy row of its diagnostics
+    # (its exit row when it left the ball), at one and two worker processes
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    cfg = base_cfg(n=6, **kw)
+    for threads in (1, 2):
+        out = tmp_path / str(threads)
+        run_experiment(cfg, out_dir=out / "sim", threads=threads)
+        cfg.kind = "energy-growth"
+        run_experiment(cfg, out_dir=out / "energy", threads=threads)
+        cfg.kind = "simulate-euler"
+        last = {}
+        for line in (out / "sim" / "diagnostics.csv").read_text().splitlines()[1:]:
+            traj, _, _, energy = line.split(",")[:4]
+            last[traj] = energy
+        terminal = dict(line.split(",") for line in
+                        (out / "energy" / "energy.csv").read_text().splitlines()[1:])
+        assert len(terminal) == cfg.ensemble
+        assert terminal == last, threads
+
+
 def test_one_thread_never_forks(tmp_path, monkeypatch):
     # threads = 1 steps every range in this process, and equivalence runs
     # in this process whatever the thread count
@@ -411,6 +439,14 @@ OVERFLOW = ("grid.n = 4\nnoise.c = 1e160\nlocalization.radius_factor = 1e300\n"
             "init.kind = zero\ntime.horizon = 0.05\ntime.dt = 0.01\n"
             "scheme = euler-maruyama\nseed = 1\n")
 ABORT = "lab: numeric abort: non-finite state at step 1, t=0.02\n"
+# an H^2 budget of the noise that overflows at c > 0: no manifest can hold it
+BUDGET = "ensemble.size = 2\ntime.horizon = 0.02\nnoise.s_prime = 200\nnoise.c = 0.5\n"
+BUDGET_ERROR = ("lab: error: noise.s_prime = 200, noise.gamma = 3, noise.c = 0.5 and "
+                "grid.n = 8 give a regularity budget inf; the manifest needs it finite\n")
+# a field whose H^2 norm is inf before the first step
+HUGE_FIELD = "grid.n = 4\nensemble.size = 2\ntime.horizon = 0.02\ninit.amplitude = 1e200\n"
+HUGE_FIELD_ABORT = ("lab: numeric abort: non-finite state at step 0, t=0.0: the initial "
+                    "field's H^2 norm is inf\n")
 ISOMETRY_SE = ("lab: error: noise.gamma = 3, noise.c = {} and grid.n = 2 give a "
                "standard error {} of |W(1)|^2")
 
@@ -429,9 +465,16 @@ ISOMETRY_SE = ("lab: error: noise.gamma = 3, noise.c = {} and grid.n = 2 give a 
     ("simulate-euler", "ensemble.size = 2\n" + OVERFLOW, "2", ABORT),
     ("energy-growth", "ensemble.size = 8\n" + OVERFLOW, "1", ABORT),
     ("energy-growth", "ensemble.size = 8\n" + OVERFLOW, "2", ABORT),
+    ("simulate-euler", BUDGET, "1", BUDGET_ERROR),
+    ("simulate-euler", BUDGET, "2", BUDGET_ERROR),
+    ("simulate-euler", HUGE_FIELD, "1", HUGE_FIELD_ABORT),
+    ("simulate-euler", HUGE_FIELD, "2", HUGE_FIELD_ABORT),
+    ("simulate-euler", "noise.s_prime = 1" + "0" * 400 + "\n", "1",
+     "lab: config error: noise.s_prime has 401 digits"),
 ], ids=["underflowed-spectrum", "mode-off-grid", "path-exit", "isometry-stderr-inf",
         "isometry-stderr-zero", "overflow-simulate-t1", "overflow-simulate-t2",
-        "overflow-energy-t1", "overflow-energy-t2"])
+        "overflow-energy-t1", "overflow-energy-t2", "budget-overflow-t1",
+        "budget-overflow-t2", "huge-field-t1", "huge-field-t2", "s-prime-past-float"])
 def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, monkeypatch, kind, text,
                                             threads, head):
     # the output directory is made once the runner has results, so an error
@@ -444,6 +487,32 @@ def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, monkeypatch, kind,
     err = capsys.readouterr().err
     assert err.startswith(head) and err.count("\n") == 1
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("s_prime", ["200", "1" + "0" * 30], ids=["200", "1e30"])
+def test_cli_regularity_budget_without_noise_is_zero(tmp_path, monkeypatch, s_prime):
+    # at c = 0 no mode carries noise, so the budget is 0.0 however large s'
+    # is, not 0 * inf = NaN, which is not JSON
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    path = write_cfg(tmp_path, "kind = simulate-euler\nensemble.size = 2\n"
+                               f"time.horizon = 0.02\nnoise.s_prime = {s_prime}\n")
+    for threads in ("1", "2"):
+        out = tmp_path / threads
+        assert main(["simulate-euler", "--config", path, "--threads", threads,
+                     "--out", str(out)]) == 0
+        text = (out / "manifest.json").read_text()
+        assert '"regularity_budget": 0.0,' in text
+        assert json.loads(text)["noise"]["regularity_budget"] == 0.0
+
+
+def test_manifest_json_refuses_nan_and_infinity():
+    # NaN and Infinity are not JSON (RFC 8259), so no manifest may hold them
+    for value in (float("nan"), float("inf")):
+        manifest = experiments.RunManifest(
+            config_hash="0", code_version="0", kind="isometry", seeds=[], wall_clock_s=0.0,
+            acceptance={}, files=[], noise={"regularity_budget": value})
+        with pytest.raises(ValueError, match="JSON"):
+            manifest.to_json()
 
 
 def test_cli_out_naming_a_file_is_an_io_error(tmp_path, capsys):

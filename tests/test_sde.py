@@ -202,6 +202,13 @@ def test_path_error_survives_pickling():
     assert (err.step, err.t, str(err)) == (3, 0.1, "non-finite state at step 3, t=0.1")
 
 
+def test_path_error_detail_survives_pickling():
+    # the initial field's overflowing norm is named after the step and time
+    err = pickle.loads(pickle.dumps(sde.SdePathError(0, 0.0, "the initial norm is inf")))
+    assert (err.step, err.t, err.detail) == (0, 0.0, "the initial norm is inf")
+    assert str(err) == "non-finite state at step 0, t=0.0: the initial norm is inf"
+
+
 def test_paths_exit_on_their_own():
     # three paths in one stack: path 0 is kicked out of U at row 7, where
     # the drift turns NaN; exited paths are never stepped again, so no
