@@ -63,8 +63,8 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     read from q as |u|_{H^s}^2 = |U|^2 + sum_k (1+|k|^2)^s |K(k)|^2 |q(k)|^2,
     with K the biot_savart multiplier.  u0 must have the shape (2, M, M) of
     the noise resolution, M = 2 spec.N + 1; a u0 whose H^s norm overflows is
-    out of range before the first step and raises SdePathError at step 0,
-    t = 0, naming that norm.
+    out of range before the first step and raises SdePathError with no step,
+    naming that norm.
 
     The noise is additive.  The drift rebuilds only the velocity columns
     the transport kernel reads, and owns the transport kernel's work
@@ -109,12 +109,12 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
 
     norm0 = sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX)
     if not np.isfinite(norm0):  # out of range before the first step
-        raise SdePathError(0, 0.0, f"the initial field's H^{LOCALIZATION_SOBOLEV_INDEX:g} "
-                                   f"norm is {norm0}")
+        raise SdePathError(None, None, f"the initial field's "
+                                       f"H^{LOCALIZATION_SOBOLEV_INDEX:g} norm is {norm0}")
     radius = radius_factor * max(norm0, 1.0)
     return SdeProblem(drift=drift, diffusion=diffusion,
                       noise_variances=spec.mode_variances, x0=q0,
-                      domain_radius=radius, domain_norm=hs_norm, additive=True)
+                      domain_radius=radius, domain_norm=hs_norm)
 
 
 def _diagnostics(u: np.ndarray) -> np.ndarray:

@@ -33,12 +33,14 @@ __all__ = [
 
 
 class SdePathError(RuntimeError):
-    """A path produced a non-finite state or domain norm; carries the
-    offending step index and, when given, what was not finite."""
+    """A path produced a non-finite state or domain norm; carries the index
+    of the grid row the failing step started from and the time it reached,
+    both None when the initial state is out of range before any step, and,
+    when given, what was not finite."""
 
-    def __init__(self, step: int, t: float, detail: str = ""):
-        super().__init__(f"non-finite state at step {step}, t={t}"
-                         + (f": {detail}" if detail else ""))
+    def __init__(self, step: Optional[int], t: Optional[float], detail: str = ""):
+        where = "initial state" if step is None else f"state at step {step}, t={t}"
+        super().__init__(f"non-finite {where}" + (f": {detail}" if detail else ""))
         self.step = step
         self.t = t
         self.detail = detail
@@ -60,9 +62,7 @@ class SdeProblem:
     complex entry counts twice); `noise_variances` has one entry per noise
     coordinate.  U is the closed ball of radius `domain_radius` about the
     origin in the norm `domain_norm` (Euclidean when None); paths are
-    certified only up to the first grid time they leave U.  `additive`
-    says that `diffusion(x, dW)` does not read x, so a step may place the
-    noise of one dW once and reuse it.
+    certified only up to the first grid time they leave U.
     """
 
     drift: Callable[[float, np.ndarray], np.ndarray]
@@ -71,7 +71,6 @@ class SdeProblem:
     x0: np.ndarray
     domain_radius: float = np.inf
     domain_norm: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    additive: bool = False
 
     @property
     def dim(self) -> int:
@@ -84,11 +83,6 @@ class SdeProblem:
         if self.domain_norm is not None:
             return self.domain_norm(x)
         return np.linalg.norm(x.reshape(len(x), -1), axis=1)
-
-    def outside(self, x: np.ndarray) -> np.ndarray:
-        """Whether each state of the stack x (K, *x0.shape) lies outside U,
-        one bool per path."""
-        return self.norm(x) > self.domain_radius
 
 
 def step_euler_maruyama(problem: SdeProblem, t: float, x: np.ndarray,
@@ -104,19 +98,17 @@ def step_heun_stratonovich(problem: SdeProblem, t: float, x: np.ndarray,
     Predictor: xp = x + b(t,x) dt + sigma(x) dW
     Corrector: x + (b(t,x) + b(t+dt,xp))/2 dt + (sigma(x) + sigma(xp))/2 dW
 
-    Reduces to second-order Heun for the ODE when the noise is off.  For
-    additive noise (`problem.additive`) sigma(xp) dW is sigma(x) dW, so the
-    noise is placed once and the corrector averages it with itself, which
-    gives the bits of two placements.  The sums are formed in place in the
-    step's own temporaries (never in what drift or diffusion returned), in
-    the order of the formulas above, so the bits are those of the formulas.
+    Reduces to second-order Heun for the ODE when the noise is off.  The
+    sums are formed in place in the step's own temporaries (never in what
+    drift or diffusion returned), in the order of the formulas above, so
+    the bits are those of the formulas.
     """
     b0 = problem.drift(t, x)
     n0 = problem.diffusion(x, dW)
     xp = x + b0 * dt
     xp += n0
     b1 = problem.drift(t + dt, xp)
-    n1 = n0 if problem.additive else problem.diffusion(xp, dW)
+    n1 = problem.diffusion(xp, dW)
     b = b0 + b1
     b *= 0.5
     b *= dt
@@ -175,7 +167,7 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     x0 = np.asarray(problem.x0)
     states = np.empty((len(first),) + x0.shape, dtype=np.result_type(x0, float))
     states[:] = x0
-    if problem.outside(states[:1])[0]:
+    if problem.norm(states[:1])[0] > problem.domain_radius:
         raise ValueError("initial state outside the localization domain U")
 
     exit_index = np.full(len(states), -1)
