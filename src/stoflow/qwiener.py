@@ -8,6 +8,9 @@ two unit fields
 
 share the eigenvalue lambda_k = c (1 + |k|^2)^(-gamma).  An increment over
 a step dt is sum_j sqrt(lambda_j dt) xi_j e_j with iid standard normals xi.
+curl_from_coefficients places its curl in closed form (the Eulerian noise)
+and field_from_coefficients is the Biot-Savart velocity of that curl (the
+particle kick), so both formulations are driven by one W.
 """
 
 from __future__ import annotations
@@ -16,6 +19,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
+
+from . import spectral as sp
 
 __all__ = [
     "QWienerSpec",
@@ -59,19 +64,16 @@ class QWienerSpec:
         self.eigenvalues.flags.writeable = False
 
     @cached_property
-    def _layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Unit directions kperp/|k| (nk, 2) and the flat indices of +k and
-        -k in an (M, M) coefficient array; built on first use."""
+    def _layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """The flat indices of +k and -k in an (M, M) coefficient array, for
+        any set of wavevectors; built on first use, read-only."""
         ks = self.wavevectors
-        kf = ks.astype(float)
-        knorm = np.sqrt(np.sum(kf**2, axis=1))
-        d = np.stack([-kf[:, 1], kf[:, 0]], axis=1) / knorm[:, None]
         M = 2 * self.N + 1
         plus = np.ravel_multi_index((ks[:, 0] % M, ks[:, 1] % M), (M, M))
         minus = np.ravel_multi_index(((-ks[:, 0]) % M, (-ks[:, 1]) % M), (M, M))
-        for a in (d, plus, minus):
+        for a in (plus, minus):
             a.flags.writeable = False
-        return d, plus, minus
+        return plus, minus
 
     @cached_property
     def _curl_factor(self) -> np.ndarray:
@@ -136,12 +138,17 @@ def sample_coefficients(spec: QWienerSpec, dt: float, n: int,
     return xi
 
 
-def _place(spec: QWienerSpec, a: np.ndarray) -> np.ndarray:
-    """Coefficients (..., M, M) holding the rows a (..., nk) at the +k flat
-    indices and conj(a) at -k.  The +k and -k index sets are disjoint and
-    miss k = 0, so plain assignment places every coefficient once."""
+def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
+    """Coefficients (..., M, M) of the scalar curl of the increment
+    sum_j coeffs_j e_j of each row (..., n_modes) of coeffs, the Eulerian
+    diffusion, in closed form: (w_cos, w_sin) of wavevector k place
+    _curl_factor (w_cos - i w_sin) at +k and its conjugate at -k.  The +k
+    and -k index sets are disjoint and miss k = 0, so plain assignment
+    places every coefficient once: exactly Hermitian, zero at k = 0."""
+    w = np.asarray(coeffs, dtype=float)
+    a = spec._curl_factor * (w[..., 0::2] - 1j * w[..., 1::2])
     M = 2 * spec.N + 1
-    _, plus, minus = spec._layout
+    plus, minus = spec._layout
     c = np.zeros(a.shape[:-1] + (M * M,), dtype=complex)
     c[..., plus] = a
     c[..., minus] = np.conj(a)
@@ -149,23 +156,10 @@ def _place(spec: QWienerSpec, a: np.ndarray) -> np.ndarray:
 
 
 def field_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
-    """The real field sum_j coeffs_j e_j over the unit eigenfields of each
-    row (..., n_modes) of coeffs, shape (..., 2, M, M).
-
-    The map from noise coordinates to velocity fields, used by the
-    Lagrangian kicks.  An increment is its row of coordinates: the field of
-    a row of sample_coefficients is W(t + dt) - W(t).
-    """
-    w = np.asarray(coeffs, dtype=float)
-    # coefficient at +k: sqrt(2)/2 (w_cos - i w_sin) d with d = kperp/|k|
-    vec = np.sqrt(2.0) / 2.0 * (w[..., 0::2] - 1j * w[..., 1::2])
-    return _place(spec, vec[..., None, :] * spec._layout[0].T)
-
-
-def curl_from_coefficients(spec: QWienerSpec, coeffs: np.ndarray) -> np.ndarray:
-    """Coefficients (..., M, M) of the scalar curl of field_from_coefficients
-    of each row (..., n_modes) of coeffs, in closed form: i |k| sqrt(2)/2
-    (w_cos - i w_sin) at +k and its conjugate at -k, so the output is
-    exactly Hermitian and zero at k = 0.  The Eulerian diffusion uses it."""
-    w = np.asarray(coeffs, dtype=float)
-    return _place(spec, spec._curl_factor * (w[..., 0::2] - 1j * w[..., 1::2]))
+    """The velocity increment sum_j coeffs_j e_j of each row (..., n_modes)
+    of coeffs, shape (..., 2, M, M): the Biot-Savart velocity of
+    curl_from_coefficients, as Biot-Savart maps i |k| exp(i k.x) back to
+    the unit eigenfield (kperp/|k|) exp(i k.x).  So the particle kicks are the
+    velocity of the noise the Eulerian step adds; the field of a row of
+    sample_coefficients is W(t + dt) - W(t)."""
+    return sp.biot_savart(curl_from_coefficients(spec, coeffs))

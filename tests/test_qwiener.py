@@ -6,6 +6,7 @@ import pytest
 
 from stoflow import qwiener as qw
 from stoflow import spectral as sp
+from stoflow.eulerian import make_eulerian_problem
 from stoflow.qwiener import QWienerSpec, build_spectrum
 from stoflow.streams import derive_stream
 from test_spectral import l2_inner
@@ -148,7 +149,7 @@ def test_field_from_coefficients_matches_scatter_add(N):
     # the +k and -k index sets are disjoint and miss k = 0, so assignment
     # equals accumulating every coefficient into zeros
     spec = build_spectrum(N, 2.0, 1.0)
-    _, plus, minus = spec._layout
+    plus, minus = spec._layout
     both = np.concatenate([plus, minus])
     assert len(np.unique(both)) == len(both) and 0 not in both
     w = derive_stream(N, "scatter").standard_normal(spec.n_modes)
@@ -176,6 +177,19 @@ def test_curl_from_coefficients_is_curl_of_field(N):
     neg = (-sp._wavenumbers(N)) % (2 * N + 1)
     assert np.array_equal(got, np.conj(got[neg[:, None], neg[None, :]]))
     assert got[0, 0] == 0.0
+
+
+@pytest.mark.parametrize("N", [3, 8])
+def test_kick_is_the_velocity_of_the_eulerian_noise(N):
+    # one W drives both formulations: the particle kick of a row of noise
+    # coordinates is, bit for bit, the velocity of the curl the Eulerian
+    # diffusion places for the same row
+    spec = build_spectrum(N, 2.0, 1.0)
+    problem = make_eulerian_problem(sp.taylor_green(N), spec)
+    w = qw.sample_coefficients(spec, 0.05, 4, derive_stream(N, "kick"))
+    for rows in (w, *w):
+        assert np.array_equal(qw.field_from_coefficients(spec, rows),
+                              sp.biot_savart(problem.diffusion(problem.x0, rows)))
 
 
 @pytest.mark.parametrize("fn", [qw.curl_from_coefficients, qw.field_from_coefficients])

@@ -32,7 +32,7 @@ def eigenmode_field(spec, j):
     """The j-th unit eigenfield of the Q-Wiener basis (even j: cosine, odd
     j: sine), shape (2, M, M), placed one mode at a time."""
     kx, ky = spec.wavevectors[j // 2]
-    d = spec._layout[0][j // 2].astype(complex)
+    d = np.array([-ky, kx], dtype=complex) / np.hypot(kx, ky)  # kperp/|k|
     amp = np.sqrt(2.0) / 2.0
     if j % 2 == 0:
         half = amp * d
