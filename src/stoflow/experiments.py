@@ -274,17 +274,14 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     inc_fine = sample_coefficients(spec, cfg.dt / finest_factor,
                                    nsteps0 * finest_factor, rng)
 
-    rows = []
-    dts, residuals = [], []
+    rows = []  # (level, dt, residual)
     for lvl in range(levels + 1):
         factor = 2 ** lvl
         dt = cfg.dt / factor
         inc = coarsen_increments(inc_fine, finest_factor // factor)
-        res = run_equivalence(u0, spec, dt, labels=labels,
-                              increments=inc, radius_factor=cfg.radius_factor)
-        rows.append((lvl, dt, res))
-        dts.append(dt)
-        residuals.append(res)
+        rows.append((lvl, dt, run_equivalence(u0, spec, dt, labels=labels, increments=inc,
+                                              radius_factor=cfg.radius_factor)))
+    _, dts, residuals = zip(*rows)
 
     acceptance = {}
     if cfg.c == 0.0:
@@ -326,9 +323,10 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
         ode, "heun", 1.0, [8, 16, 32, 64], 1, rng,
         exact=None)
 
-    rows = [("em-additive", ord_add, 0.7, 1.3, int(0.7 <= ord_add <= 1.3)),
-            ("heun-stratonovich", ord_mult, 0.5, 1.3, int(0.5 <= ord_mult <= 1.3)),
-            ("heun-deterministic", ord_ode, 1.6, 2.4, int(1.6 <= ord_ode <= 2.4))]
+    bands = [("em-additive", ord_add, 0.7, 1.3),
+             ("heun-stratonovich", ord_mult, 0.5, 1.3),
+             ("heun-deterministic", ord_ode, 1.6, 2.4)]
+    rows = [(name, order, lo, hi, int(lo <= order <= hi)) for name, order, lo, hi in bands]
     header = ["benchmark", "order", "lo", "hi", "pass"]
     acceptance = {r[0]: bool(r[4]) for r in rows}
     return {"convergence.csv": (header, rows)}, acceptance, None
@@ -361,23 +359,20 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     if not (np.isfinite(se) and se > 0):  # |W(1)|^2's spread overflowed or underflowed
         raise ValueError(f"{given} a standard error {se:g} of |W(1)|^2; the Ito "
                          f"isometry check needs it positive and finite")
-    z_iso = (np.mean(sq) - spec.trace) / se
+    second_moment = np.mean(sq)
+    z_iso = (second_moment - spec.trace) / se
     # zero mean
     mean_z = np.mean(w, axis=0) / (std / np.sqrt(n))
 
-    rows = [("ito_isometry_z", z_iso),
-            ("max_mode_variance_z", float(np.max(np.abs(z_var)))),
-            ("max_cross_covariance_z", float(np.max(np.abs(z_cross)))),
-            ("max_mean_z", float(np.max(np.abs(mean_z)))),
-            ("empirical_second_moment", float(np.mean(sq))),
-            ("trace_q", spec.trace)]
+    # (check, quantity, z): each check passes when |z| < Z_BOUND
+    zs = [("ito_isometry", "ito_isometry_z", z_iso),
+          ("mode_variances", "max_mode_variance_z", np.max(np.abs(z_var))),
+          ("cross_covariances", "max_cross_covariance_z", np.max(np.abs(z_cross))),
+          ("zero_mean", "max_mean_z", np.max(np.abs(mean_z)))]
+    rows = [(quantity, z) for _, quantity, z in zs]
+    rows += [("empirical_second_moment", second_moment), ("trace_q", spec.trace)]
     header = ["quantity", "value"]
-    acceptance = {
-        "ito_isometry": abs(z_iso) < Z_BOUND,
-        "mode_variances": bool(np.max(np.abs(z_var)) < Z_BOUND),
-        "cross_covariances": bool(np.max(np.abs(z_cross)) < Z_BOUND),
-        "zero_mean": bool(np.max(np.abs(mean_z)) < Z_BOUND),
-    }
+    acceptance = {check: abs(z) < Z_BOUND for check, _, z in zs}
     return {"isometry.csv": (header, rows)}, acceptance, None
 
 

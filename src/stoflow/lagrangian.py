@@ -2,8 +2,8 @@
 
 The lab integrates the flow map Phi of the Eulerian SDE: `run_equivalence`
 reads the Eulerian velocity rows from `eulerian._velocity_blocks`, the row
-stream the ensembles read, and moves particles along them by RK2
-(`advect`) as they come,
+stream the ensembles read, and moves particles, started at their labels
+(Phi_0 the identity), along them by RK2 (`advect`) as they come,
 
     dPhi = u o Phi dt,
 
@@ -38,7 +38,6 @@ from .spectral import evaluate_stack_at
 __all__ = [
     "ParticleEnsemble",
     "uniform_labels",
-    "initial_ensemble",
     "advect",
     "run_equivalence",
 ]
@@ -48,19 +47,14 @@ TWO_PI = 2.0 * np.pi
 
 @dataclass(frozen=True)
 class ParticleEnsemble:
-    """Positions Phi(x) of the particles started at the labels x.
-
-    Only the continuous (unwrapped) trajectory is stored; `positions` is
-    that trajectory wrapped into [0, 2pi)^2.  The particle path reads only
-    the trajectory: the class and `n` stay for bench/spans.py, which counts
-    particle steps from `advect`'s first argument and is their last reader.
+    """Positions Phi(x) of the particles started at the labels x, as the
+    continuous (unwrapped) trajectory; the evaluation kernel wraps them.
+    The particle path reads only the trajectory: the class and `n` stay for
+    bench/spans.py, which counts particle steps from `advect`'s first
+    argument and is their last reader.
     """
 
     positions_unwrapped: np.ndarray
-
-    @property
-    def positions(self) -> np.ndarray:
-        return self.positions_unwrapped % TWO_PI
 
     @property
     def n(self) -> int:
@@ -72,11 +66,6 @@ def uniform_labels(n_side: int) -> np.ndarray:
     x = TWO_PI * np.arange(n_side) / n_side
     X, Y = np.meshgrid(x, x, indexing="ij")
     return np.stack([X.ravel(), Y.ravel()], axis=1)
-
-
-def initial_ensemble(labels: np.ndarray) -> ParticleEnsemble:
-    """Phi = identity on the labels."""
-    return ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)
 
 
 def advect(particles: ParticleEnsemble, k1: np.ndarray, u_mid: np.ndarray,
@@ -142,7 +131,7 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, labels: np.nda
     """
     nsteps = len(increments)
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    ens = initial_ensemble(labels)
+    ens = ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)  # Phi_0 = identity
     j = 0  # the grid time reached
     for u, exit_index in _velocity_blocks(u0, spec, t_grid, increments[None],
                                           radius_factor=radius_factor):

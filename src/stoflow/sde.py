@@ -33,23 +33,9 @@ __all__ = [
 
 
 class SdePathError(RuntimeError):
-    """A path produced a non-finite state or domain norm; carries the index
-    of the grid row the failing step started from and the time it reached,
-    both None when the initial state is out of range before any step, and,
-    when given, what was not finite."""
-
-    def __init__(self, step: Optional[int], t: Optional[float], detail: str = ""):
-        where = "initial state" if step is None else f"state at step {step}, t={t}"
-        super().__init__(f"non-finite {where}" + (f": {detail}" if detail else ""))
-        self.step = step
-        self.t = t
-        self.detail = detail
-
-    def __reduce__(self):
-        # args holds the message, not (step, t, detail): rebuild from the
-        # fields, so that the error survives pickling (an ensemble worker
-        # sends it)
-        return type(self), (self.step, self.t, self.detail)
+    """A path produced a non-finite state or domain norm; the message names
+    the grid row the failing step started from and the time it reached, or,
+    for an initial state out of range before any step, what was not finite."""
 
 
 @dataclass(frozen=True)
@@ -150,8 +136,9 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     repeat its exit state (the stopped path), and the last row is
     X(tau ^ T).  exit_index holds the row at which each path first left U,
     or -1.  A live path whose new state or its domain norm is not finite
-    raises SdePathError: an overflow is no exit.  Each path's rows are a
-    pure function of (problem, scheme, grid, its increments).
+    raises SdePathError, whose message names the step and the time it
+    reached: an overflow is no exit.  Each path's rows are a pure function
+    of (problem, scheme, grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
@@ -184,7 +171,7 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
                 x = stepper(problem, t_grid[i], states[rows], dW[rows], dt)
                 norm = problem.norm(x)
                 if not (np.all(np.isfinite(x)) and np.all(np.isfinite(norm))):
-                    raise SdePathError(i, float(t_grid[i + 1]))
+                    raise SdePathError(f"non-finite state at step {i}, t={float(t_grid[i + 1])}")
                 states[rows] = x
                 out = norm > problem.domain_radius
                 exit_index[live[out]] = i + 1

@@ -353,6 +353,42 @@ def test_isometry_experiment(tmp_path):
     assert "ito_isometry_z" in body and "trace_q" in body
 
 
+def csv_rows(path):
+    """The data rows of a CSV the lab wrote, each a list of strings."""
+    return [line.split(",") for line in path.read_text().splitlines()[1:]]
+
+
+@pytest.mark.parametrize("kind, kw", [
+    ("isometry", dict(n=4, gamma=2.0, c=1.0, seed=20240601, ensemble=10_000)),
+    ("convergence", dict()),
+    ("equivalence", dict(n=6, dt=0.02, horizon=0.08, c=0.5, eq_levels=2, eq_particles=4)),
+    ("equivalence", dict(n=6, dt=0.005, horizon=0.08, c=0.0, eq_levels=1, eq_particles=4)),
+], ids=["isometry", "convergence", "equivalence", "equivalence-deterministic"])
+def test_verdicts_agree_with_csv_statistics(tmp_path, kind, kw):
+    # each acceptance entry is its CSV statistic compared against its bound
+    man = run_experiment(ExperimentConfig(kind=kind, **kw), out_dir=tmp_path)
+    if kind == "isometry":
+        value = {q: float(v) for q, v in csv_rows(tmp_path / "isometry.csv")}
+        verdicts = {check: abs(value[q]) < 4.0 for check, q in (
+            ("ito_isometry", "ito_isometry_z"), ("mode_variances", "max_mode_variance_z"),
+            ("cross_covariances", "max_cross_covariance_z"), ("zero_mean", "max_mean_z"))}
+    elif kind == "convergence":
+        verdicts = {}
+        for name, order, lo, hi, ok in csv_rows(tmp_path / "convergence.csv"):
+            verdicts[name] = float(lo) <= float(order) <= float(hi)
+            assert int(ok) == verdicts[name]
+    else:
+        _, dts, residuals = np.array(csv_rows(tmp_path / "equivalence.csv"), dtype=float).T
+        (slope,), = csv_rows(tmp_path / "equivalence_summary.csv")
+        if kw["c"] == 0.0:
+            assert slope == "nan"
+            verdicts = {"deterministic_residual": residuals[-1] < 1e-6}
+        else:
+            assert float(slope) == np.polyfit(np.log(dts), np.log(residuals), 1)[0]
+            verdicts = {"residual_decay_slope": 0.6 <= float(slope) <= 1.4}
+    assert man.acceptance == verdicts
+
+
 def test_equivalence_experiment_deterministic(tmp_path):
     cfg = ExperimentConfig(kind="equivalence", n=6, dt=0.005, horizon=0.08,
                            c=0.0, eq_levels=1, eq_particles=4, seed=5)
