@@ -136,9 +136,9 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
     them: yields (u, exit_index) per block of consecutive grid times, u the
     velocity rows (K, b, 2, M, M) of the block, a fresh array, as the paths
     reach its last time.  `increments` is the K paths' raw Q-Wiener
-    coordinates as step_paths takes them: one array or an iterable of
-    blocks of grid steps; they are the same for every alpha, so they drive
-    the plain and the averaged model alike.
+    coordinates as step_paths takes them: one row (K, m) per grid step,
+    pulled as the step needs it; they are the same for every alpha, so they
+    drive the plain and the averaged model alike.
 
     Each q row is copied into a buffer of b grid times, b chosen so that
     the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the

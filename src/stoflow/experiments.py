@@ -189,20 +189,20 @@ def _fork(reduce, paths: range):
 
 
 def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: range):
-    """Yields the increments of the paths one grid step at a time, a block
-    (len(paths), 1, n_modes) per step.  Path i draws
-    derive_stream(cfg.seed, i, "noise") a step at a time, in place and
-    scaled in place, so its rows are those of sample_coefficients(spec,
-    cfg.dt, nsteps, that stream) bit for bit.  Every block is the same
+    """Yields the increments of the paths as step_paths reads them: one row
+    (len(paths), n_modes) per grid step, pulled as the step needs it.  Path
+    i draws derive_stream(cfg.seed, i, "noise") a step at a time, in place
+    and scaled in place, so its rows are those of sample_coefficients(spec,
+    cfg.dt, nsteps, that stream) bit for bit.  Every row is the same
     buffer, overwritten by the next one."""
     rngs = [derive_stream(cfg.seed, i, "noise") for i in paths]
     scale = np.sqrt(spec.mode_variances * cfg.dt)
-    block = np.empty((len(paths), 1, spec.n_modes))
+    row = np.empty((len(paths), spec.n_modes))
     for _ in range(nsteps):
-        for rng, row in zip(rngs, block):
-            rng.standard_normal(out=row)
-        block *= scale
-        yield block
+        for rng, w in zip(rngs, row):
+            rng.standard_normal(out=w)
+        row *= scale
+        yield row
 
 
 def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
@@ -212,7 +212,7 @@ def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
     their velocity blocks u (K, b, 2, M, M), joined along the time axis
     (last) and then the path axis (next to last); their exit indices; and
     the L2 norms (2, len(paths)) of each path's last row (a stopped path's
-    exit row) and of that row minus u0.  A chunk keeps one block of its
+    exit row) and of that row minus u0.  A chunk keeps one row of its
     increments and its latest rows, never its path."""
     times = _time_grid(cfg)
     size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))

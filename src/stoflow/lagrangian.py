@@ -121,19 +121,19 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, labels: np.nda
     field is the average of the rows j - 1 and j (good to O(dt^2)), then
     row j of the stack is evaluated at Phi_j: its u_j slot is the next
     step's k1 and the first term of the defect, the rest feed the running
-    sums.  So the path holds one block of velocity rows and one
-    grid time of particle values, however many steps it takes.  A path
-    that leaves the localization ball raises ValueError naming the time it
-    leaves.  `increments` has one row of noise coordinates per step of dt,
-    so the path runs to T = len(increments) * dt.  u0 is a (2, M, M) field
-    at the resolution of spec; make_eulerian_problem rejects any other
-    shape.
+    sums.  So the path holds one block of velocity rows and one grid time
+    of particle values, however many steps it takes.  A path that leaves
+    the localization ball raises ValueError naming the time it leaves.
+    `increments` has one row of noise coordinates per step of dt, at least
+    one, so the path runs to T = len(increments) * dt.  u0 is a (2, M, M)
+    field at the resolution of spec; make_eulerian_problem rejects any
+    other shape.
     """
     nsteps = len(increments)
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     ens = ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)  # Phi_0 = identity
     j = 0  # the grid time reached
-    for u, exit_index in _velocity_blocks(u0, spec, t_grid, increments[None],
+    for u, exit_index in _velocity_blocks(u0, spec, t_grid, increments[:, None],
                                           radius_factor=radius_factor):
         if exit_index[0] >= 0:
             raise ValueError(

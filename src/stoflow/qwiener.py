@@ -88,10 +88,12 @@ class QWienerSpec:
     def n_modes(self) -> int:
         return 2 * len(self.wavevectors)
 
-    @property
+    @cached_property
     def mode_variances(self) -> np.ndarray:
-        """Eigenvalue per noise coordinate (cos and sin share lambda_k)."""
-        return np.repeat(self.eigenvalues, 2)
+        """Eigenvalue per noise coordinate (cos and sin share lambda_k); read-only."""
+        lam = np.repeat(self.eigenvalues, 2)
+        lam.flags.writeable = False
+        return lam
 
     @property
     def trace(self) -> float:

@@ -8,8 +8,8 @@ action: `diffusion(x, dW)` returns the state-space increment sigma(x) dW,
 so sigma never has to exist as a matrix.  States are real or complex
 arrays of any shape; the steppers only add and scale them.  An ensemble is
 one stack of states with a leading path axis: `step_paths` yields its rows
-one grid time at a time, reading its increments a block of grid steps at a
-time; it is the only way a path is stepped, and no path is collected.
+one grid time at a time, pulling one noise row (K, m) per grid step; it
+is the only way a path is stepped, and no path is collected.
 """
 
 from __future__ import annotations
@@ -125,32 +125,30 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     first exit from U; yields (states (K, *x0.shape), exit_index (K,)) at
     every grid time, the first at t_grid[0].
 
-    `increments` drives path k by its row k: one array (K, nsteps, m), or
-    an iterable of consecutive blocks (K, b, m) of it, read a block at a
-    time, so the noise of the whole grid need never exist at once (a block
-    may be overwritten once the stepper asks for the next one).  Both
-    yielded arrays are updated in place by the next step, so copy what must
-    outlive it.  Only live paths are stepped (the whole stack in place of a
-    gather and a scatter while none has exited), so an exited path keeps its
-    exit state and never raises SdePathError: its rows after its exit row
-    repeat its exit state (the stopped path), and the last row is
-    X(tau ^ T).  exit_index holds the row at which each path first left U,
-    or -1.  A live path whose new state or its domain norm is not finite
-    raises SdePathError, whose message names the step and the time it
-    reached: an overflow is no exit.  Each path's rows are a pure function
-    of (problem, scheme, grid, its increments).
+    `increments` is an iterable of len(t_grid) - 1 noise rows dW (K, m),
+    one per grid step, pulled as the step needs it (an (nsteps, K, m) array
+    is one): row k of each drives path k, K is read from the first row, and
+    a row may be overwritten once the next one is pulled.  A stream that
+    ends early or runs past the grid, or a row of another shape, raises
+    ValueError, so a grid with no step does too.  Both yielded arrays are
+    updated in place by the next step, so copy what must outlive it.  Only
+    live paths are stepped (the whole stack in place of a gather and a
+    scatter while none has exited), so an exited path keeps its exit state
+    and never raises SdePathError: its rows after its exit row repeat its
+    exit state (the stopped path), and the last row is X(tau ^ T).
+    exit_index holds the row at which each path first left U, or -1.  A
+    live path whose new state or its domain norm is not finite raises
+    SdePathError, whose message names the step and the time it reached: an
+    overflow is no exit.  Each path's rows are a pure function of (problem,
+    scheme, grid, its increments).
     """
     stepper = _STEPPERS[scheme]
     t_grid = np.asarray(t_grid, dtype=float)
     nsteps = len(t_grid) - 1
-    if isinstance(increments, np.ndarray):
-        if increments.ndim != 3 or increments.shape[1] != nsteps:
-            raise ValueError("increment array does not match the time grid")
-        increments = (increments,)
-    blocks = iter(increments)
-    first = next(blocks, None)
-    if first is None:
-        raise ValueError("increment array does not match the time grid")
+    stream = iter(increments)
+    first = next(stream, None)
+    if first is None or first.ndim != 2:
+        raise ValueError("increment stream does not match the time grid")
     x0 = np.asarray(problem.x0)
     states = np.empty((len(first),) + x0.shape, dtype=np.result_type(x0, float))
     states[:] = x0
@@ -161,31 +159,30 @@ def step_paths(problem: SdeProblem, scheme: str, t_grid: np.ndarray, increments)
     live = np.arange(len(states))
     yield states, exit_index
     i = 0
-    for block in chain((first,), blocks):
-        if block.ndim != 3 or len(block) != len(states) or i + block.shape[1] > nsteps:
-            raise ValueError("increment array does not match the time grid")
-        for dW in block.swapaxes(0, 1):
-            if len(live):
-                dt = t_grid[i + 1] - t_grid[i]
-                rows = np.s_[:] if len(live) == len(states) else live
-                x = stepper(problem, t_grid[i], states[rows], dW[rows], dt)
-                norm = problem.norm(x)
-                if not (np.all(np.isfinite(x)) and np.all(np.isfinite(norm))):
-                    raise SdePathError(f"non-finite state at step {i}, t={float(t_grid[i + 1])}")
-                states[rows] = x
-                out = norm > problem.domain_radius
-                exit_index[live[out]] = i + 1
-                live = live[~out]
-            i += 1
-            yield states, exit_index
+    for dW in chain((first,), stream):
+        if i == nsteps or dW.shape != first.shape:
+            raise ValueError("increment stream does not match the time grid")
+        if len(live):
+            dt = t_grid[i + 1] - t_grid[i]
+            rows = np.s_[:] if len(live) == len(states) else live
+            x = stepper(problem, t_grid[i], states[rows], dW[rows], dt)
+            norm = problem.norm(x)
+            if not (np.all(np.isfinite(x)) and np.all(np.isfinite(norm))):
+                raise SdePathError(f"non-finite state at step {i}, t={float(t_grid[i + 1])}")
+            states[rows] = x
+            out = norm > problem.domain_radius
+            exit_index[live[out]] = i + 1
+            live = live[~out]
+        i += 1
+        yield states, exit_index
     if i != nsteps:
-        raise ValueError("increment array does not match the time grid")
+        raise ValueError("increment stream does not match the time grid")
 
 
 def _last_row(problem: SdeProblem, scheme: str, t_grid: np.ndarray,
               increments: np.ndarray) -> np.ndarray:
-    """The states (K, *x0.shape) of `step_paths` at the end of the grid."""
-    for x, _ in step_paths(problem, scheme, t_grid, increments):
+    """The last states (K, *x0.shape) of `step_paths` on increments (K, nsteps, m)."""
+    for x, _ in step_paths(problem, scheme, t_grid, increments.swapaxes(0, 1)):
         pass
     return x
 

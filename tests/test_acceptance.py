@@ -218,9 +218,10 @@ def test_exit_time_brownian_mean():
                    x0=np.zeros(1), domain_radius=R)
     t_grid = np.linspace(0.0, 50.0, int(round(50.0 / dt)) + 1)
     rng = derive_stream(577215, "exit")
-    blocks = (sample_increments(p, t_grid[i:i + block + 1], rng, n_paths)
-              for i in range(0, len(t_grid) - 1, block))
-    for _, exit_index in step_paths(p, "euler-maruyama", t_grid, blocks):
+    rows = (row for i in range(0, len(t_grid) - 1, block)
+            for row in sample_increments(p, t_grid[i:i + block + 1], rng,
+                                         n_paths).swapaxes(0, 1))
+    for _, exit_index in step_paths(p, "euler-maruyama", t_grid, rows):
         if np.all(exit_index >= 0):
             break
     assert np.all(exit_index >= 0)  # t_grid[-1] would count a path that stayed

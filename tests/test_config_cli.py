@@ -216,16 +216,16 @@ def test_chunk_size_does_not_change_output(tmp_path, monkeypatch):
 
 
 def test_noise_blocks_are_sample_coefficients_rows():
-    # a chunk's noise, drawn one grid step at a time, is each path's
+    # a chunk's noise, drawn one row per grid step, is each path's
     # sample_coefficients draw from its own stream bit for bit
     cfg = base_cfg(c=0.5, horizon=0.13, seed=19)
     spec = build_spectrum(cfg.n, cfg.gamma, cfg.c)
     paths = range(2, 5)
-    blocks = [b.copy() for b in experiments._increments(cfg, spec, 13, paths)]
-    assert [b.shape for b in blocks] == [(3, 1, spec.n_modes)] * 13
+    rows = [w.copy() for w in experiments._increments(cfg, spec, 13, paths)]
+    assert [w.shape for w in rows] == [(3, spec.n_modes)] * 13
     ref = np.stack([sample_coefficients(spec, cfg.dt, 13, derive_stream(19, i, "noise"))
                     for i in paths])
-    assert np.array_equal(np.concatenate(blocks, axis=1), ref)
+    assert np.array_equal(np.stack(rows, axis=1), ref)
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -142,7 +142,7 @@ def test_resolution_mismatch_rejected():
     times = np.linspace(0.0, 0.02, 3)
     for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
         for call in (lambda: eu.make_eulerian_problem(u0, spec),
-                     lambda: next(eu._velocity_blocks(u0, spec, times, inc[None])),
+                     lambda: next(eu._velocity_blocks(u0, spec, times, inc[:, None])),
                      lambda: run_equivalence(u0, spec, 0.01, labels, inc)):
             with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
                 call()
@@ -222,7 +222,7 @@ def test_path_diagnostics_match_per_field_functions():
     q, _ = eulerian_path(u0, spec, 0.01, inc[None], alpha=0.3)
     fields = list(eu._velocity(q[0], 0.3, u0[:, 0, 0]))
     blocks = [u for u, _ in eu._velocity_blocks(u0, spec, np.linspace(0.0, 0.1, 11),
-                                                inc[None], alpha=0.3)]
+                                                inc[:, None], alpha=0.3)]
     assert [u.shape[1] for u in blocks] == [3, 3, 3, 2]
     energy, ens, hs, div = np.concatenate([eu._diagnostics(u) for u in blocks], axis=-1)
     assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
@@ -247,8 +247,8 @@ def test_streamed_diagnostics_match_collected_path():
     ref = eu._velocity(q, 0.3, u0[:, 0, 0])
     parts = []
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    for u, exit_index in eu._velocity_blocks(u0, spec, times, inc, alpha=0.3,
-                                             radius_factor=2.0):
+    for u, exit_index in eu._velocity_blocks(u0, spec, times, inc.swapaxes(0, 1),
+                                             alpha=0.3, radius_factor=2.0):
         parts.append(eu._diagnostics(u))
     assert [d.shape[-1] for d in parts] == [4] * 7 + [3]
     assert np.array_equal(np.concatenate(parts, axis=-1), eu._diagnostics(ref))

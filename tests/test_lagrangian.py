@@ -208,11 +208,12 @@ def test_zero_noise_zero_field_static():
 # equivalence residual
 
 def test_residual_zero_horizon():
-    # T = 0: one grid time, no step and no kick, so u o Phi is u0 exactly
+    # T = 0, which no config allows: a grid with no step is an empty noise
+    # stream, which the stepper rejects
     spec = build_spectrum(4, 3.0, 0.5)
-    res = lg.run_equivalence(sp.taylor_green(4), spec, 0.01, labels=uniform_labels(4),
-                             increments=np.zeros((0, spec.n_modes)))
-    assert res == 0.0
+    with pytest.raises(ValueError, match="does not match the time grid"):
+        lg.run_equivalence(sp.taylor_green(4), spec, 0.01, labels=uniform_labels(4),
+                           increments=np.zeros((0, spec.n_modes)))
 
 
 def test_residual_deterministic_taylor_green_small():

@@ -70,8 +70,8 @@ def test_ensembles_never_collect_a_path(tmp_path, monkeypatch):
 
 
 def test_ensemble_peak_does_not_grow_with_the_path(tmp_path):
-    # one path at N = 16 from 20 to 80 steps: the noise is drawn a block of
-    # steps at a time, so the peak grows by far less than the 60 q rows a
+    # one path at N = 16 from 20 to 80 steps: the noise is drawn one grid
+    # step at a time, so the peak grows by far less than the 60 q rows a
     # collected path would keep, or the noise of the 60 steps
     N, dt = 16, 0.01
     M, n_modes = 2 * N + 1, build_spectrum(N, 3.0, 0.5).n_modes

@@ -39,6 +39,16 @@ def test_trace_counts_modes_at_gamma_zero():
     assert spec.n_modes == 2 * len(qw.half_lattice(2))
 
 
+def test_mode_variances_built_once_read_only():
+    # cos and sin of each wavevector share its eigenvalue; every read
+    # returns the one read-only array built on first use
+    spec = build_spectrum(3, 2.0, 0.5)
+    lam = spec.mode_variances
+    assert np.array_equal(lam, np.repeat(spec.eigenvalues, 2))
+    assert spec.mode_variances is lam
+    assert not lam.flags.writeable
+
+
 def test_zero_amplitude_spectrum():
     spec = build_spectrum(3, 2.0, 0.0)
     assert spec.trace == 0.0

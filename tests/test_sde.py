@@ -174,7 +174,7 @@ def test_initial_state_outside_domain_rejected():
     p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
                        x0=3.0, domain_radius=1.0)
     with pytest.raises(ValueError):
-        next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((1, 10, 1))))
+        next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((10, 1, 1))))
 
 
 def test_custom_domain_norm():
@@ -251,57 +251,49 @@ def test_step_paths_rows_are_the_collected_path():
         ref_exit.append(e)
     assert ref_exit == [7, -1, 12]
     rows = []
-    for x, exit_index in sde.step_paths(p, "heun", grid, inc):
+    for x, exit_index in sde.step_paths(p, "heun", grid, inc.swapaxes(0, 1)):
         rows.append(x.copy())
     assert len(rows) == len(grid)
     assert np.array_equal(np.stack(rows, axis=1), ref)
     assert exit_index.tolist() == ref_exit
     assert np.array_equal(x, ref[:, -1])
-    steps = sde.step_paths(p, "heun", grid, inc)
+    steps = sde.step_paths(p, "heun", grid, inc.swapaxes(0, 1))
     assert next(steps)[0] is next(steps)[0]
 
 
-def test_step_paths_reads_increment_blocks():
-    # an iterable of consecutive blocks (K, b, m) drives the stepper as the
-    # one array it splits into does, block lengths as they come, even when
-    # the blocks are one buffer overwritten in turn; a stream that ends
-    # early or runs past the grid, or a block of the wrong stack, raises
+def test_step_paths_reads_increment_rows():
+    # a stream of rows (K, m), one per grid step, drives the stepper as the
+    # path-major array they come from does, even when every row is one
+    # buffer overwritten in turn; a stream that ends early or runs past the
+    # grid, or a row of the wrong stack, raises
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
     grid = np.linspace(0.0, 0.2, 21)
     inc = 0.01 * derive_stream(43, "blocks").standard_normal((3, 20, 1))
     inc[1, 9] = 2.0
     ref, ref_exit = stack_paths(p, "heun", grid, inc)
     assert ref_exit.tolist() == [-1, 10, -1]
-
-    def reused(lengths):
-        buf = np.empty((3, max(lengths), 1))
-        i = 0
-        for b in lengths:
-            buf[:, :b] = inc[:, i:i + b]
-            i += b
-            yield buf[:, :b]
-
-    for lengths in ([20], [1] * 20, [7, 7, 6], [3, 10, 1, 6]):
-        rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused(lengths))]
-        assert np.array_equal(np.stack(rows, axis=1), ref)
-
-    # blocks are pulled as the steps need them: a consumer that stops at a
-    # grid time has drawn only the blocks that reach it
     pulled = []
 
-    def counted(lengths):
-        for block in reused(lengths):
-            pulled.append(block.shape[1])
-            yield block
+    def reused():
+        buf = np.empty((3, 1))
+        for i in range(20):
+            buf[:] = inc[:, i]
+            pulled.append(i)
+            yield buf
 
-    for stop, drawn in ((0, [7]), (7, [7]), (8, [7, 7]), (14, [7, 7]), (20, [7, 7, 6])):
+    rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused())]
+    assert np.array_equal(np.stack(rows, axis=1), ref)
+
+    # rows are pulled as the steps need them: a consumer that stops at grid
+    # time i has pulled max(i, 1) rows
+    for stop in (0, 1, 7, 20):
         pulled.clear()
-        for i, (x, _) in enumerate(sde.step_paths(p, "heun", grid, counted([7, 7, 6]))):
+        for i, (x, _) in enumerate(sde.step_paths(p, "heun", grid, reused())):
             if i == stop:
                 break
-        assert np.array_equal(x, ref[:, stop]) and pulled == drawn
-    for bad in ([inc[:, :7], inc[:, 7:19]], [inc[:, :7], inc[:, 7:], inc[:, :1]],
-                [inc[:, :7], inc[:2, 7:]], [inc[:, :7], inc[:, 7:, 0]], []):
+        assert np.array_equal(x, ref[:, stop]) and len(pulled) == max(stop, 1)
+    rows = list(inc.swapaxes(0, 1))
+    for bad in (rows[:19], rows + rows[:1], rows[:7] + [inc[:2, 7]] + rows[8:], []):
         with pytest.raises(ValueError, match="does not match the time grid"):
             for _ in sde.step_paths(p, "heun", grid, iter(bad)):
                 pass
@@ -340,10 +332,12 @@ def test_problem_dim_is_read_from_x0():
 
 
 def test_increments_must_match_grid():
+    # 9 or 11 rows for 10 steps, or rows that are not (K, m) stacks
     p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
-    for bad in (np.zeros((1, 9, 1)), np.zeros((10, 1))):
+    for bad in (np.zeros((9, 1, 1)), np.zeros((11, 1, 1)), np.zeros((10, 1))):
         with pytest.raises(ValueError, match="does not match the time grid"):
-            next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), bad))
+            for _ in sde.step_paths(p, "heun", np.linspace(0, 1, 11), bad):
+                pass
 
 
 # ---------------------------------------------------------------------------

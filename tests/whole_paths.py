@@ -9,10 +9,11 @@ from stoflow.sde import step_paths
 
 
 def stack_paths(problem, scheme, t_grid, increments):
-    """Every row of step_paths, copied as it comes: the states
-    (K, len(t_grid), *x0.shape) and the final exit indices (K,)."""
+    """Every row of step_paths on the path-major increments (K, nsteps, m),
+    copied as it comes: the states (K, len(t_grid), *x0.shape) and the
+    final exit indices (K,)."""
     rows = []
-    for x, exit_index in step_paths(problem, scheme, t_grid, increments):
+    for x, exit_index in step_paths(problem, scheme, t_grid, increments.swapaxes(0, 1)):
         rows.append(x.copy())
     return np.stack(rows, axis=1), exit_index
 
