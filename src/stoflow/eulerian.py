@@ -146,8 +146,8 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
     final after the last block, whose last rows are the paths' last
     velocities (a stopped path's exit velocity).
 
-    It has two consumers: the ensembles reduce each block by their kind's
-    reduction (experiments._ensemble_range), and
+    It has two consumers: the ensembles reduce each block to its
+    _diagnostics (experiments._ensemble_range), and
     `lagrangian.run_equivalence` moves particles along one path's rows.
     Since every block is a fresh array, a consumer may keep rows of a block
     past the next one, as the particle loop keeps the previous block's last

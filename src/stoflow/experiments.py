@@ -8,8 +8,8 @@ stack; the rows are put back in index order, so the bytes depend neither
 on the chunk size nor on the number of workers.  Ensembles keep no path:
 each path's noise is drawn one grid step at a time as the stack reaches
 it, and each range's chunks are reduced a block of grid times at a time
-as they are stepped, by the kind's own reduction, in the one runner
-both ensemble kinds share (_run_ensemble).
+as they are stepped, to the four per-row diagnostics, in the one runner
+every ensemble kind shares (_run_ensemble).
 """
 
 from __future__ import annotations
@@ -206,17 +206,17 @@ def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: ra
 
 
 def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
-                    reduce, paths: range):
+                    paths: range):
     """Steps the paths `paths` a chunk at a time, each chunk at most
-    _CHUNK_BYTES of transport-kernel grid values, and returns reduce(u) of
-    their velocity blocks u (K, b, 2, M, M), joined along the time axis
-    (last) and then the path axis (next to last); their exit indices; and
-    the L2 norms (2, len(paths)) of each path's last row (a stopped path's
-    exit row) and of that row minus u0.  A chunk keeps one row of its
-    increments and its latest rows, never its path."""
+    _CHUNK_BYTES of transport-kernel grid values, and returns the
+    diagnostics (4, len(paths), grid times) of their velocity rows
+    (eulerian._diagnostics: energy, enstrophy, H^s norm, divergence
+    residual), their exit indices, and the L2 distance (len(paths),) of
+    each path's last row (a stopped path's exit row) from u0.  A chunk
+    keeps one row of its increments and its latest rows, never its path."""
     times = _time_grid(cfg)
     size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))
-    values, exits, norms = [], [], []
+    diags, exits, drifts = [], [], []
     for first in range(paths.start, paths.stop, size):
         chunk = range(first, min(first + size, paths.stop))
         parts = []
@@ -224,30 +224,30 @@ def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
                                               _increments(cfg, spec, len(times) - 1, chunk),
                                               scheme=cfg.scheme, alpha=cfg.alpha,
                                               radius_factor=cfg.radius_factor):
-            parts.append(reduce(u))
-        values.append(np.concatenate(parts, axis=-1))
+            parts.append(_diagnostics(u))
+        diags.append(np.concatenate(parts, axis=-1))
         exits.append(exit_index)
-        norms.append((sp.l2_norm(u[:, -1]), sp.l2_norm(u[:, -1] - u0)))
-    return np.concatenate(values, axis=-2), np.concatenate(exits), np.concatenate(norms, axis=-1)
+        drifts.append(sp.l2_norm(u[:, -1] - u0))
+    return np.concatenate(diags, axis=-2), np.concatenate(exits), np.concatenate(drifts)
 
 
-def _run_ensemble(cfg: ExperimentConfig, spec: QWienerSpec, workers: int, reduce):
+def _run_ensemble(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     """The configured ensemble stepped over `workers` ranges of paths (see
     _over_ranges): u0, the ranges' _ensemble_range results joined in path
     order, and the exit record: how many paths left the localization ball,
     and the earliest and mean exit times (None when none left)."""
     u0 = initial_field(cfg)
-    values, exit_indices, norms = zip(*_over_ranges(
-        cfg.ensemble, workers, partial(_ensemble_range, cfg, spec, u0, reduce)))
+    diags, exit_indices, drifts = zip(*_over_ranges(
+        cfg.ensemble, workers, partial(_ensemble_range, cfg, spec, u0)))
     exit_index = np.concatenate(exit_indices)
     times = _time_grid(cfg)[exit_index[exit_index >= 0]].tolist()
-    return u0, np.concatenate(values, axis=-2), exit_index, np.concatenate(norms, axis=-1), {
+    return u0, np.concatenate(diags, axis=-2), exit_index, np.concatenate(drifts), {
         "count": len(times), "min_time": min(times) if times else None,
         "mean_time": float(np.mean(times)) if times else None}
 
 
 def _run_simulate(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
-    u0, diag, exit_index, (_, drift), exits = _run_ensemble(cfg, spec, workers, _diagnostics)
+    u0, diag, exit_index, drift, exits = _run_ensemble(cfg, spec, workers)
     times = _time_grid(cfg)
 
     rows = []
@@ -377,8 +377,8 @@ def _run_isometry(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
 
 
 def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
-    u0, div, _, (last, _), exits = _run_ensemble(cfg, spec, workers, sp.divergence_residual)
-    terminal = last ** 2  # a stopped path's energy at its exit row
+    u0, diag, _, _, exits = _run_ensemble(cfg, spec, workers)
+    terminal = diag[0, :, -1]  # a stopped path's energy at its exit row
     slopes = (terminal - sp.l2_norm(u0) ** 2) / cfg.horizon
     slope = float(np.mean(slopes))
     se = float(np.std(slopes, ddof=1) / np.sqrt(len(slopes)))
@@ -387,7 +387,7 @@ def _run_energy_growth(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     rows = [(i, e) for i, e in enumerate(terminal)]
     summary = [(slope, se, spec.trace, z)]
     acceptance = {"energy_growth_slope": abs(z) < Z_BOUND,
-                  "divergence_free": np.max(div) < 1e-10}
+                  "divergence_free": float(np.max(diag[3])) < 1e-10}
     return {"energy.csv": (["traj", "terminal_energy"], rows),
             "energy_summary.csv": (["slope", "stderr", "trace_q", "z"], summary)}, \
         acceptance, exits
@@ -404,15 +404,17 @@ def _drawn_streams(cfg: ExperimentConfig) -> list:
 
 
 def _noise_record(cfg: ExperimentConfig, spec: QWienerSpec) -> dict:
-    """The manifest's `noise` record; a regularity budget that is not finite
-    is a ValueError naming the keys that set it, raised before any run."""
-    budget = spec.regularity_budget()
+    """The manifest's `noise` record at s' = noise.s_prime; a regularity
+    budget that is not finite is a ValueError naming the keys that set it,
+    raised before any run.  The budget stays finite as N -> infinity iff
+    2 gamma - 2 s' > 2 (lambda_k = c (1+|k|^2)^(-gamma), dimension 2)."""
+    budget = spec.regularity_budget(cfg.s_prime)
     if not np.isfinite(budget):
         raise ValueError(f"noise.s_prime = {cfg.s_prime}, noise.gamma = {cfg.gamma:g}, "
                          f"noise.c = {cfg.c:g} and grid.n = {cfg.n} give a regularity "
                          f"budget {budget:g}; the manifest needs it finite")
     return {"trace_q": spec.trace, "regularity_budget": budget,
-            "converges_in_limit": spec.converges_in_limit}
+            "converges_in_limit": 2.0 * cfg.gamma - 2.0 * cfg.s_prime > 2.0}
 
 
 _RUNNERS = {
@@ -447,7 +449,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> Run
 
     # every kind but convergence draws its noise from one Q-Wiener spectrum
     spec = None if cfg.kind == "convergence" else \
-        build_spectrum(cfg.n, cfg.gamma, cfg.c, cfg.s_prime)
+        build_spectrum(cfg.n, cfg.gamma, cfg.c)
     noise = None if spec is None else _noise_record(cfg, spec)
     workers = _workers(cfg, threads)
     files, acceptance, exits = _RUNNERS[cfg.kind](cfg, spec, workers)

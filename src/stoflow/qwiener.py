@@ -6,8 +6,9 @@ two unit fields
 
     sqrt(2) cos(k.x) kperp/|k|,   sqrt(2) sin(k.x) kperp/|k|
 
-share the eigenvalue lambda_k = c (1 + |k|^2)^(-gamma).  An increment over
-a step dt is sum_j sqrt(lambda_j dt) xi_j e_j with iid standard normals xi.
+share the eigenvalue lambda_k (build_spectrum: c (1 + |k|^2)^(-gamma)),
+and a QWienerSpec is these eigenpairs only.  An increment over a step dt
+is sum_j sqrt(lambda_j dt) xi_j e_j with iid standard normals xi.
 curl_from_coefficients places its curl in closed form (the Eulerian noise)
 and field_from_coefficients is the Biot-Savart velocity of that curl (the
 particle kick), so both formulations are driven by one W.
@@ -46,16 +47,15 @@ def half_lattice(N: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class QWienerSpec:
-    """Finite eigen-decomposition of the noise covariance Q.
+    """Finite eigen-decomposition of the noise covariance Q on |k|_inf <= N.
 
     Each row of `wavevectors` carries two real modes (cosine, sine) with the
     same eigenvalue; noise coordinates are ordered
-    [cos k0, sin k0, cos k1, sin k1, ...].
+    [cos k0, sin k0, cos k1, sin k1, ...].  No law or regularity index:
+    the caller keeps gamma and s'.
     """
 
     N: int
-    gamma: float
-    s_prime: int
     wavevectors: np.ndarray = field(repr=False)
     eigenvalues: np.ndarray = field(repr=False)  # one per wavevector
 
@@ -99,25 +99,16 @@ class QWienerSpec:
     def trace(self) -> float:
         return float(2.0 * np.sum(self.eigenvalues))
 
-    def regularity_budget(self) -> float:
+    def regularity_budget(self, s_prime: int) -> float:
         """sum_modes lambda_k (1+|k|^2)^{s'}, the H^{s'}-valued-noise proxy;
         a mode without noise adds 0 whatever s' is, so with c = 0 it is 0.0.
         It may overflow to inf for a large s'."""
         noisy = self.eigenvalues > 0
         ksq = np.sum(self.wavevectors[noisy].astype(float) ** 2, axis=1)
-        return float(2.0 * np.sum(self.eigenvalues[noisy] * (1.0 + ksq) ** self.s_prime))
-
-    @property
-    def converges_in_limit(self) -> bool:
-        """Whether the H^{s'} budget would stay finite as N -> infinity.
-
-        For lambda_k = c (1+|k|^2)^(-gamma) in dimension 2 this needs
-        2 gamma - 2 s' > 2.
-        """
-        return 2.0 * self.gamma - 2.0 * self.s_prime > 2.0
+        return float(2.0 * np.sum(self.eigenvalues[noisy] * (1.0 + ksq) ** s_prime))
 
 
-def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerSpec:
+def build_spectrum(N: int, gamma: float, c: float) -> QWienerSpec:
     """Power-law spectrum lambda_k = c (1+|k|^2)^(-gamma) on |k|_inf <= N."""
     if N <= 0:
         raise ValueError("N must be positive")
@@ -126,8 +117,7 @@ def build_spectrum(N: int, gamma: float, c: float, s_prime: int = 0) -> QWienerS
     ks = half_lattice(N)
     ksq = np.sum(ks.astype(float) ** 2, axis=1)
     lam = c * (1.0 + ksq) ** (-gamma)
-    return QWienerSpec(N=N, gamma=float(gamma), s_prime=int(s_prime),
-                       wavevectors=ks, eigenvalues=lam)
+    return QWienerSpec(N=N, wavevectors=ks, eigenvalues=lam)
 
 
 def sample_coefficients(spec: QWienerSpec, dt: float, n: int,

@@ -9,6 +9,7 @@ import numpy as np
 
 from stoflow import experiments
 from stoflow import lagrangian as lg
+from stoflow import sde
 from stoflow.config import ExperimentConfig
 from stoflow.experiments import run_experiment
 
@@ -50,3 +51,36 @@ def test_isometry_checks_on_a_noise_variance_five_percent_too_large(tmp_path, mo
     print({k: round(float(v), 2) for k, v in rows.items() if k.endswith("_z")})
     assert man.acceptance == {"ito_isometry": False, "mode_variances": False,
                               "cross_covariances": True, "zero_mean": True}
+
+
+def _orders(out) -> dict:
+    rows = [line.split(",") for line in (out / "convergence.csv").read_text().split()[1:]]
+    return {name: float(order) for name, order, *_ in rows}
+
+
+def test_heun_deterministic_rejects_a_corrector_that_reuses_the_predictor_drift(
+        tmp_path, monkeypatch):
+    # the corrector keeps b(t, x) in place of (b(t, x) + b(t + dt, xp))/2:
+    # Euler's method in the drift, the noise still averaged.  Only the ODE
+    # row sees it; it draws no noise, so its order does not depend on the seed
+    cfg = ExperimentConfig(kind="convergence", seed=3)
+    man = run_experiment(cfg, out_dir=tmp_path / "ok")
+    assert man.acceptance == {"em-additive": True, "heun-stratonovich": True,
+                              "heun-deterministic": True}
+
+    def corrector_reusing_predictor_drift(problem, t, x, dW, dt):
+        b0 = problem.drift(t, x)
+        n0 = problem.diffusion(x, dW)
+        n1 = problem.diffusion(x + b0 * dt + n0, dW)
+        return x + b0 * dt + 0.5 * (n0 + n1)
+
+    monkeypatch.setitem(sde._STEPPERS, "heun", corrector_reusing_predictor_drift)
+    bad = run_experiment(cfg, out_dir=tmp_path / "bad")
+    ok, orders = _orders(tmp_path / "ok"), _orders(tmp_path / "bad")
+    print(f"orders {ok}, with the corrector reusing b(t, x) {orders}")
+    assert abs(ok["heun-deterministic"] - 2.1502) < 1e-4
+    assert abs(orders["heun-deterministic"] - 1.4038) < 1e-4
+    assert abs(orders["em-additive"] - 1.2149) < 1e-4
+    assert abs(orders["heun-stratonovich"] - 0.9793) < 1e-4
+    assert bad.acceptance == {"em-additive": True, "heun-stratonovich": True,
+                              "heun-deterministic": False}

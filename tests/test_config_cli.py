@@ -158,9 +158,9 @@ def test_manifest_reports_noise_verdict(tmp_path, gamma, verdict):
     # s' = 2: the H^s' budget converges as N -> infinity iff 2 gamma - 4 > 2
     cfg = base_cfg(kind="isometry", n=2, c=1.0, gamma=gamma, s_prime=2)
     run_experiment(cfg, out_dir=tmp_path / "iso")
-    spec = build_spectrum(2, gamma, 1.0, 2)
+    spec = build_spectrum(2, gamma, 1.0)
     assert json.loads((tmp_path / "iso" / "manifest.json").read_text())["noise"] == {
-        "trace_q": spec.trace, "regularity_budget": spec.regularity_budget(),
+        "trace_q": spec.trace, "regularity_budget": spec.regularity_budget(2),
         "converges_in_limit": verdict}
     run_experiment(base_cfg(kind="convergence"), out_dir=tmp_path / "conv")
     assert json.loads((tmp_path / "conv" / "manifest.json").read_text())["noise"] is None
@@ -264,23 +264,28 @@ def test_thread_count_does_not_change_output(tmp_path, monkeypatch):
             assert 0 < runs[0][1]["count"] < 6
 
 
-@pytest.mark.parametrize("kw", [
-    dict(init_kind="random", init_seed=4, c=0.5, scheme="heun", ensemble=40),
-    dict(init_kind="zero", c=2.0, radius_factor=1.0, scheme="euler-maruyama", ensemble=4,
-         horizon=0.2, seed=3),
-    dict(init_kind="taylor-green", c=0.5, scheme="euler-maruyama", ensemble=35),
-], ids=["random-heun-40", "exits-4", "taylor-green-em-35"])
-def test_ensemble_kinds_step_the_same_paths(tmp_path, monkeypatch, kw):
+@pytest.mark.parametrize("kw, exited", [
+    (dict(n=6, init_kind="random", init_seed=4, c=0.5, scheme="heun", ensemble=40), 0),
+    (dict(n=6, init_kind="zero", c=2.0, radius_factor=1.0, scheme="euler-maruyama",
+          ensemble=4, horizon=0.2, seed=3), 4),
+    (dict(n=6, init_kind="taylor-green", c=0.5, scheme="euler-maruyama", ensemble=35), 0),
+    # the golden simulate-euler config: 3 of its 6 Heun paths leave the ball
+    (dict(n=8, horizon=0.5, c=0.5, init_kind="random", init_amplitude=0.5, init_seed=5,
+          radius_factor=1.05, seed=3, ensemble=6, scheme="heun"), 3),
+], ids=["random-heun-40", "exits-4", "taylor-green-em-35", "golden-simulate-euler-6"])
+def test_ensemble_kinds_step_the_same_paths(tmp_path, monkeypatch, kw, exited):
     # simulate-euler and energy-growth step path i of one config alike: its
     # terminal energy is, as written, the last energy row of its diagnostics
-    # (its exit row when it left the ball), at one and two worker processes
+    # (its exit row when it left the ball), and both kinds report the same
+    # exits, at one and two worker processes
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
-    cfg = base_cfg(n=6, **kw)
+    cfg = base_cfg(**kw)
+    exits = []
     for threads in (1, 2):
         out = tmp_path / str(threads)
-        run_experiment(cfg, out_dir=out / "sim", threads=threads)
+        exits.append(run_experiment(cfg, out_dir=out / "sim", threads=threads).exits)
         cfg.kind = "energy-growth"
-        run_experiment(cfg, out_dir=out / "energy", threads=threads)
+        exits.append(run_experiment(cfg, out_dir=out / "energy", threads=threads).exits)
         cfg.kind = "simulate-euler"
         last = {}
         for line in (out / "sim" / "diagnostics.csv").read_text().splitlines()[1:]:
@@ -290,6 +295,7 @@ def test_ensemble_kinds_step_the_same_paths(tmp_path, monkeypatch, kw):
                         (out / "energy" / "energy.csv").read_text().splitlines()[1:])
         assert len(terminal) == cfg.ensemble
         assert terminal == last, threads
+    assert exits == [exits[0]] * 4 and exits[0]["count"] == exited, exits
 
 
 def test_one_thread_never_forks(tmp_path, monkeypatch):

@@ -6,7 +6,9 @@ import pytest
 
 from stoflow import qwiener as qw
 from stoflow import spectral as sp
+from stoflow.config import ExperimentConfig
 from stoflow.eulerian import make_eulerian_problem
+from stoflow.experiments import _noise_record
 from stoflow.qwiener import QWienerSpec, build_spectrum
 from stoflow.streams import derive_stream
 from test_spectral import l2_inner
@@ -34,7 +36,7 @@ def test_trace_n1():
 
 
 def test_trace_counts_modes_at_gamma_zero():
-    spec = build_spectrum(2, 0.0, 1.0, s_prime=0)
+    spec = build_spectrum(2, 0.0, 1.0)
     assert spec.trace == spec.n_modes
     assert spec.n_modes == 2 * len(qw.half_lattice(2))
 
@@ -64,15 +66,20 @@ def test_build_spectrum_rejects_bad_args():
 
 
 def test_convergence_criterion_boundary():
-    # boundary gamma = s' + 1 gives 2g - 2s' = 2 exactly, not summable
-    assert build_spectrum(2, 3.1, 1.0, s_prime=2).converges_in_limit
-    assert not build_spectrum(2, 3.0, 1.0, s_prime=2).converges_in_limit
-    assert not build_spectrum(2, 2.9, 1.0, s_prime=2).converges_in_limit
+    # boundary gamma = s' + 1 gives 2g - 2s' = 2 exactly, not summable; the
+    # verdict is the manifest's, formed from the config's gamma and s'
+    def verdict(gamma):
+        cfg = ExperimentConfig(kind="isometry", n=2, gamma=gamma, c=1.0, s_prime=2)
+        return _noise_record(cfg, build_spectrum(2, gamma, 1.0))["converges_in_limit"]
+
+    assert verdict(3.1)
+    assert not verdict(3.0)
+    assert not verdict(2.9)
 
 
 def test_budget_equals_trace_at_sprime_zero():
-    spec = build_spectrum(3, 2.5, 0.7, s_prime=0)
-    assert abs(spec.regularity_budget() - spec.trace) < 1e-14
+    spec = build_spectrum(3, 2.5, 0.7)
+    assert abs(spec.regularity_budget(0) - spec.trace) < 1e-14
 
 
 def test_eigenmodes_orthonormal_divergence_free():
@@ -86,10 +93,9 @@ def test_eigenmodes_orthonormal_divergence_free():
 
 
 def test_single_eigenpair_increment():
-    # lambda = 4, dt = 1: increment = 2 xi_c e_cos + 2 xi_s e_sin
-    spec = QWienerSpec(N=2, gamma=0.0, s_prime=0,
-                       wavevectors=np.array([[1, 0]]),
-                       eigenvalues=np.array([4.0]))
+    # lambda = 4, dt = 1: increment = 2 xi_c e_cos + 2 xi_s e_sin; one
+    # eigenpair of Q, which no power law gamma describes
+    spec = QWienerSpec(N=2, wavevectors=np.array([[1, 0]]), eigenvalues=np.array([4.0]))
     xi = np.array([0.3, -1.1])
     dW = qw.field_from_coefficients(spec, 2.0 * xi)
     ref = (2.0 * xi[0]) * eigenmode_field(spec, 0) \
