@@ -58,13 +58,14 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     The drift is -(u.grad)q with u = U + biot_savart(q); the diffusion maps raw
     noise coordinates dW to curl_from_coefficients(spec, dW), as H^-1
     cancels against H.  The localization domain is the H^s ball of the
-    velocity (s fixed by LOCALIZATION_SOBOLEV_INDEX) of radius
-    radius_factor * max(|u0|_{H^s}, 1) centered at the origin; the norm is
-    read from q as |u|_{H^s}^2 = |U|^2 + sum_k (1+|k|^2)^s |K(k)|^2 |q(k)|^2,
-    with K the biot_savart multiplier.  u0 must have the shape (2, M, M) of
-    the noise resolution, M = 2 spec.N + 1; a u0 whose H^s norm overflows is
-    out of range before the first step and raises SdePathError naming that
-    norm, not a step.
+    velocity (s fixed by LOCALIZATION_SOBOLEV_INDEX) about the origin.  Its
+    one norm, domain_norm, is read from q and the mean flow U as |u|_{H^s}^2
+    = |U|^2 + sum_k (1+|k|^2)^s |K(k)|^2 |q(k)|^2, K the biot_savart
+    multiplier, and its radius is radius_factor * max(domain_norm(q0), 1):
+    a factor of 1 puts u0 on the sphere.  u0 must have the shape (2, M, M)
+    of the noise resolution, M = 2 spec.N + 1; a u0 whose H^s norm overflows
+    is out of range before the first step and raises SdePathError naming
+    that norm, not a step.
 
     The noise is additive.  The drift rebuilds only the velocity columns
     the transport kernel reads, and owns the transport kernel's work
@@ -107,7 +108,7 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     def hs_norm(q: np.ndarray) -> np.ndarray:
         return np.sqrt(mean_sq + np.sum(wq * np.abs(q) ** 2, axis=(-2, -1)))
 
-    norm0 = sp.sobolev_norm(u0, LOCALIZATION_SOBOLEV_INDEX)
+    norm0 = hs_norm(q0)
     if not np.isfinite(norm0):  # out of range before the first step
         raise SdePathError(f"non-finite initial state: the initial field's "
                            f"H^{LOCALIZATION_SOBOLEV_INDEX:g} norm is {norm0}")
@@ -117,15 +118,15 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
                       domain_radius=radius, domain_norm=hs_norm)
 
 
-def _diagnostics(u: np.ndarray) -> np.ndarray:
-    """Energy |u|_{L2}^2, enstrophy, H^s norm and divergence residual of each
-    velocity row of u (..., 2, M, M), shape (4, ...), the squared moduli
-    |u(k)|^2 formed once for all four: bit for bit the per-field functions."""
+def _diagnostics(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
+    """Energy |u|_{L2}^2, enstrophy, H^s norm hs (...) and divergence residual
+    of each velocity row of u (..., 2, M, M), shape (4, ...).  hs is the
+    rows' ball norm from _velocity_blocks; the rest are the per-field
+    functions bit for bit, from the moduli |u(k)|^2 formed once."""
     sq = np.abs(u)
     sq *= sq
-    l2 = sp._sobolev_norm_of_squares(sq, 0.0)
-    return np.array((l2 ** 2, sp._enstrophy_of_squares(sq),
-                     sp._sobolev_norm_of_squares(sq, LOCALIZATION_SOBOLEV_INDEX),
+    l2 = np.sqrt(np.sum(sq, axis=sp._FIELD_AXES))
+    return np.array((l2 ** 2, sp._enstrophy_of_squares(sq), hs,
                      sp._divergence_residual(u, l2)))
 
 
@@ -133,12 +134,13 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
                      increments, scheme: str = "heun", alpha: float = 0.0,
                      radius_factor: float = 10.0):
     """Step K paths of the potential-vorticity SDE from u0 without keeping
-    them: yields (u, exit_index) per block of consecutive grid times, u the
-    velocity rows (K, b, 2, M, M) of the block, a fresh array, as the paths
-    reach its last time.  `increments` is the K paths' raw Q-Wiener
-    coordinates as step_paths takes them: one row (K, m) per grid step,
-    pulled as the step needs it; they are the same for every alpha, so they
-    drive the plain and the averaged model alike.
+    them: yields (u, hs, exit_index) per block of consecutive grid times as
+    the paths reach its last time: u the velocity rows (K, b, 2, M, M) of the
+    block, a fresh array, and hs (K, b) the domain_norm of their q rows.
+    `increments` is the K paths' raw Q-Wiener coordinates as step_paths
+    takes them: one row (K, m) per grid step, pulled as the step needs it;
+    they are the same for every alpha, so they drive the plain and the
+    averaged model alike.
 
     Each q row is copied into a buffer of b grid times, b chosen so that
     the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
@@ -162,4 +164,5 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
             buf = np.empty((len(q), b) + q.shape[1:], dtype=q.dtype)
         buf[:, i % b] = q
         if i % b == b - 1 or i == last:
-            yield _velocity(buf[:, :i % b + 1], alpha, mean), exit_index
+            rows = buf[:, :i % b + 1]
+            yield _velocity(rows, alpha, mean), problem.domain_norm(rows), exit_index

@@ -220,11 +220,10 @@ def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
     for first in range(paths.start, paths.stop, size):
         chunk = range(first, min(first + size, paths.stop))
         parts = []
-        for u, exit_index in _velocity_blocks(u0, spec, times,
-                                              _increments(cfg, spec, len(times) - 1, chunk),
-                                              scheme=cfg.scheme, alpha=cfg.alpha,
-                                              radius_factor=cfg.radius_factor):
-            parts.append(_diagnostics(u))
+        for u, hs, exit_index in _velocity_blocks(
+                u0, spec, times, _increments(cfg, spec, len(times) - 1, chunk),
+                scheme=cfg.scheme, alpha=cfg.alpha, radius_factor=cfg.radius_factor):
+            parts.append(_diagnostics(u, hs))
         diags.append(np.concatenate(parts, axis=-1))
         exits.append(exit_index)
         drifts.append(sp.l2_norm(u[:, -1] - u0))

@@ -133,8 +133,8 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, labels: np.nda
     t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     ens = ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)  # Phi_0 = identity
     j = 0  # the grid time reached
-    for u, exit_index in _velocity_blocks(u0, spec, t_grid, increments[:, None],
-                                          radius_factor=radius_factor):
+    for u, _, exit_index in _velocity_blocks(u0, spec, t_grid, increments[:, None],
+                                             radius_factor=radius_factor):
         if exit_index[0] >= 0:
             raise ValueError(
                 f"the Eulerian path left the localization ball at "

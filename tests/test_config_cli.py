@@ -672,6 +672,20 @@ def test_cli_domain_exit_is_operational_error(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_cli_radius_factor_one_accepts_u0(tmp_path, capsys):
+    # at radius factor 1 the initial state is on the sphere of its own ball,
+    # inside it: the run starts, and both paths leave the ball at t = 0.01
+    path = write_cfg(tmp_path, "kind = simulate-euler\ngrid.n = 8\ntime.dt = 0.01\n"
+                               "time.horizon = 0.1\nnoise.gamma = 3.0\nnoise.c = 0.5\n"
+                               "init.kind = random\ninit.amplitude = 3.0\ninit.seed = 2\n"
+                               "localization.radius_factor = 1.0\nseed = 1\n"
+                               "ensemble.size = 2\n")
+    assert main(["simulate-euler", "--config", path, "--out", str(tmp_path / "o")]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((tmp_path / "o" / "manifest.json").read_text())["exits"] == {
+        "count": 2, "min_time": 0.01, "mean_time": 0.01}
+
+
 @pytest.mark.parametrize("extra", [
     "noise.c = 500\n",
     "noise.c = 0.5\nlocalization.radius_factor = 1.0\n",

@@ -4,8 +4,11 @@ Euler-alpha drifts, noise smoothing, and trajectory diagnostics."""
 import numpy as np
 import pytest
 
+from golden.regen import CASES
 from stoflow import eulerian as eu
 from stoflow import spectral as sp
+from stoflow.config import ExperimentConfig
+from stoflow.experiments import _increments, initial_field, run_experiment
 from stoflow.lagrangian import run_equivalence, uniform_labels
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
@@ -148,6 +151,20 @@ def test_resolution_mismatch_rejected():
                 call()
 
 
+@pytest.mark.parametrize("alpha", [0.0, 0.3])
+@pytest.mark.parametrize("N", [8, 16])
+def test_radius_factor_one_puts_u0_in_its_ball(N, alpha):
+    # the radius is read from the norm the exit test uses, so at radius
+    # factor 1 every initial state is on the sphere, inside the closed ball
+    spec = build_spectrum(N, 3.0, 0.5)
+    for seed in range(100):
+        cfg = ExperimentConfig(kind="simulate-averaged", n=N, alpha=alpha, init_kind="random",
+                               init_seed=seed, init_amplitude=1.0, radius_factor=1.0)
+        problem = eu.make_eulerian_problem(initial_field(cfg), spec, alpha=alpha,
+                                           radius_factor=1.0)
+        assert problem.domain_norm(problem.x0[None])[0] <= problem.domain_radius
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 
@@ -155,7 +172,8 @@ def test_zero_data_zero_noise_stays_zero():
     spec = build_spectrum(4, 2.0, 0.0)
     q, _ = eulerian_path(zero_field(4), spec, 0.01, np.zeros((1, 10, spec.n_modes)))
     u = eu._velocity(q, 0.0, np.zeros(2))
-    assert np.max(eu._diagnostics(u)[0]) == 0.0
+    hs = eu.make_eulerian_problem(zero_field(4), spec).domain_norm(q)
+    assert np.max(eu._diagnostics(u, hs)[0]) == 0.0
     assert np.max(np.abs(u)) == 0.0
 
 
@@ -185,7 +203,8 @@ def test_stochastic_path_divergence_free():
     inc = sample_coefficients(spec, 0.01, 20, derive_stream(11, "noise"))
     q, _ = eulerian_path(zero_field(6), spec, 0.01, inc[None])
     u = eu._velocity(q, 0.0, np.zeros(2))
-    assert np.max(eu._diagnostics(u)[3]) < 1e-10
+    hs = eu.make_eulerian_problem(zero_field(6), spec).domain_norm(q)
+    assert np.max(eu._diagnostics(u, hs)[3]) < 1e-10
     assert u.shape == (1, 21, 2, 13, 13)
 
 
@@ -212,8 +231,10 @@ def test_exit_norm_read_from_q(alpha):
 
 
 def test_path_diagnostics_match_per_field_functions():
-    # the reductions of the velocity blocks give every row bit for bit as
-    # the per-field norm functions do; at N = 16 the 11 rows span four
+    # the reductions of the velocity blocks give the energy, enstrophy and
+    # divergence rows bit for bit as the per-field functions do, and the
+    # H^2 row bit for bit as the ball's own norm of the q rows, within
+    # 1e-14 of the velocity's sobolev_norm; at N = 16 the 11 rows span four
     # blocks of 3 rows, the last one short
     N = 16
     spec = build_spectrum(N, 3.0, 0.5)
@@ -221,13 +242,15 @@ def test_path_diagnostics_match_per_field_functions():
     inc = sample_coefficients(spec, 0.01, 10, derive_stream(29, "diag"))
     q, _ = eulerian_path(u0, spec, 0.01, inc[None], alpha=0.3)
     fields = list(eu._velocity(q[0], 0.3, u0[:, 0, 0]))
-    blocks = [u for u, _ in eu._velocity_blocks(u0, spec, np.linspace(0.0, 0.1, 11),
-                                                inc[:, None], alpha=0.3)]
-    assert [u.shape[1] for u in blocks] == [3, 3, 3, 2]
-    energy, ens, hs, div = np.concatenate([eu._diagnostics(u) for u in blocks], axis=-1)
+    blocks = [(u, hs) for u, hs, _ in eu._velocity_blocks(
+        u0, spec, np.linspace(0.0, 0.1, 11), inc[:, None], alpha=0.3)]
+    assert [u.shape[1] for u, _ in blocks] == [3, 3, 3, 2]
+    energy, ens, hs, div = np.concatenate([eu._diagnostics(*b) for b in blocks], axis=-1)
     assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
     assert np.array_equal(ens[0], [sp.enstrophy(f) for f in fields])
-    assert np.array_equal(hs[0], [sp.sobolev_norm(f, 2) for f in fields])
+    assert np.array_equal(hs, eu.make_eulerian_problem(u0, spec, alpha=0.3).domain_norm(q))
+    ref = np.array([sp.sobolev_norm(f, 2) for f in fields])
+    assert np.all(np.abs(hs[0] - ref) <= 1e-14 * ref)
     assert np.array_equal(div[0], [sp.divergence_residual(f) for f in fields])
 
 
@@ -245,15 +268,52 @@ def test_streamed_diagnostics_match_collected_path():
     q, ref_exit = eulerian_path(u0, spec, dt, inc, alpha=0.3, radius_factor=2.0)
     assert ref_exit.tolist() == [-1, 13, -1]
     ref = eu._velocity(q, 0.3, u0[:, 0, 0])
+    problem = eu.make_eulerian_problem(u0, spec, alpha=0.3, radius_factor=2.0)
     parts = []
     times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    for u, exit_index in eu._velocity_blocks(u0, spec, times, inc.swapaxes(0, 1),
-                                             alpha=0.3, radius_factor=2.0):
-        parts.append(eu._diagnostics(u))
+    for u, hs, exit_index in eu._velocity_blocks(u0, spec, times, inc.swapaxes(0, 1),
+                                                 alpha=0.3, radius_factor=2.0):
+        parts.append(eu._diagnostics(u, hs))
     assert [d.shape[-1] for d in parts] == [4] * 7 + [3]
-    assert np.array_equal(np.concatenate(parts, axis=-1), eu._diagnostics(ref))
+    assert np.array_equal(np.concatenate(parts, axis=-1),
+                          eu._diagnostics(ref, problem.domain_norm(q)))
     assert np.array_equal(exit_index, ref_exit)
     assert np.array_equal(u[:, -1], ref[:, -1])
+
+
+# u0 on the sphere of its ball: both paths leave it at the first step
+RADIUS_ONE = ExperimentConfig(kind="simulate-euler", n=8, dt=0.01, horizon=0.1, gamma=3.0,
+                              c=0.5, init_kind="random", init_amplitude=3.0, init_seed=2,
+                              radius_factor=1.0, seed=1, ensemble=2)
+
+
+@pytest.mark.parametrize("cfg, exited", [(CASES["simulate-euler"], 3), (RADIUS_ONE, 2)],
+                         ids=["golden-simulate-euler", "radius-one"])
+def test_csv_hs_norm_is_the_ball_norm(tmp_path, cfg, exited):
+    # the hs_norm column is the problem's domain_norm of the q rows bit for
+    # bit, so a path's rows stay in the ball up to its last, which is
+    # outside exactly when the path exited
+    run_experiment(cfg, out_dir=tmp_path)
+    rows = [line.split(",") for line in
+            (tmp_path / "diagnostics.csv").read_text().splitlines()[1:]]
+    spec = build_spectrum(cfg.n, cfg.gamma, cfg.c)
+    u0 = initial_field(cfg)
+    problem = eu.make_eulerian_problem(u0, spec, alpha=cfg.alpha,
+                                       radius_factor=cfg.radius_factor)
+    nsteps = round(cfg.horizon / cfg.dt)
+    inc = np.stack([w.copy() for w in _increments(cfg, spec, nsteps, range(cfg.ensemble))],
+                   axis=1)
+    q, exit_index = eulerian_path(u0, spec, cfg.dt, inc, cfg.scheme, cfg.alpha,
+                                  cfg.radius_factor)
+    radius = problem.domain_radius
+    for k, e in enumerate(exit_index):
+        hs = np.array([float(r[5]) for r in rows if r[0] == str(k)])
+        assert np.all(hs[:-1] <= radius)
+        assert (hs[-1] > radius) == (e >= 0)
+        assert np.array_equal(hs, problem.domain_norm(q[k, :len(hs)]))
+    assert sum(exit_index >= 0) == exited
+    if cfg.radius_factor == 1.0:
+        assert float(rows[0][5]) == radius
 
 
 def test_heun_vs_em_coupled_difference_order_dt():

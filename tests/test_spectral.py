@@ -520,6 +520,25 @@ def test_phase_tables_match_exponentials():
         assert np.max(np.abs(table - ref)) <= 1e-13
 
 
+def test_evaluate_wraps_points_as_remainder(monkeypatch):
+    # the points reach the phase tables as np.remainder(points, 2 pi) gives
+    # them, bit for bit and signed zeros included: random points, multiples
+    # of 2 pi, tiny values and the neighbours of +-2 pi
+    two_pi = 2.0 * np.pi
+    x = np.concatenate([
+        np.random.default_rng(23).uniform(-50.0, 50.0, 10**5),
+        two_pi * np.arange(-20, 21), [0.0, -0.0, 1e-300, -1e-300],
+        [np.nextafter(v, w) for v in (two_pi, -two_pi) for w in (0.0, 2 * v)]])
+    seen = []
+    table = sp._power_table
+    monkeypatch.setattr(sp, "_power_table", lambda pts, N: seen.append(pts) or table(pts, N))
+    pts = np.stack([x, x[::-1]], axis=1)
+    sp.evaluate_stack_at(sp.taylor_green(1), pts)
+    ref = np.remainder(pts, two_pi)
+    assert np.array_equal(seen[0], ref)
+    assert np.array_equal(np.signbit(seen[0]), np.signbit(ref))
+
+
 def test_evaluate_stack_matches_per_field():
     rng = np.random.default_rng(17)
     fields = [sp.random_divergence_free(6, rng) for _ in range(3)]
