@@ -87,7 +87,7 @@ def make_eulerian_problem(u0: np.ndarray, spec: QWienerSpec, alpha: float = 0.0,
     multiplier = sp._biot_savart_multiplier(N, float(alpha))
     work = []  # the transport kernel's buffers, for the longest stack seen
 
-    def drift(t: float, q: np.ndarray) -> np.ndarray:
+    def drift(q: np.ndarray) -> np.ndarray:
         # _velocity on the columns ky >= 0, the only ones the kernel reads
         u = multiplier[..., :N + 1] * q[..., None, :, :N + 1]
         u[..., :, 0, 0] = mean
@@ -130,23 +130,24 @@ def _diagnostics(u: np.ndarray, hs: np.ndarray) -> np.ndarray:
                      sp._divergence_residual(u, l2)))
 
 
-def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
+def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, dt: float,
                      increments, scheme: str = "heun", alpha: float = 0.0,
                      radius_factor: float = 10.0):
-    """Step K paths of the potential-vorticity SDE from u0 without keeping
-    them: yields (u, hs, exit_index) per block of consecutive grid times as
-    the paths reach its last time: u the velocity rows (K, b, 2, M, M) of the
-    block, a fresh array, and hs (K, b) the domain_norm of their q rows.
-    `increments` is the K paths' raw Q-Wiener coordinates as step_paths
-    takes them: one row (K, m) per grid step, pulled as the step needs it;
-    they are the same for every alpha, so they drive the plain and the
-    averaged model alike.
+    """Step K paths of the potential-vorticity SDE from u0 by one dt per
+    noise row without keeping them: yields (u, hs, exit_index) per block of
+    consecutive rows as the paths reach its last one: u the velocity rows
+    (K, b, 2, M, M) of the block, a fresh array, and hs (K, b) the
+    domain_norm of their q rows.  `increments` is the K paths' raw Q-Wiener
+    coordinates as step_paths takes them: one row (K, m) per step, pulled
+    as the step needs it; they are the same for every alpha, so they drive
+    the plain and the averaged model alike.
 
-    Each q row is copied into a buffer of b grid times, b chosen so that
-    the K paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
-    velocities are rebuilt once per block.  `exit_index` is the stepper's,
-    final after the last block, whose last rows are the paths' last
-    velocities (a stopped path's exit velocity).
+    Each q row is copied into a buffer of b rows, b chosen so that the K
+    paths' velocity rows take about _DIAGNOSTIC_BLOCK_BYTES, and the
+    velocities are rebuilt once per full block, and once more for the
+    partial last block when the stream ends; no block is empty.
+    `exit_index` is the stepper's, final after the last block, whose last
+    rows are the paths' last velocities (a stopped path's exit velocity).
 
     It has two consumers: the ensembles reduce each block to its
     _diagnostics (experiments._ensemble_range), and
@@ -157,12 +158,13 @@ def _velocity_blocks(u0: np.ndarray, spec: QWienerSpec, t_grid: np.ndarray,
     """
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
     mean = np.array(u0[:, 0, 0])
-    last = len(t_grid) - 1
-    for i, (q, exit_index) in enumerate(step_paths(problem, scheme, t_grid, increments)):
+    for i, (q, exit_index) in enumerate(step_paths(problem, scheme, dt, increments)):
         if i == 0:
             b = max(1, _DIAGNOSTIC_BLOCK_BYTES // (2 * q.nbytes))
             buf = np.empty((len(q), b) + q.shape[1:], dtype=q.dtype)
         buf[:, i % b] = q
-        if i % b == b - 1 or i == last:
-            rows = buf[:, :i % b + 1]
-            yield _velocity(rows, alpha, mean), problem.domain_norm(rows), exit_index
+        if i % b == b - 1:
+            yield _velocity(buf, alpha, mean), problem.domain_norm(buf), exit_index
+    if i % b != b - 1:
+        rows = buf[:, :i % b + 1]
+        yield _velocity(rows, alpha, mean), problem.domain_norm(rows), exit_index

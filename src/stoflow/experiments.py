@@ -6,10 +6,10 @@ stream, and an ensemble's paths are split into contiguous ranges of path
 indices, one per worker process, each stepped as chunks of paths in one
 stack; the rows are put back in index order, so the bytes depend neither
 on the chunk size nor on the number of workers.  Ensembles keep no path:
-each path's noise is drawn one grid step at a time as the stack reaches
-it, and each range's chunks are reduced a block of grid times at a time
-as they are stepped, to the four per-row diagnostics, in the one runner
-every ensemble kind shares (_run_ensemble).
+each path's noise is drawn one step of time.dt at a time as the stack
+reaches it, and each range's chunks are reduced a block of grid times at
+a time as they are stepped, to the four per-row diagnostics, in the one
+runner every ensemble kind shares (_run_ensemble).
 """
 
 from __future__ import annotations
@@ -106,9 +106,13 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # experiment kinds
 
+def _nsteps(cfg: ExperimentConfig) -> int:
+    return int(round(cfg.horizon / cfg.dt))
+
+
 def _time_grid(cfg: ExperimentConfig) -> np.ndarray:
-    nsteps = int(round(cfg.horizon / cfg.dt))
-    return np.linspace(0.0, nsteps * cfg.dt, nsteps + 1)
+    """The times of the rows, for the CSV `t` column and the exit times."""
+    return np.linspace(0.0, _nsteps(cfg) * cfg.dt, _nsteps(cfg) + 1)
 
 
 def _workers(cfg: ExperimentConfig, threads: int) -> int:
@@ -190,7 +194,7 @@ def _fork(reduce, paths: range):
 
 def _increments(cfg: ExperimentConfig, spec: QWienerSpec, nsteps: int, paths: range):
     """Yields the increments of the paths as step_paths reads them: one row
-    (len(paths), n_modes) per grid step, pulled as the step needs it.  Path
+    (len(paths), n_modes) per step of cfg.dt, pulled as the step needs it.  Path
     i draws derive_stream(cfg.seed, i, "noise") a step at a time, in place
     and scaled in place, so its rows are those of sample_coefficients(spec,
     cfg.dt, nsteps, that stream) bit for bit.  Every row is the same
@@ -214,14 +218,13 @@ def _ensemble_range(cfg: ExperimentConfig, spec: QWienerSpec, u0: np.ndarray,
     residual), their exit indices, and the L2 distance (len(paths),) of
     each path's last row (a stopped path's exit row) from u0.  A chunk
     keeps one row of its increments and its latest rows, never its path."""
-    times = _time_grid(cfg)
     size = max(1, _CHUNK_BYTES // (4 * sp._dealias_grid_size(cfg.n) ** 2 * 8))
     diags, exits, drifts = [], [], []
     for first in range(paths.start, paths.stop, size):
         chunk = range(first, min(first + size, paths.stop))
         parts = []
         for u, hs, exit_index in _velocity_blocks(
-                u0, spec, times, _increments(cfg, spec, len(times) - 1, chunk),
+                u0, spec, cfg.dt, _increments(cfg, spec, _nsteps(cfg), chunk),
                 scheme=cfg.scheme, alpha=cfg.alpha, radius_factor=cfg.radius_factor):
             parts.append(_diagnostics(u, hs))
         diags.append(np.concatenate(parts, axis=-1))
@@ -267,11 +270,10 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     u0 = initial_field(cfg)
     labels = uniform_labels(cfg.eq_particles)
     levels = cfg.eq_levels
-    nsteps0 = int(round(cfg.horizon / cfg.dt))
     finest_factor = 2 ** levels
     rng = derive_stream(cfg.seed, "equivalence")
     inc_fine = sample_coefficients(spec, cfg.dt / finest_factor,
-                                   nsteps0 * finest_factor, rng)
+                                   _nsteps(cfg) * finest_factor, rng)
 
     rows = []  # (level, dt, residual)
     for lvl in range(levels + 1):
@@ -301,13 +303,13 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
     steps = [8, 16, 32, 64, 128, 256]
 
     # additive-noise Ornstein-Uhlenbeck, Euler-Maruyama (strong order 1)
-    ou = SdeProblem(drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
+    ou = SdeProblem(drift=lambda x: -x, diffusion=lambda x, dW: dW,
                     noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_add, _, _ = strong_convergence_order(ou, "euler-maruyama", 1.0, steps,
                                              n_paths, rng)
 
     # scalar Stratonovich dX = X o dW against the exact exp(W_T)
-    mult = SdeProblem(drift=lambda t, x: np.zeros(1),
+    mult = SdeProblem(drift=lambda x: np.zeros(1),
                       diffusion=lambda x, dW: x * dW,
                       noise_variances=np.array([1.0]), x0=np.array([1.0]))
     ord_mult, _, _ = strong_convergence_order(
@@ -315,7 +317,7 @@ def _run_convergence(cfg: ExperimentConfig, spec: None, workers: int):
         exact=lambda wT: np.exp(wT))
 
     # zero noise, smooth drift: Heun is the order-2 ODE method
-    ode = SdeProblem(drift=lambda t, x: np.sin(x) + 0.5,
+    ode = SdeProblem(drift=lambda x: np.sin(x) + 0.5,
                      diffusion=lambda x, dW: np.zeros(1),
                      noise_variances=np.array([1.0]), x0=np.array([0.3]))
     ord_ode, _, _ = strong_convergence_order(

@@ -129,18 +129,16 @@ def run_equivalence(u0: np.ndarray, spec: QWienerSpec, dt: float, labels: np.nda
     field at the resolution of spec; make_eulerian_problem rejects any
     other shape.
     """
-    nsteps = len(increments)
-    t_grid = np.linspace(0.0, nsteps * dt, nsteps + 1)
     ens = ParticleEnsemble(np.asarray(labels, dtype=float) % TWO_PI)  # Phi_0 = identity
     j = 0  # the grid time reached
-    for u, _, exit_index in _velocity_blocks(u0, spec, t_grid, increments[:, None],
+    for u, _, exit_index in _velocity_blocks(u0, spec, dt, increments[:, None],
                                              radius_factor=radius_factor):
         if exit_index[0] >= 0:
             raise ValueError(
                 f"the Eulerian path left the localization ball at "
-                f"t = {t_grid[exit_index[0]]:.6g}, "
-                f"before the horizon {t_grid[-1]:.6g}; the particle flow needs the whole "
-                f"path (raise localization.radius_factor)")
+                f"t = {exit_index[0] * dt:.6g}, "
+                f"before the horizon {len(increments) * dt:.6g}; the particle flow needs "
+                f"the whole path (raise localization.radius_factor)")
         u = u[0]
         stack = _spray_fields(u, field_from_coefficients(spec, increments[j:j + len(u)]))
         for i, fields in enumerate(stack):

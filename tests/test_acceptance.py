@@ -173,7 +173,7 @@ def test_heun_em_coupled_difference_linear_in_dt():
 # 8 -------------------------------------------------------------------------
 
 def test_strong_order_euler_maruyama_additive():
-    p = SdeProblem(drift=lambda t, x: -x, diffusion=lambda x, dW: dW,
+    p = SdeProblem(drift=lambda x: -x, diffusion=lambda x, dW: dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
         p, "euler-maruyama", 1.0, [8, 16, 32, 64, 128, 256], 200,
@@ -184,7 +184,7 @@ def test_strong_order_euler_maruyama_additive():
 
 def test_strong_order_heun_stratonovich_benchmark():
     # dX = X o dW against the exact exp(W_T)
-    p = SdeProblem(drift=lambda t, x: np.zeros(1),
+    p = SdeProblem(drift=lambda x: np.zeros(1),
                    diffusion=lambda x, dW: x * dW,
                    noise_variances=np.array([1.0]), x0=np.array([1.0]))
     order, _, _ = strong_convergence_order(
@@ -198,12 +198,12 @@ def test_strong_order_heun_stratonovich_benchmark():
 
 def test_exit_time_deterministic_crossing():
     dt = 0.01
-    p = SdeProblem(drift=lambda t, x: np.ones(1),
+    p = SdeProblem(drift=lambda x: np.ones(1),
                    diffusion=lambda x, dW: np.zeros(1),
                    noise_variances=np.array([1.0]), x0=np.zeros(1),
                    domain_radius=1.0)
     grid = np.arange(0.0, 2.0 + dt / 2, dt)
-    _, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, len(grid) - 1, 1)))
+    _, exit_index = stack_paths(p, "euler-maruyama", dt, np.zeros((1, len(grid) - 1, 1)))
     assert exit_index[0] >= 0
     assert abs(grid[exit_index[0]] - 1.0) <= dt + 1e-12
 
@@ -213,15 +213,14 @@ def test_exit_time_brownian_mean():
     # step_paths at its first grid time outside: E tau = R^2, within 10%
     # at 1e4 paths, every one of which must exit before t = 50
     R, dt, n_paths, block = 1.0, 0.002, 10_000, 100
-    p = SdeProblem(drift=lambda t, x: np.zeros_like(x),
+    p = SdeProblem(drift=lambda x: np.zeros_like(x),
                    diffusion=lambda x, dW: dW, noise_variances=np.array([1.0]),
                    x0=np.zeros(1), domain_radius=R)
     t_grid = np.linspace(0.0, 50.0, int(round(50.0 / dt)) + 1)
     rng = derive_stream(577215, "exit")
     rows = (row for i in range(0, len(t_grid) - 1, block)
-            for row in sample_increments(p, t_grid[i:i + block + 1], rng,
-                                         n_paths).swapaxes(0, 1))
-    for _, exit_index in step_paths(p, "euler-maruyama", t_grid, rows):
+            for row in sample_increments(p, dt, block, rng, n_paths).swapaxes(0, 1))
+    for _, exit_index in step_paths(p, "euler-maruyama", dt, rows):
         if np.all(exit_index >= 0):
             break
     assert np.all(exit_index >= 0)  # t_grid[-1] would count a path that stayed

@@ -60,7 +60,7 @@ def _orders(out) -> dict:
 
 def test_heun_deterministic_rejects_a_corrector_that_reuses_the_predictor_drift(
         tmp_path, monkeypatch):
-    # the corrector keeps b(t, x) in place of (b(t, x) + b(t + dt, xp))/2:
+    # the corrector keeps b(x) in place of (b(x) + b(xp))/2:
     # Euler's method in the drift, the noise still averaged.  Only the ODE
     # row sees it; it draws no noise, so its order does not depend on the seed
     cfg = ExperimentConfig(kind="convergence", seed=3)
@@ -68,8 +68,8 @@ def test_heun_deterministic_rejects_a_corrector_that_reuses_the_predictor_drift(
     assert man.acceptance == {"em-additive": True, "heun-stratonovich": True,
                               "heun-deterministic": True}
 
-    def corrector_reusing_predictor_drift(problem, t, x, dW, dt):
-        b0 = problem.drift(t, x)
+    def corrector_reusing_predictor_drift(problem, x, dW, dt):
+        b0 = problem.drift(x)
         n0 = problem.diffusion(x, dW)
         n1 = problem.diffusion(x + b0 * dt + n0, dW)
         return x + b0 * dt + 0.5 * (n0 + n1)
@@ -77,7 +77,7 @@ def test_heun_deterministic_rejects_a_corrector_that_reuses_the_predictor_drift(
     monkeypatch.setitem(sde._STEPPERS, "heun", corrector_reusing_predictor_drift)
     bad = run_experiment(cfg, out_dir=tmp_path / "bad")
     ok, orders = _orders(tmp_path / "ok"), _orders(tmp_path / "bad")
-    print(f"orders {ok}, with the corrector reusing b(t, x) {orders}")
+    print(f"orders {ok}, with the corrector reusing b(x) {orders}")
     assert abs(ok["heun-deterministic"] - 2.1502) < 1e-4
     assert abs(orders["heun-deterministic"] - 1.4038) < 1e-4
     assert abs(orders["em-additive"] - 1.2149) < 1e-4

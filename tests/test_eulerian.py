@@ -68,7 +68,7 @@ def test_euler_drift_is_projected_advection_term():
     for u in [sp.taylor_green(6), sp.random_divergence_free(6, rng),
               mean + sp.random_divergence_free(6, rng)]:
         problem = eu.make_eulerian_problem(u, spec)
-        ref = problem.drift(0.0, sp.curl(u)[None])[0]
+        ref = problem.drift(sp.curl(u)[None])[0]
         got = sp.curl(eu.averaged_drift(u, 0.0))
         assert np.max(np.abs(got - ref)) <= 1e-14 * max(np.max(np.abs(ref)), 1.0)
 
@@ -142,10 +142,9 @@ def test_resolution_mismatch_rejected():
     spec = build_spectrum(3, 2.0, 1.0)
     inc = np.zeros((2, spec.n_modes))
     labels = uniform_labels(3)
-    times = np.linspace(0.0, 0.02, 3)
     for u0 in (zero_field(4), zero_field(2), zero_field(3)[0]):
         for call in (lambda: eu.make_eulerian_problem(u0, spec),
-                     lambda: next(eu._velocity_blocks(u0, spec, times, inc[:, None])),
+                     lambda: next(eu._velocity_blocks(u0, spec, 0.01, inc[:, None])),
                      lambda: run_equivalence(u0, spec, 0.01, labels, inc)):
             with pytest.raises(ValueError, match=r"expected \(2, 7, 7\)"):
                 call()
@@ -243,7 +242,7 @@ def test_path_diagnostics_match_per_field_functions():
     q, _ = eulerian_path(u0, spec, 0.01, inc[None], alpha=0.3)
     fields = list(eu._velocity(q[0], 0.3, u0[:, 0, 0]))
     blocks = [(u, hs) for u, hs, _ in eu._velocity_blocks(
-        u0, spec, np.linspace(0.0, 0.1, 11), inc[:, None], alpha=0.3)]
+        u0, spec, 0.01, inc[:, None], alpha=0.3)]
     assert [u.shape[1] for u, _ in blocks] == [3, 3, 3, 2]
     energy, ens, hs, div = np.concatenate([eu._diagnostics(*b) for b in blocks], axis=-1)
     assert np.array_equal(energy[0], [sp.l2_norm(f) ** 2 for f in fields])
@@ -254,11 +253,13 @@ def test_path_diagnostics_match_per_field_functions():
     assert np.array_equal(div[0], [sp.divergence_residual(f) for f in fields])
 
 
-def test_streamed_diagnostics_match_collected_path():
+def test_streamed_diagnostics_match_collected_path(monkeypatch):
     # the velocity blocks, reduced as they come, give the diagnostics of the
     # stacked path bit for bit, and its exit indices and last velocities;
-    # the 31 grid times of 3 paths span eight blocks, the last one short, and
-    # path 1 is kicked out of the ball at row 13
+    # path 1 is kicked out of the ball at row 13.  The 31 rows of 3 paths
+    # span eight blocks of b = 4 at the default size, the last one short;
+    # b = 1 and b = 31 divide 31, so the stream ends on a full block, and
+    # b = 40 holds the whole path in one partial block; no block is empty
     N, dt, nsteps = 8, 0.01, 30
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.random_divergence_free(N, np.random.default_rng(7))
@@ -269,16 +270,21 @@ def test_streamed_diagnostics_match_collected_path():
     assert ref_exit.tolist() == [-1, 13, -1]
     ref = eu._velocity(q, 0.3, u0[:, 0, 0])
     problem = eu.make_eulerian_problem(u0, spec, alpha=0.3, radius_factor=2.0)
-    parts = []
-    times = np.linspace(0.0, nsteps * dt, nsteps + 1)
-    for u, hs, exit_index in eu._velocity_blocks(u0, spec, times, inc.swapaxes(0, 1),
-                                                 alpha=0.3, radius_factor=2.0):
-        parts.append(eu._diagnostics(u, hs))
-    assert [d.shape[-1] for d in parts] == [4] * 7 + [3]
-    assert np.array_equal(np.concatenate(parts, axis=-1),
-                          eu._diagnostics(ref, problem.domain_norm(q)))
-    assert np.array_equal(exit_index, ref_exit)
-    assert np.array_equal(u[:, -1], ref[:, -1])
+    row_bytes = 2 * q[:, 0].nbytes  # the q rows of one grid time, twice
+    assert eu._DIAGNOSTIC_BLOCK_BYTES // row_bytes == 4
+    for b, widths in ((4, [4] * 7 + [3]), (1, [1] * 31), (31, [31]), (40, [31])):
+        monkeypatch.setattr(eu, "_DIAGNOSTIC_BLOCK_BYTES", b * row_bytes)
+        parts, us = [], []
+        for u, hs, exit_index in eu._velocity_blocks(u0, spec, dt, inc.swapaxes(0, 1),
+                                                     alpha=0.3, radius_factor=2.0):
+            parts.append(eu._diagnostics(u, hs))
+            us.append(u)
+        assert [d.shape[-1] for d in parts] == widths
+        assert np.array_equal(np.concatenate(us, axis=1), ref)
+        assert np.array_equal(np.concatenate(parts, axis=-1),
+                              eu._diagnostics(ref, problem.domain_norm(q)))
+        assert np.array_equal(exit_index, ref_exit)
+        assert np.array_equal(u[:, -1], ref[:, -1])
 
 
 # u0 on the sphere of its ball: both paths leave it at the first step

@@ -208,10 +208,10 @@ def test_zero_noise_zero_field_static():
 # equivalence residual
 
 def test_residual_zero_horizon():
-    # T = 0, which no config allows: a grid with no step is an empty noise
-    # stream, which the stepper rejects
+    # T = 0, which no config allows: no step is an empty noise stream,
+    # which the stepper rejects
     spec = build_spectrum(4, 3.0, 0.5)
-    with pytest.raises(ValueError, match="does not match the time grid"):
+    with pytest.raises(ValueError, match="increment stream has no row"):
         lg.run_equivalence(sp.taylor_green(4), spec, 0.01, labels=uniform_labels(4),
                            increments=np.zeros((0, spec.n_modes)))
 
@@ -314,8 +314,8 @@ def test_equivalence_reads_no_diagnostics(monkeypatch):
 
 def test_block_size_does_not_change_residual(monkeypatch):
     # the 101 grid times span several blocks of velocity rows at the default
-    # size; one grid time per block and the whole path in one block give the
-    # same bits
+    # size; one grid time per block, the whole path in one full block and in
+    # one partial block of 202 rows give the same bits, and no block is empty
     N, dt, nsteps = 6, 0.002, 100
     spec = build_spectrum(N, 3.0, 0.5)
     u0 = sp.taylor_green(N, 0.5)
@@ -327,9 +327,20 @@ def test_block_size_does_not_change_residual(monkeypatch):
 
     ref = residual()
     assert 1 < eu._DIAGNOSTIC_BLOCK_BYTES // u0.nbytes < nsteps + 1  # u0: one row
-    for size in (1, (nsteps + 1) * u0.nbytes):
+    widths = []
+
+    def recorded(*args, **kwargs):
+        for block in eu._velocity_blocks(*args, **kwargs):
+            widths.append(block[0].shape[1])
+            yield block
+
+    monkeypatch.setattr(lg, "_velocity_blocks", recorded)
+    for size, expected in ((1, [1] * 101), ((nsteps + 1) * u0.nbytes, [101]),
+                           (2 * (nsteps + 1) * u0.nbytes, [101])):
         monkeypatch.setattr(eu, "_DIAGNOSTIC_BLOCK_BYTES", size)
+        widths.clear()
         assert residual() == ref
+        assert widths == expected
 
 
 def test_exit_inside_a_block_names_its_time():

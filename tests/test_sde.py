@@ -11,6 +11,8 @@ import pytest
 from stoflow import eulerian as eu
 from stoflow import sde
 from stoflow import spectral as sp
+from stoflow.config import ExperimentConfig
+from stoflow.experiments import run_experiment
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.sde import SdeProblem
 from stoflow.streams import derive_stream
@@ -28,41 +30,40 @@ def scalar_problem(drift, diffusion, x0=1.0, variances=(1.0,), **kw):
 # single steps
 
 def test_em_step_no_dynamics():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1), x0=0.7)
-    out = sde.step_euler_maruyama(p, 0.0, p.x0, np.array([0.3]), 0.1)
+    p = scalar_problem(lambda x: np.zeros(1), lambda x, dW: np.zeros(1), x0=0.7)
+    out = sde.step_euler_maruyama(p, p.x0, np.array([0.3]), 0.1)
     assert out[0] == 0.7
 
 
 def test_em_step_pure_drift():
-    p = scalar_problem(lambda t, x: np.ones(1), lambda x, dW: np.zeros(1), x0=0.0)
-    out = sde.step_euler_maruyama(p, 0.0, p.x0, np.array([0.0]), 0.5)
+    p = scalar_problem(lambda x: np.ones(1), lambda x, dW: np.zeros(1), x0=0.0)
+    out = sde.step_euler_maruyama(p, p.x0, np.array([0.0]), 0.5)
     assert out[0] == 0.5
 
 
 def test_terminal_state_telescopes_noise():
     # b = 0, sigma = 1: terminal state is exactly the sum of increments
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW, x0=0.0)
-    grid = np.linspace(0.0, 1.0, 33)
-    inc = sde.sample_increments(p, grid, derive_stream(4, "tel"), 1)
+    p = scalar_problem(lambda x: np.zeros(1), lambda x, dW: dW, x0=0.0)
+    inc = sde.sample_increments(p, 1.0 / 32, 32, derive_stream(4, "tel"), 1)
     for scheme in ("euler-maruyama", "heun"):
-        states, _ = stack_paths(p, scheme, grid, inc)
+        states, _ = stack_paths(p, scheme, 1.0 / 32, inc)
         assert abs(states[0, -1, 0] - inc.sum()) < 1e-14
 
 
 def test_heun_equals_em_for_constant_sigma():
     s = np.array([[0.8]])
-    p = scalar_problem(lambda t, x: 2.0 * np.ones(1), lambda x, dW: s @ dW, x0=0.3)
+    p = scalar_problem(lambda x: 2.0 * np.ones(1), lambda x, dW: s @ dW, x0=0.3)
     dW = np.array([-0.4])
-    a = sde.step_euler_maruyama(p, 0.0, p.x0, dW, 0.2)
-    b = sde.step_heun_stratonovich(p, 0.0, p.x0, dW, 0.2)
+    a = sde.step_euler_maruyama(p, p.x0, dW, 0.2)
+    b = sde.step_heun_stratonovich(p, p.x0, dW, 0.2)
     # constant drift and diffusion: the corrector averages degenerate
     assert abs(a[0] - b[0]) < 1e-15
 
 
 def test_heun_zero_noise_is_deterministic_heun():
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: np.zeros(1), x0=1.0)
+    p = scalar_problem(lambda x: -x, lambda x, dW: np.zeros(1), x0=1.0)
     dt = 0.1
-    out = sde.step_heun_stratonovich(p, 0.0, p.x0, np.array([0.0]), dt)
+    out = sde.step_heun_stratonovich(p, p.x0, np.array([0.0]), dt)
     # hand-rolled Heun for dx/dt = -x
     xp = 1.0 - dt
     expected = 1.0 + 0.5 * dt * (-1.0 - xp)
@@ -91,15 +92,14 @@ def test_correction_scales_with_variance():
 
 def test_ito_stratonovich_consistency():
     # Heun on (0, x) and EM on (correction, x) approach each other pathwise
-    strat = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
-    ito = scalar_problem(lambda t, x: 0.5 * x, lambda x, dW: x * dW)
+    strat = scalar_problem(lambda x: np.zeros(1), lambda x, dW: x * dW)
+    ito = scalar_problem(lambda x: 0.5 * x, lambda x, dW: x * dW)
     rng = derive_stream(11, "cons")
     diffs = []
     for nsteps in (32, 64, 128, 256):
-        grid = np.linspace(0.0, 1.0, nsteps + 1)
-        inc = sde.sample_increments(strat, grid, rng, 200)
-        a = stack_paths(strat, "heun", grid, inc)[0][:, -1]
-        b = stack_paths(ito, "euler-maruyama", grid, inc)[0][:, -1]
+        inc = sde.sample_increments(strat, 1.0 / nsteps, nsteps, rng, 200)
+        a = stack_paths(strat, "heun", 1.0 / nsteps, inc)[0][:, -1]
+        b = stack_paths(ito, "euler-maruyama", 1.0 / nsteps, inc)[0][:, -1]
         diffs.append(np.sqrt(np.sum((a - b) ** 2) / 200))
     assert diffs[-1] < diffs[0]
     assert diffs[-1] < 0.5 * diffs[0]
@@ -108,14 +108,13 @@ def test_ito_stratonovich_consistency():
 def test_ito_formula_residual_refines():
     # f(x) = x^2 on the OU process: the discrete Ito-formula defect
     # shrinks in mean square under refinement
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=1.0)
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW, x0=1.0)
     rng = derive_stream(17, "ito")
     resids = []
     for nsteps in (16, 64, 256):
-        grid = np.linspace(0.0, 1.0, nsteps + 1)
         dt = 1.0 / nsteps
-        inc = sde.sample_increments(p, grid, rng, 200)
-        states, _ = stack_paths(p, "euler-maruyama", grid, inc)
+        inc = sde.sample_increments(p, dt, nsteps, rng, 200)
+        states, _ = stack_paths(p, "euler-maruyama", dt, inc)
         x = states[:, :-1, 0]
         xT = states[:, -1, 0]
         # Df.b = -2x^2, (1/2)tr(D2f sQs*) = 1, Df.s dW = 2x dW
@@ -129,69 +128,71 @@ def test_ito_formula_residual_refines():
 # exit-time localization
 
 def test_deterministic_exit_within_one_step():
-    p = scalar_problem(lambda t, x: np.ones(1), lambda x, dW: np.zeros(1),
+    p = scalar_problem(lambda x: np.ones(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
     dt = 0.01
-    grid = np.linspace(0.0, 2.0, 201)
-    states, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, 200, 1)))
+    states, exit_index = stack_paths(p, "euler-maruyama", dt, np.zeros((1, 200, 1)))
     e = exit_index[0]
     assert e >= 0
-    assert abs(grid[e] - 1.0) <= dt + 1e-12
+    assert abs(e * dt - 1.0) <= dt + 1e-12
     # the stopped path: every row after the exit row repeats the exit state
     assert np.all(states[0, e:] == states[0, e])
     assert np.all(states[0, :e, 0] <= 1.0)
 
 
 def test_static_path_never_exits():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: np.zeros(1),
+    p = scalar_problem(lambda x: np.zeros(1), lambda x, dW: np.zeros(1),
                        x0=0.0, domain_radius=1.0)
-    grid = np.linspace(0.0, 5.0, 51)
-    states, exit_index = stack_paths(p, "heun", grid, np.zeros((1, 50, 1)))
+    states, exit_index = stack_paths(p, "heun", 0.1, np.zeros((1, 50, 1)))
     assert exit_index[0] == -1
     assert states.shape == (1, 51, 1)
 
 
 def test_exit_monotone_under_domain_inclusion():
     rng = derive_stream(23, "mono")
-    grid = np.linspace(0.0, 20.0, 2001)
-    small = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
+    small = scalar_problem(lambda x: np.zeros(1), lambda x, dW: dW,
                            x0=0.0, domain_radius=1.0)
-    big = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
+    big = scalar_problem(lambda x: np.zeros(1), lambda x, dW: dW,
                          x0=0.0, domain_radius=2.0)
-    inc = sde.sample_increments(small, grid, rng, 10)
-    xs_all, es_all = stack_paths(small, "euler-maruyama", grid, inc)
-    xb_all, eb_all = stack_paths(big, "euler-maruyama", grid, inc)
+    inc = sde.sample_increments(small, 0.01, 2000, rng, 10)
+    xs_all, es_all = stack_paths(small, "euler-maruyama", 0.01, inc)
+    xb_all, eb_all = stack_paths(big, "euler-maruyama", 0.01, inc)
     for es, eb, xs, xb in zip(es_all, eb_all, xs_all, xb_all):
-        ts = grid[es] if es >= 0 else np.inf
-        tb = grid[eb] if eb >= 0 else np.inf
+        ts = es if es >= 0 else np.inf
+        tb = eb if eb >= 0 else np.inf
         assert tb >= ts
         # paths agree up to the smaller domain's exit
-        n = es + 1 if es >= 0 else len(grid)
+        n = es + 1 if es >= 0 else 2001
         assert np.array_equal(xb[:n], xs[:n])
 
 
 def test_initial_state_outside_domain_rejected():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: dW,
+    p = scalar_problem(lambda x: np.zeros(1), lambda x, dW: dW,
                        x0=3.0, domain_radius=1.0)
     with pytest.raises(ValueError):
-        next(sde.step_paths(p, "heun", np.linspace(0, 1, 11), np.zeros((10, 1, 1))))
+        next(sde.step_paths(p, "heun", 0.1, np.zeros((10, 1, 1))))
 
 
 def test_custom_domain_norm():
-    p = SdeProblem(drift=lambda t, x: np.array([1.0, 0.0]),
+    # the exit reads domain_norm, 2|x_0|, not the Euclidean default (0.5 at
+    # the exit): the path leaves U at the first row where 2 x_0 > 1.  x_0
+    # reaches 0.5 in exact arithmetic at row 50, a tie that rounding breaks,
+    # so the exit row is checked against the rows on either side of it
+    p = SdeProblem(drift=lambda x: np.array([1.0, 0.0]),
                    diffusion=lambda x, dW: np.zeros(2),
                    noise_variances=np.array([1.0]),
                    x0=np.zeros(2), domain_radius=1.0,
                    domain_norm=lambda v: 2.0 * np.abs(v[:, 0]))
-    grid = np.linspace(0.0, 1.0, 101)
-    _, exit_index = stack_paths(p, "euler-maruyama", grid, np.zeros((1, 100, 1)))
-    assert abs(grid[exit_index[0]] - 0.51) < 1e-12
+    states, exit_index = stack_paths(p, "euler-maruyama", 0.01, np.zeros((1, 100, 1)))
+    e = exit_index[0]
+    assert e in (50, 51)
+    assert 2.0 * states[0, e - 1, 0] <= 1.0 < 2.0 * states[0, e, 0]
 
 
 def test_nonfinite_state_aborts():
-    p = scalar_problem(lambda t, x: np.full(1, np.nan), lambda x, dW: np.zeros(1))
+    p = scalar_problem(lambda x: np.full(1, np.nan), lambda x, dW: np.zeros(1))
     with pytest.raises(sde.SdePathError) as exc:
-        stack_paths(p, "euler-maruyama", np.linspace(0, 10, 101), np.zeros((1, 100, 1)))
+        stack_paths(p, "euler-maruyama", 0.1, np.zeros((1, 100, 1)))
     assert str(exc.value).startswith("non-finite state at step 0, t=")
 
 
@@ -214,16 +215,15 @@ def test_paths_exit_on_their_own():
     # three paths in one stack: path 0 is kicked out of U at row 7, where
     # the drift turns NaN; exited paths are never stepped again, so no
     # SdePathError, and each live path's rows equal its solo rows
-    p = scalar_problem(lambda t, x: np.where(np.abs(x) > 1.0, np.nan, -x),
+    p = scalar_problem(lambda x: np.where(np.abs(x) > 1.0, np.nan, -x),
                        lambda x, dW: dW, x0=0.2, domain_radius=1.0)
-    grid = np.linspace(0.0, 0.2, 21)
     inc = 0.01 * derive_stream(41, "own").standard_normal((3, 20, 1))
     inc[0, 6] = 2.0
-    states, exit_index = stack_paths(p, "euler-maruyama", grid, inc)
+    states, exit_index = stack_paths(p, "euler-maruyama", 0.01, inc)
     assert exit_index.tolist() == [7, -1, -1]
     assert np.all(states[0, 7:] == states[0, 7])
     for k in (1, 2):
-        solo, solo_exit = stack_paths(p, "euler-maruyama", grid, inc[k:k + 1])
+        solo, solo_exit = stack_paths(p, "euler-maruyama", 0.01, inc[k:k + 1])
         assert solo_exit[0] == -1
         assert np.array_equal(states[k], solo[0])
 
@@ -233,44 +233,41 @@ def test_step_paths_rows_are_the_collected_path():
     # each path makes alone, stepped one Heun step at a time and stopped at
     # its first exit, on a stack where two of three paths exit at different
     # rows; the exit indices agree; the next step overwrites the yielded array
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
-    grid = np.linspace(0.0, 0.2, 21)
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
     inc = 0.01 * derive_stream(42, "rows").standard_normal((3, 20, 1))
     inc[0, 6], inc[2, 11] = 2.0, -2.0
-    ref = np.empty((3, len(grid), 1))
+    ref = np.empty((3, 21, 1))
     ref_exit = []
     for k in range(3):
         x, e = p.x0[None], -1
         ref[k, 0] = x[0]
-        for i in range(len(grid) - 1):
+        for i in range(20):
             if e < 0:
-                x = sde.step_heun_stratonovich(p, grid[i], x, inc[k, i:i + 1],
-                                               grid[i + 1] - grid[i])
-                e = i + 1 if p.norm(x)[0] > p.domain_radius else -1
+                x = sde.step_heun_stratonovich(p, x, inc[k, i:i + 1], 0.01)
+                e = i + 1 if p.domain_norm(x)[0] > p.domain_radius else -1
             ref[k, i + 1] = x[0]
         ref_exit.append(e)
     assert ref_exit == [7, -1, 12]
     rows = []
-    for x, exit_index in sde.step_paths(p, "heun", grid, inc.swapaxes(0, 1)):
+    for x, exit_index in sde.step_paths(p, "heun", 0.01, inc.swapaxes(0, 1)):
         rows.append(x.copy())
-    assert len(rows) == len(grid)
+    assert len(rows) == 21
     assert np.array_equal(np.stack(rows, axis=1), ref)
     assert exit_index.tolist() == ref_exit
     assert np.array_equal(x, ref[:, -1])
-    steps = sde.step_paths(p, "heun", grid, inc.swapaxes(0, 1))
+    steps = sde.step_paths(p, "heun", 0.01, inc.swapaxes(0, 1))
     assert next(steps)[0] is next(steps)[0]
 
 
 def test_step_paths_reads_increment_rows():
-    # a stream of rows (K, m), one per grid step, drives the stepper as the
+    # a stream of rows (K, m), one per step, drives the stepper as the
     # path-major array they come from does, even when every row is one
-    # buffer overwritten in turn; a stream that ends early or runs past the
-    # grid, or a row of the wrong stack, raises
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
-    grid = np.linspace(0.0, 0.2, 21)
+    # buffer overwritten in turn; the path ends where the stream ends; a
+    # stream with no row, or a row of the wrong stack, raises
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW, x0=0.2, domain_radius=1.0)
     inc = 0.01 * derive_stream(43, "blocks").standard_normal((3, 20, 1))
     inc[1, 9] = 2.0
-    ref, ref_exit = stack_paths(p, "heun", grid, inc)
+    ref, ref_exit = stack_paths(p, "heun", 0.01, inc)
     assert ref_exit.tolist() == [-1, 10, -1]
     pulled = []
 
@@ -281,21 +278,27 @@ def test_step_paths_reads_increment_rows():
             pulled.append(i)
             yield buf
 
-    rows = [x.copy() for x, _ in sde.step_paths(p, "heun", grid, reused())]
+    rows = [x.copy() for x, _ in sde.step_paths(p, "heun", 0.01, reused())]
     assert np.array_equal(np.stack(rows, axis=1), ref)
 
-    # rows are pulled as the steps need them: a consumer that stops at grid
-    # time i has pulled max(i, 1) rows
+    # rows are pulled as the steps need them: a consumer that stops at row
+    # i has pulled max(i, 1) noise rows
     for stop in (0, 1, 7, 20):
         pulled.clear()
-        for i, (x, _) in enumerate(sde.step_paths(p, "heun", grid, reused())):
+        for i, (x, _) in enumerate(sde.step_paths(p, "heun", 0.01, reused())):
             if i == stop:
                 break
         assert np.array_equal(x, ref[:, stop]) and len(pulled) == max(stop, 1)
     rows = list(inc.swapaxes(0, 1))
-    for bad in (rows[:19], rows + rows[:1], rows[:7] + [inc[:2, 7]] + rows[8:], []):
-        with pytest.raises(ValueError, match="does not match the time grid"):
-            for _ in sde.step_paths(p, "heun", grid, iter(bad)):
+    # n noise rows make n + 1 rows: 19 end a row early, 21 run one row on
+    short = [x.copy() for x, _ in sde.step_paths(p, "heun", 0.01, iter(rows[:19]))]
+    assert np.array_equal(np.stack(short, axis=1), ref[:, :20])
+    longer = [x.copy() for x, _ in sde.step_paths(p, "heun", 0.01, iter(rows + rows[:1]))]
+    assert len(longer) == 22 and np.array_equal(np.stack(longer[:21], axis=1), ref)
+    for bad, match in ((rows[:7] + [inc[:2, 7]] + rows[8:], "row 7 has shape"),
+                       ([], "no row")):
+        with pytest.raises(ValueError, match=match):
+            for _ in sde.step_paths(p, "heun", 0.01, iter(bad)):
                 pass
 
 
@@ -316,38 +319,62 @@ def test_eulerian_noise_is_placed_as_the_formula_says(scheme, placements):
     dW = np.stack([sample_coefficients(spec, 0.01, 1, derive_stream(37, k, "once"))[0]
                    for k in range(3)])
     x = np.stack([problem.x0] * 3)
-    step = sde._STEPPERS[scheme](replace(problem, diffusion=counted), 0.0, x, dW, 0.01)
+    step = sde._STEPPERS[scheme](replace(problem, diffusion=counted), x, dW, 0.01)
     assert len(calls) == placements
     first = problem.diffusion(x, dW)
     once = sde._STEPPERS[scheme](replace(problem, diffusion=lambda q, dW: first),
-                                 0.0, x, dW, 0.01)
+                                 x, dW, 0.01)
     assert np.array_equal(step, once)
+
+
+def test_every_step_is_one_dt(tmp_path, monkeypatch):
+    # each noise row is one step of exactly the dt its noise was scaled by:
+    # time.dt in a simulate run, time.dt / 2**l at level l of equivalence
+    # (0.01 stepped from the differences of a grid of 51 times is another
+    # value in 48 of 50 steps)
+    dts = []
+
+    def recorded(step):
+        def wrapper(*args):
+            dts.append(args[-1])
+            return step(*args)
+        return wrapper
+
+    for scheme, step in list(sde._STEPPERS.items()):
+        monkeypatch.setitem(sde._STEPPERS, scheme, recorded(step))
+    run_experiment(ExperimentConfig(kind="simulate-averaged", n=8, dt=0.01, horizon=0.5,
+                                    alpha=0.3, init_kind="taylor-green", ensemble=2),
+                   out_dir=tmp_path / "sim")
+    assert len(dts) == 50 and all(dt == 0.01 for dt in dts)
+    dts.clear()
+    run_experiment(ExperimentConfig(kind="equivalence", n=6, dt=0.05, horizon=0.25,
+                                    init_kind="taylor-green", eq_levels=3, eq_particles=3),
+                   out_dir=tmp_path / "eq")
+    assert dts == [0.05 / 2**lvl for lvl in range(4) for _ in range(5 * 2**lvl)]
 
 
 def test_problem_dim_is_read_from_x0():
     # the real degrees of freedom of a state: a complex entry counts twice
-    assert scalar_problem(lambda t, x: -x, lambda x, dW: dW).dim == 1
+    assert scalar_problem(lambda x: -x, lambda x, dW: dW).dim == 1
     spec = build_spectrum(3, 2.0, 0.5)
     assert eu.make_eulerian_problem(sp.taylor_green(3), spec).dim == 2 * 7 * 7
 
 
 def test_increments_must_match_grid():
-    # 9 or 11 rows for 10 steps, or rows that are not (K, m) stacks
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
-    for bad in (np.zeros((9, 1, 1)), np.zeros((11, 1, 1)), np.zeros((10, 1))):
-        with pytest.raises(ValueError, match="does not match the time grid"):
-            for _ in sde.step_paths(p, "heun", np.linspace(0, 1, 11), bad):
-                pass
+    # rows that are not (K, m) stacks
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW)
+    with pytest.raises(ValueError, match="no row of shape"):
+        for _ in sde.step_paths(p, "heun", 0.1, np.zeros((10, 1))):
+            pass
 
 
 # ---------------------------------------------------------------------------
 # determinism and refinement machinery
 
 def test_solve_path_deterministic():
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
-    grid = np.linspace(0.0, 1.0, 65)
-    a, b = (stack_paths(p, "heun", grid,
-                        sde.sample_increments(p, grid, derive_stream(3, "det"), 2))[0]
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW)
+    a, b = (stack_paths(p, "heun", 1.0 / 64,
+                        sde.sample_increments(p, 1.0 / 64, 64, derive_stream(3, "det"), 2))[0]
             for _ in range(2))
     assert np.array_equal(a, b)
 
@@ -366,16 +393,15 @@ def test_coarsen_increments_sums_blocks():
 
 def test_sample_increments_path_major():
     # n_paths rows drawn at once are the rows of n_paths draws in turn
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW, variances=(1.0, 4.0))
-    grid = np.linspace(0.0, 1.0, 9)
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW, variances=(1.0, 4.0))
     rng = derive_stream(5, "major")
-    one = [sde.sample_increments(p, grid, rng, 1)[0] for _ in range(3)]
-    assert np.array_equal(sde.sample_increments(p, grid, derive_stream(5, "major"), 3),
+    one = [sde.sample_increments(p, 0.125, 8, rng, 1)[0] for _ in range(3)]
+    assert np.array_equal(sde.sample_increments(p, 0.125, 8, derive_stream(5, "major"), 3),
                           np.stack(one))
 
 
 def test_strong_order_em_additive():
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW)
     order, dts, errs = sde.strong_convergence_order(
         p, "euler-maruyama", 1.0, [8, 16, 32, 64, 128], 100,
         derive_stream(31, "ord"))
@@ -384,7 +410,7 @@ def test_strong_order_em_additive():
 
 
 def test_strong_order_heun_deterministic():
-    p = scalar_problem(lambda t, x: np.sin(x) + 0.5, lambda x, dW: np.zeros(1),
+    p = scalar_problem(lambda x: np.sin(x) + 0.5, lambda x, dW: np.zeros(1),
                        x0=0.3)
     order, _, _ = sde.strong_convergence_order(
         p, "heun", 1.0, [8, 16, 32, 64], 1, derive_stream(0, "ode"))
@@ -392,7 +418,7 @@ def test_strong_order_heun_deterministic():
 
 
 def test_strong_order_heun_multiplicative():
-    p = scalar_problem(lambda t, x: np.zeros(1), lambda x, dW: x * dW)
+    p = scalar_problem(lambda x: np.zeros(1), lambda x, dW: x * dW)
     order, _, _ = sde.strong_convergence_order(
         p, "heun", 1.0, [8, 16, 32, 64, 128], 200, derive_stream(7, "mult"),
         exact=lambda wT: np.exp(wT))
@@ -400,7 +426,7 @@ def test_strong_order_heun_multiplicative():
 
 
 def test_strong_order_needs_three_levels():
-    p = scalar_problem(lambda t, x: -x, lambda x, dW: dW)
+    p = scalar_problem(lambda x: -x, lambda x, dW: dW)
     with pytest.raises(ValueError):
         sde.strong_convergence_order(p, "heun", 1.0, [8, 16], 4,
                                      derive_stream(0, "few"))

@@ -8,12 +8,12 @@ from stoflow.eulerian import make_eulerian_problem
 from stoflow.sde import step_paths
 
 
-def stack_paths(problem, scheme, t_grid, increments):
+def stack_paths(problem, scheme, dt, increments):
     """Every row of step_paths on the path-major increments (K, nsteps, m),
-    copied as it comes: the states (K, len(t_grid), *x0.shape) and the
-    final exit indices (K,)."""
+    steps of dt, copied as it comes: the states (K, nsteps + 1, *x0.shape)
+    and the final exit indices (K,)."""
     rows = []
-    for x, exit_index in step_paths(problem, scheme, t_grid, increments.swapaxes(0, 1)):
+    for x, exit_index in step_paths(problem, scheme, dt, increments.swapaxes(0, 1)):
         rows.append(x.copy())
     return np.stack(rows, axis=1), exit_index
 
@@ -24,9 +24,7 @@ def eulerian_path(u0, spec, dt, increments, scheme="heun", alpha=0.0,
     (K, nsteps, n_modes), steps of dt: the q rows (K, nsteps + 1, M, M) and
     the exit indices.  eulerian._velocity rebuilds the velocities."""
     problem = make_eulerian_problem(u0, spec, alpha=alpha, radius_factor=radius_factor)
-    nsteps = increments.shape[1]
-    return stack_paths(problem, scheme, np.linspace(0.0, nsteps * dt, nsteps + 1),
-                       increments)
+    return stack_paths(problem, scheme, dt, increments)
 
 
 def eigenmode_field(spec, j):
