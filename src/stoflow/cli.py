@@ -67,6 +67,9 @@ def main(argv=None) -> int:
         return 1
     try:
         cfg = parse_config(args.config)
+        if args.seed is not None:
+            cfg.seed = args.seed
+            cfg.validate()
     except (ConfigError, OSError) as exc:
         print(f"lab: config error: {exc}", file=sys.stderr)
         return 1
@@ -74,8 +77,6 @@ def main(argv=None) -> int:
         print(f"lab: config kind {cfg.kind!r} does not match command {args.kind!r}",
               file=sys.stderr)
         return 1
-    if args.seed is not None:
-        cfg.seed = args.seed
     out = args.out or os.environ.get("STOFLOW_OUT") or cfg.out_dir
     try:
         # a diverging path overflows before the stepper's finiteness check

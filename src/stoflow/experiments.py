@@ -15,6 +15,7 @@ runner every ensemble kind shares (_run_ensemble).
 from __future__ import annotations
 
 import json
+import math
 import os
 import pickle
 import signal
@@ -95,7 +96,11 @@ def initial_field(cfg: ExperimentConfig) -> np.ndarray:
     if cfg.init_kind == "taylor-green":
         return sp.taylor_green(cfg.n, cfg.init_amplitude)
     if cfg.init_kind == "single-mode":
-        return sp.single_mode_field(cfg.n, (cfg.init_kx, cfg.init_ky), cfg.init_amplitude)
+        try:
+            return sp.single_mode_field(cfg.n, (cfg.init_kx, cfg.init_ky), cfg.init_amplitude)
+        except ValueError as exc:
+            raise ValueError(f"init.kx = {cfg.init_kx}, init.ky = {cfg.init_ky} at "
+                             f"grid.n = {cfg.n}: {exc}") from None
     if cfg.init_kind == "random":
         rng = derive_stream(cfg.init_seed, "init")
         return sp.random_divergence_free(cfg.n, rng, cfg.init_slope, cfg.init_amplitude)
@@ -272,7 +277,8 @@ def _run_equivalence(cfg: ExperimentConfig, spec: QWienerSpec, workers: int):
     levels = cfg.eq_levels
     finest_factor = 2 ** levels
     rng = derive_stream(cfg.seed, "equivalence")
-    inc_fine = sample_coefficients(spec, cfg.dt / finest_factor,
+    # the same value as cfg.dt / finest_factor, which overflows past 2^1023
+    inc_fine = sample_coefficients(spec, math.ldexp(cfg.dt, -levels),
                                    _nsteps(cfg) * finest_factor, rng)
 
     rows = []  # (level, dt, residual)

@@ -2,16 +2,18 @@
 driver, and the command-line entry point."""
 
 import json
+import math
 import os
 import time
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from stoflow import experiments
 from stoflow.cli import main
-from stoflow.config import ConfigError, ExperimentConfig, parse_config_text
+from stoflow.config import _KEYMAP, ConfigError, ExperimentConfig, parse_config_text
 from stoflow.experiments import run_experiment
 from stoflow.qwiener import build_spectrum, sample_coefficients
 from stoflow.streams import derive_stream
@@ -46,12 +48,33 @@ def test_full_round_trip():
     ("time.horizon", "inf"),
     ("noise.gamma", "nan"),
     ("time.dt", "0.03"),  # 0.5 / 0.03 steps miss the default horizon
+    ("time.dt", "5e-324"),  # 0.5 / 5e-324 steps are past a float
     ("seed", "-3"),
     ("init.seed", "-1"),
 ])
 def test_negative_dt_names_the_key(key, value):
     with pytest.raises(ConfigError, match=key):
         parse_config_text(f"kind = isometry\n{key} = {value}\n")
+
+
+BOUNDS = [(f.metadata["key"], *f.metadata["bound"])
+          for f in fields(ExperimentConfig) if f.metadata["bound"]]
+
+
+@pytest.mark.parametrize("key, op, bound", BOUNDS, ids=[b[0] for b in BOUNDS])
+def test_declared_bound_is_checked(key, op, bound):
+    # an inclusive bound is itself accepted; the first value past the bound,
+    # the bound itself if strict, is rejected with the key, bound and value
+    base = "kind = simulate-averaged\n"
+    attr, typ = _KEYMAP[key]
+    if op == ">=":
+        assert getattr(parse_config_text(f"{base}{key} = {bound}\n"), attr) == bound
+        past = bound - 1 if typ is int else math.nextafter(bound, -math.inf)
+    else:
+        past = typ(bound)
+    with pytest.raises(ConfigError) as exc:
+        parse_config_text(f"{base}{key} = {past!r}\n")
+    assert str(exc.value) == f"{key} must be {op} {bound}, got {past!r}"
 
 
 def test_unknown_key_rejected():
@@ -495,7 +518,10 @@ ISOMETRY_SE = ("lab: error: noise.gamma = 3, noise.c = {} and grid.n = 2 give a 
 
 @pytest.mark.parametrize("kind, text, threads, head", [
     ("isometry", "grid.n = 4\nnoise.gamma = 1200\nnoise.c = 0.5\n", "1", "lab: error: "),
-    ("simulate-euler", "init.kind = single-mode\ninit.kx = 9\n", "1", "lab: error: "),
+    ("simulate-euler", "init.kind = single-mode\ninit.kx = 9\n", "1",
+     "lab: error: init.kx = 9, init.ky = 0 at grid.n = 8: "),
+    ("simulate-euler", "init.kind = single-mode\ninit.kx = 0\n", "1",
+     "lab: error: init.kx = 0, init.ky = 0 at grid.n = 8: "),
     ("equivalence", "grid.n = 6\nnoise.c = 2.0\nlocalization.radius_factor = 1.0\n"
                     "time.horizon = 0.2\ntime.dt = 0.05\nequivalence.levels = 1\n",
      "1", "lab: error: "),
@@ -513,10 +539,15 @@ ISOMETRY_SE = ("lab: error: noise.gamma = 3, noise.c = {} and grid.n = 2 give a 
     ("simulate-euler", HUGE_FIELD, "2", HUGE_FIELD_ABORT),
     ("simulate-euler", "noise.s_prime = 1" + "0" * 400 + "\n", "1",
      "lab: config error: noise.s_prime has 401 digits"),
-], ids=["underflowed-spectrum", "mode-off-grid", "path-exit", "isometry-stderr-inf",
-        "isometry-stderr-zero", "overflow-simulate-t1", "overflow-simulate-t2",
-        "overflow-energy-t1", "overflow-energy-t2", "budget-overflow-t1",
-        "budget-overflow-t2", "huge-field-t1", "huge-field-t2", "s-prime-past-float"])
+    ("equivalence", "time.dt = 0.05\nequivalence.levels = 1100\n", "1",
+     "lab: config error: equivalence.levels = 1100 halves time.dt = 0.05 to 0"),
+    ("equivalence", "time.dt = 0.05\nequivalence.levels = 100000\n", "1",
+     "lab: config error: equivalence.levels = 100000 halves time.dt = 0.05 to 0"),
+], ids=["underflowed-spectrum", "mode-off-grid", "mode-zero", "path-exit",
+        "isometry-stderr-inf", "isometry-stderr-zero", "overflow-simulate-t1",
+        "overflow-simulate-t2", "overflow-energy-t1", "overflow-energy-t2",
+        "budget-overflow-t1", "budget-overflow-t2", "huge-field-t1", "huge-field-t2",
+        "s-prime-past-float", "levels-1100", "levels-100000"])
 def test_cli_runner_error_leaves_no_out_dir(tmp_path, capsys, monkeypatch, kind, text,
                                             threads, head):
     # the output directory is made once the runner has results, so an error
@@ -618,7 +649,7 @@ def test_cli_negative_seed_names_the_key(tmp_path, capsys):
     assert main(["isometry", "--config", path, "--seed", "-3",
                  "--out", str(tmp_path / "o")]) == 1
     err = capsys.readouterr().err
-    assert "seed" in err
+    assert err.startswith("lab: config error: seed must be >= 0, got -3")
     assert err.count("\n") == 1
 
 

@@ -8,6 +8,7 @@ restates the config keys and the manifest fields.
 
 import json
 import re
+from dataclasses import fields
 from pathlib import Path
 
 from stoflow import config, experiments, sde
@@ -43,6 +44,21 @@ def test_config_table_lists_every_key_with_its_type_and_default():
     expected = {key: (TYPE_NAMES[typ], "(required)" if key == "kind" else defaults[key])
                 for key, (_, typ) in config._KEYMAP.items()}
     assert documented == expected
+
+
+def test_config_table_states_every_declared_bound_and_choice():
+    rows = {}
+    for keys, _, _, meaning in doc_table("## Experiment config"):
+        for key in keys.split(", "):
+            rows[key.strip("`")] = meaning
+    missing = []
+    for f in fields(ExperimentConfig):
+        key, bound, choices = f.metadata["key"], f.metadata["bound"], f.metadata["choices"]
+        wanted = [f"`{c}`" for c in choices]
+        if bound:
+            wanted.append(f"must be {bound[0]} {bound[1]}")
+        missing += [(key, w) for w in wanted if w not in rows[key]]
+    assert missing == []
 
 
 def test_manifest_table_lists_every_json_key():

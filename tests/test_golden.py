@@ -3,13 +3,14 @@ files compared with the ones kept in tests/golden/<case>/.
 
 Integers, strings, config.txt and every manifest field must match exactly.
 A float must agree within 1e-12 of the largest magnitude in its CSV
-column.  That forgives last-bit changes in most columns, but not in a
-column that is all round-off, such as `div_residual` (about 1e-17, so
-its own largest value is round-off too), nor in a statistic formed by
-cancellation, such as energy-growth's z: scaling every noise draw by
-1 + 1e-14 moves the first by up to 0.7 of its column and the second by
-1.5e-12, and both fail.  Each case prints whether the match was bitwise
-and its largest difference relative to its column.
+column, which forgives last-bit changes.  Two columns are compared within
+an absolute 1e-12 instead: `div_residual`, which is all round-off (about
+1e-17, so its own largest value is round-off too), and energy-growth's
+z, a dimensionless statistic formed by cancellation.  Scaling every noise
+draw by 1 + 1e-14 moves the first by up to 0.7 of its column and the
+second by 1.5e-12, which the relative rule would reject.  Each case
+prints whether the match was bitwise and its largest difference relative
+to its column (absolute in those two).
 """
 
 import json
@@ -21,6 +22,8 @@ import pytest
 from golden.regen import CASES, HERE, run_case
 
 REL_TOL = 1e-12
+# (file, column) compared within an absolute REL_TOL
+ABSOLUTE = {("diagnostics.csv", "div_residual"), ("energy_summary.csv", "z")}
 
 
 def _column_kind(cells) -> type:
@@ -36,8 +39,8 @@ def _column_kind(cells) -> type:
 
 def _compare_csv(golden: str, new: str, name: str, problems: list) -> float:
     """The largest difference of a float of `new` from `golden`, relative
-    to the largest magnitude of its column; what does not match goes to
-    `problems`."""
+    to the largest magnitude of its column (absolute in the ABSOLUTE
+    columns); what does not match goes to `problems`."""
     rows = [line.split(",") for line in golden.splitlines()]
     other = [line.split(",") for line in new.splitlines()]
     if len(other) != len(rows) or other[0] != rows[0] \
@@ -53,7 +56,8 @@ def _compare_csv(golden: str, new: str, name: str, problems: list) -> float:
             if got != want:
                 problems.append(f"{name}: column {head} differs")
             continue
-        scale = max((abs(float(v)) for v in want if math.isfinite(float(v))), default=0.0)
+        scale = 1.0 if (name, head) in ABSOLUTE else max(
+            (abs(float(v)) for v in want if math.isfinite(float(v))), default=0.0)
         for i, (a, b) in enumerate(zip(want, got)):
             a = float(a)
             try:
@@ -120,3 +124,17 @@ def test_golden_comparison_rejects_a_perturbed_value(tmp_path):
     assert not bitwise and worst > REL_TOL
     assert problems == [f"energy.csv: row {i} column terminal_energy: "
                         f"{float(energy)!r}, expected {float(lines[i].split(',')[1])!r}"]
+
+
+def test_golden_comparison_rejects_a_moved_div_residual(tmp_path):
+    # negative control of the absolute rule: one div_residual moved by 1e-11
+    golden = tmp_path / "golden"
+    shutil.copytree(HERE / "simulate-euler", golden)
+    run_case(CASES["simulate-euler"], tmp_path / "run")
+    lines = (golden / "diagnostics.csv").read_text(encoding="utf-8").splitlines()
+    *head, residual = lines[1].split(",")
+    lines[1] = ",".join([*head, f"{float(residual) + 1e-11:.17g}"])
+    (golden / "diagnostics.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    bitwise, worst, problems = compare(golden, tmp_path / "run")
+    assert not bitwise and worst > REL_TOL
+    assert len(problems) == 1 and "row 1 column div_residual" in problems[0]
